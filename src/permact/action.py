@@ -16,15 +16,24 @@ into orbits whose descent generating function is t^k (1+t)^(n-1-2k).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable
 
-from .polynomials import GammaExpansion, IntPolynomial
+from .polynomials import (
+    GammaExpansion,
+    IntPolynomial,
+    NonIntegralError,
+    peak_scale,
+    strip_zeros,
+)
 from .words import (
     Boundary,
     LetterClass,
     Word,
     des,
+    descent_poly,
     double_descent,
     letter_class_at,
     peak,
@@ -92,13 +101,6 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
     return w
 
 
-def phi_S(w: Word, letters: Iterable[int]) -> Word:
-    """Apply phi_x for every x in the set, in increasing letter order."""
-    for x in sorted(set(letters)):
-        w = phi_x(w, x)
-    return w
-
-
 def phi_prime_S(
     w: Word, letters: Iterable[int], boundary: Boundary = Boundary.TOP
 ) -> Word:
@@ -143,68 +145,63 @@ class OrbitReport:
         }
 
 
-def orbit_members(
-    w: Word, boundary: Boundary = Boundary.TOP
-) -> frozenset[Word]:
-    """Closure of {w} under all phi_prime_x."""
-    members = {w}
-    stack = [w]
+def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
+    """Closure of {seed} under hop(., x) for every letter x."""
+    members = {seed}
+    stack = [seed]
     while stack:
         v = stack.pop()
         for x in v:
-            u = phi_prime_x(v, x, boundary)
+            u = hop(v, x)
             if u not in members:
                 members.add(u)
                 stack.append(u)
     return frozenset(members)
 
 
-def phi_closure(w: Word) -> frozenset[Word]:
-    """Closure of {w} under the unmodified block swaps phi_x (peaks move too)."""
-    members = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for x in v:
-            u = phi_x(v, x)
-            if u not in members:
-                members.add(u)
-                stack.append(u)
-    return frozenset(members)
+def verified_orbit(
+    seed: Word, hop: Callable[[Word, int], Word], d: int, boundary: Boundary
+) -> OrbitReport:
+    """Orbit of seed under hop, checked to have exactly one member without
+    double descents (under boundary) and descent polynomial t^k (1+t)^(d-2k),
+    k the descent count of that member.  Raises RuntimeError otherwise."""
+    members = orbit_members(seed, hop)
+    reps = [v for v in members if double_descent(v, boundary) == 0]
+    if len(reps) != 1:
+        raise RuntimeError(
+            f"orbit of {seed} has {len(reps)} double-descent-free members, expected 1"
+        )
+    rep = reps[0]
+    k = des(rep)
+    poly = descent_poly(members)
+    claim = GammaExpansion(d, (0,) * k + (1,))
+    if claim.reconstruct() != poly:
+        raise RuntimeError(
+            f"orbit of {seed}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
+        )
+    return OrbitReport(tuple(sorted(members)), rep, k, poly, claim)
 
 
 def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
     """Orbit of w with its descent polynomial and the verified closed form.
+
+    Under the ZERO boundary the theorem needs every letter below the 0
+    sentinel, so a positive letter is rejected with ValueError.
 
     >>> orbit((2, 1)).descent_poly.coeffs_list()
     [1, 1]
     """
     if not w:
         raise ValueError("empty word has no orbit")
-    members = orbit_members(w, boundary)
-    reps = [v for v in members if double_descent(v, boundary) == 0]
-    if len(reps) != 1:
-        raise RuntimeError(
-            f"orbit of {w} has {len(reps)} double-descent-free members, expected 1"
+    if boundary is Boundary.ZERO and any(a > 0 for a in w):
+        raise ValueError(
+            "the zero boundary needs every letter negative (below the 0 sentinel); "
+            f"{w} has a positive letter"
         )
-    rep = reps[0]
-    k = des(rep)
-    n = len(w)
-    counts: dict[tuple[int, ...], int] = {}
-    for v in members:
-        e = (des(v),)
-        counts[e] = counts.get(e, 0) + 1
-    poly = IntPolynomial.from_counts(("t",), counts)
-    claim = GammaExpansion(n - 1, (0,) * k + (1,))
-    verifiable = boundary is Boundary.TOP or all(a < 0 for a in w)
-    if verifiable:
-        if claim.reconstruct() != poly:
-            raise RuntimeError(
-                f"orbit of {w}: descent polynomial {poly} != t^{k}(1+t)^{n - 1 - 2 * k}"
-            )
-        if peak(w, boundary) != k:
-            raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
-    return OrbitReport(tuple(sorted(members)), rep, k, poly, claim)
+    report = verified_orbit(w, partial(phi_prime_x, boundary=boundary), len(w) - 1, boundary)
+    if peak(w, boundary) != report.peak:
+        raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
+    return report
 
 
 @dataclass(frozen=True)
@@ -241,33 +238,16 @@ def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPo
     n = len(words[0])
     if any(len(v) != n for v in words):
         raise ValueError("class members must share one length")
-    des_counts: dict[tuple[int, ...], int] = {}
-    peak_counts: dict[int, int] = {}
-    for v in words:
-        e = (des(v),)
-        des_counts[e] = des_counts.get(e, 0) + 1
-        p = peak(v, boundary)
-        peak_counts[p] = peak_counts.get(p, 0) + 1
-    W = IntPolynomial.from_counts(("t",), des_counts)
-    Wbar = IntPolynomial.from_counts(("t",), {(p,): c for p, c in peak_counts.items()})
-    b = []
-    for i in range((n - 1) // 2 + 1):
-        cnt = peak_counts.get(i, 0)
-        num = cnt << (2 * i)  # cnt * 2^(2i)
-        den = 1 << (n - 1)
-        if num % den:
-            raise NonIntegralBError(
-                f"b_{i} = {cnt} * 2^({2 * i + 1 - n}) is not an integer; "
-                "class is not action-invariant"
-            )
-        b.append(num // den)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        b = [0]
-    if GammaExpansion(n - 1, tuple(b)).reconstruct() != W:
+    W = descent_poly(words)
+    peak_counts = Counter((peak(v, boundary),) for v in words)
+    Wbar = IntPolynomial.from_counts(("t",), peak_counts)
+    try:
+        b = strip_zeros([peak_scale(peak_counts[(i,)], i, n) for i in range((n - 1) // 2 + 1)])
+    except NonIntegralError as exc:
+        raise NonIntegralBError(f"{exc}; class is not action-invariant") from None
+    if GammaExpansion(n - 1, b).reconstruct() != W:
         raise ValueError(
             "descent polynomial does not match the scaled peak counts; "
             "class is not action-invariant"
         )
-    return ClassPolys(W, Wbar, tuple(b))
+    return ClassPolys(W, Wbar, b)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
-2 usage or input error, 3 conjecture counterexample.
+2 usage or input error (including input outside a theorem's hypotheses),
+3 conjecture counterexample.
 """
 
 from __future__ import annotations
@@ -9,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import action, harness, mahonian, patterns, posets, stacksort, trees, words
-from .polynomials import gamma_expand, latex_gamma_form
-from .words import Boundary, Word, des, maj
+from .polynomials import IntPolynomial, latex_gamma_form
+from .words import Boundary, Word, des, descent_poly, maj
 
 
 def _emit_json(data) -> None:
@@ -76,31 +78,15 @@ def cmd_class(args) -> int:
         "words": [list(w) for w in members],
     }
     if args.poly == "des":
-        cp = _descent_poly(members)
-        out["poly"] = cp.to_json_dict()
+        out["poly"] = descent_poly(members).to_json_dict()
     elif args.poly == "peak":
-        counts: dict[tuple[int, ...], int] = {}
-        for w in members:
-            e = (words.peak(w),)
-            counts[e] = counts.get(e, 0) + 1
-        from .polynomials import IntPolynomial
-
-        out["poly"] = IntPolynomial.from_counts(("t",), counts).to_json_dict()
+        peaks = Counter((words.peak(w),) for w in members)
+        out["poly"] = IntPolynomial.from_counts(("t",), peaks).to_json_dict()
     elif args.poly == "gamma":
         cp = action.class_polys(members)
         out["poly"] = {"d": args.n - 1, "gamma": list(cp.b)}
     _emit_json(out)
     return 0
-
-
-def _descent_poly(members):
-    from .polynomials import IntPolynomial
-
-    counts: dict[tuple[int, ...], int] = {}
-    for w in members:
-        e = (des(w),)
-        counts[e] = counts.get(e, 0) + 1
-    return IntPolynomial.from_counts(("t",), counts)
 
 
 def cmd_apq(args) -> int:
@@ -155,13 +141,7 @@ def cmd_dyck(args) -> int:
 
 def cmd_mahonian(args) -> int:
     n = args.n
-    lhs: dict[tuple[int, int], int] = {}
-    rhs: dict[tuple[int, int], int] = {}
-    for w in words.all_permutations(n):
-        a = (mahonian.veh_prime(w), mahonian.siveh(w))
-        b = (des(w), maj(w))
-        lhs[a] = lhs.get(a, 0) + 1
-        rhs[b] = rhs.get(b, 0) + 1
+    lhs, rhs = mahonian.joint_distributions(n)
     equal = lhs == rhs
     _emit_json({
         "n": n,
@@ -304,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -24,16 +26,13 @@ from typing import Callable, Mapping
 from . import action, mahonian, patterns, posets, stacksort, trees, words
 from .limits import enumeration_bound
 from .polynomials import (
-    GammaExpansion,
     IntPolynomial,
     NotSymmetricError,
     gamma_expand,
     gessel_expand,
     latex_gamma_form,
-    latex_poly,
-    q_factorial,
 )
-from .words import Boundary, Word, des, maj, peak
+from .words import Boundary, Word, des, descent_poly, peak
 
 
 class UnknownSuiteError(ValueError):
@@ -157,20 +156,12 @@ def _pass(suite: str, n: int, detail: str, data: dict | None = None) -> Instance
 @lru_cache(maxsize=None)
 def eulerian_poly(n: int) -> IntPolynomial:
     """Descent generating polynomial of all permutations of [n]."""
-    counts: dict[tuple[int, ...], int] = {}
-    for w in words.all_permutations(n):
-        e = (des(w),)
-        counts[e] = counts.get(e, 0) + 1
-    return IntPolynomial.from_counts(("t",), counts)
+    return descent_poly(words.all_permutations(n))
 
 
 @lru_cache(maxsize=None)
 def involution_descent_poly(n: int) -> IntPolynomial:
-    counts: dict[tuple[int, ...], int] = {}
-    for w in words.involutions(n):
-        e = (des(w),)
-        counts[e] = counts.get(e, 0) + 1
-    return IntPolynomial.from_counts(("t",), counts)
+    return descent_poly(words.involutions(n))
 
 
 # -- suite runners (module level so worker processes can pickle them) ---------
@@ -312,22 +303,15 @@ def _run_narayana(n: int) -> Instance:
     catalan = comb(2 * n, n) // (n + 1)
     if len(avs) != catalan:
         return _fail("narayana", n, f"{len(avs)} avoiders != Catalan number {catalan}")
-    counts: dict[tuple[int, ...], int] = {}
-    peaks: dict[int, int] = {}
-    for w in avs:
-        e = (des(w),)
-        counts[e] = counts.get(e, 0) + 1
-        pk = peak(w)
-        peaks[pk] = peaks.get(pk, 0) + 1
-    W = IntPolynomial.from_counts(("t",), counts)
-    if W != poly:
+    if descent_poly(avs) != poly:
         return _fail("narayana", n, "descent polynomial of avoiders differs from the closed form")
+    peaks = Counter(map(peak, avs))
     for k in range(0, (n - 1) // 2 + 1):
         g = gam.gamma[k] if k < len(gam.gamma) else 0
-        if peaks.get(k, 0) != g << (n - 1 - 2 * k):
+        if peaks[k] != g << (n - 1 - 2 * k):
             return _fail(
                 "narayana", n,
-                f"peak count at k = {k} is {peaks.get(k, 0)}, formula gives {g << (n - 1 - 2 * k)}",
+                f"peak count at k = {k} is {peaks[k]}, formula gives {g << (n - 1 - 2 * k)}",
             )
     return _pass(
         "narayana", n,
@@ -468,13 +452,8 @@ def _run_kreweras(n: int) -> Instance:
     all_paths = list(trees.all_dyck_paths(n))
     if sorted(image) != sorted(all_paths):
         return _fail("kreweras", n, "pre-order reading is not a bijection onto Dyck paths")
-    dist_even: dict[int, int] = {}
-    dist_double: dict[int, int] = {}
-    for p in all_paths:
-        even_up, double_up = trees.kreweras_stats(p)
-        dist_even[even_up] = dist_even.get(even_up, 0) + 1
-        dist_double[double_up] = dist_double.get(double_up, 0) + 1
-    if dist_even != dist_double:
+    stats = [trees.kreweras_stats(p) for p in all_paths]
+    if Counter(even for even, _ in stats) != Counter(double for _, double in stats):
         return _fail("kreweras", n, "even-height up-steps and double up-steps are not equidistributed")
     return _pass(
         "kreweras", n,
@@ -505,13 +484,7 @@ def _run_evt(n: int) -> Instance:
 
 
 def _run_euler_mahonian(n: int) -> Instance:
-    lhs: dict[tuple[int, int], int] = {}
-    rhs: dict[tuple[int, int], int] = {}
-    for w in words.all_permutations(n):
-        a = (mahonian.veh_prime(w), mahonian.siveh(w))
-        b = (des(w), maj(w))
-        lhs[a] = lhs.get(a, 0) + 1
-        rhs[b] = rhs.get(b, 0) + 1
+    lhs, rhs = mahonian.joint_distributions(n)
     if lhs != rhs:
         return _fail("euler-mahonian", n, "joint distributions differ")
     return _pass(
@@ -540,11 +513,9 @@ def _run_gessel(n: int) -> Instance:
     inverses = {w: words.perm_inverse(w) for w in perms}
     by_des: dict[int, IntPolynomial] = {}
     for tau in perms:
-        counts: dict[tuple[int, ...], int] = {}
-        for pi in perms:
-            e = (des(pi), des(words.perm_compose(inverses[pi], tau)))
-            counts[e] = counts.get(e, 0) + 1
-        F = IntPolynomial.from_counts(("s", "t"), counts)
+        F = IntPolynomial.from_counts(("s", "t"), Counter(
+            (des(pi), des(words.perm_compose(inverses[pi], tau))) for pi in perms
+        ))
         d = des(tau)
         if d in by_des:
             if by_des[d] != F:
@@ -710,17 +681,29 @@ def _run_instance_job(args: tuple[str, int]) -> Instance:
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> Report:
     """Run one suite for every n from its minimum up to max_n (clamped by
-    the PERMACT_MAX_N safety rail)."""
+    the PERMACT_MAX_N safety rail).
+
+    At most min(jobs, number of sizes, CPU count) worker processes run.
+    Raises ValueError when jobs < 1 or when no size is left to run.
+    """
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     suite = SUITES[name]
-    top = suite.default_max_n if max_n is None else max_n
-    top = min(top, enumeration_bound())
+    requested = suite.default_max_n if max_n is None else max_n
+    cap = enumeration_bound()
+    top = min(requested, cap)
     ns = list(range(suite.min_n, top + 1))
-    if jobs > 1 and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if not ns:
+        why = (f"max_n = {requested}" if requested < suite.min_n
+               else f"the enumeration cap PERMACT_MAX_N = {cap}")
+        raise ValueError(f"{name} has no size to run: {why} is below its smallest n, {suite.min_n}")
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             instances = tuple(pool.map(_run_instance_job, [(name, n) for n in ns]))
     else:
         instances = tuple(_run_instance(name, n) for n in ns)

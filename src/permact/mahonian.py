@@ -9,8 +9,10 @@ recursion theta below transports (veh', siveh) onto (des, maj) exactly.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .trees import UnorderedTree
-from .words import Word, complement
+from .words import Word, all_permutations, complement, des, maj
 
 
 def increasing_tree(w: Word) -> UnorderedTree:
@@ -82,3 +84,18 @@ def theta(w: Word) -> Word:
     k = w.index(min(w))
     sigma, m, tau = w[:k], w[k], w[k + 1 :]
     return theta(complement(sigma)) + (m,) + theta(tau)
+
+
+def joint_distributions(n: int) -> tuple[Counter, Counter]:
+    """Tallies of (veh', siveh) and of (des, maj) over all permutations of [n].
+
+    >>> lhs, rhs = joint_distributions(3)
+    >>> lhs == rhs
+    True
+    """
+    lhs: Counter = Counter()
+    rhs: Counter = Counter()
+    for w in all_permutations(n):
+        lhs[veh_prime(w), siveh(w)] += 1
+        rhs[des(w), maj(w)] += 1
+    return lhs, rhs

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import Iterator, Sequence
 
 from .limits import check_enumeration_size
 from .polynomials import (
     GammaExpansion,
     IntPolynomial,
-    NonIntegralError,
+    peak_scale,
     q_factorial,
+    strip_zeros,
     try_divide,
     uni,
 )
@@ -154,10 +156,7 @@ def apq_polynomial(n: int) -> IntPolynomial:
     1
     """
     check_enumeration_size(n)
-    counts: dict[tuple[int, int, int], int] = {}
-    for w in all_permutations(n):
-        key = (count_13_2(w), count_2_31(w), des(w))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
     return IntPolynomial.from_counts(("p", "q", "t"), counts)
 
 
@@ -166,25 +165,11 @@ def _bni_table(n: int) -> tuple[IntPolynomial, ...]:
     """All b_(n,i)(p, q) at once, with the divisibility and reconstruction
     identities asserted."""
     check_enumeration_size(n)
-    per_peak: dict[int, dict[tuple[int, int], int]] = {}
-    for w in all_permutations(n):
-        i = peak(w)
-        key = (count_13_2(w), count_2_31(w))
-        bucket = per_peak.setdefault(i, {})
-        bucket[key] = bucket.get(key, 0) + 1
-    table = []
-    for i in range((n - 1) // 2 + 1):
-        bucket = per_peak.get(i, {})
-        terms = {}
-        for key, cnt in bucket.items():
-            num = cnt << (2 * i)
-            den = 1 << (n - 1)
-            if num % den:
-                raise NonIntegralError(
-                    f"b_({n},{i}) coefficient {cnt} * 2^({2 * i + 1 - n}) not integral"
-                )
-            terms[key] = num // den
-        table.append(IntPolynomial(("p", "q"), terms))
+    counts = Counter((peak(w), (count_13_2(w), count_2_31(w))) for w in all_permutations(n))
+    by_peak: list[dict[tuple[int, int], int]] = [{} for _ in range((n - 1) // 2 + 1)]
+    for (i, exps), cnt in counts.items():
+        by_peak[i][exps] = peak_scale(cnt, i, n)
+    table = [IntPolynomial(("p", "q"), terms) for terms in by_peak]
     # the b_i must reassemble the full refinement
     p = IntPolynomial.variable("p", ("p", "q", "t"))
     q = IntPolynomial.variable("q", ("p", "q", "t"))
@@ -270,9 +255,7 @@ def narayana(n: int) -> tuple[IntPolynomial, GammaExpansion]:
         if num % (k + 1):
             raise AssertionError("Narayana gamma entry is not an integer")
         gamma.append(num // (k + 1))
-    while len(gamma) > 1 and gamma[-1] == 0:
-        gamma.pop()
-    expansion = GammaExpansion(n - 1, tuple(gamma))
+    expansion = GammaExpansion(n - 1, strip_zeros(gamma))
     if expansion.reconstruct() != poly:
         raise AssertionError(f"Narayana closed forms disagree at n={n}")
     return poly, expansion

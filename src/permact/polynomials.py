@@ -1,6 +1,6 @@
 """Exact sparse polynomials over the integers, and the basis changes used
 throughout the package: gamma expansions, the bivariate (s+t)/(st) basis,
-h-vector extraction, and q-factorials.
+the 2-adic peak-count scaling, and q-factorials.
 
 All arithmetic is exact; there are no floats anywhere.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 
@@ -264,11 +265,13 @@ def uni(coeffs: Sequence[int], var: str = "t") -> IntPolynomial:
     return IntPolynomial((var,), {(i,): c for i, c in enumerate(coeffs)})
 
 
-def one_plus(var: str = "t") -> IntPolynomial:
-    return uni([1, 1], var)
-
-
 # -- gamma expansion ----------------------------------------------------
+
+
+def _add_gamma_term(coeffs: list[int], g: int, i: int, e: int) -> None:
+    """Add g t^i (1+t)^e into a dense coefficient list."""
+    for j in range(e + 1):
+        coeffs[i + j] += g * comb(e, j)
 
 
 @dataclass(frozen=True)
@@ -278,15 +281,20 @@ class GammaExpansion:
     d: int
     gamma: tuple[int, ...]
 
-    def reconstruct(self, var: str = "t") -> IntPolynomial:
-        t = IntPolynomial.variable(var)
-        acc = IntPolynomial.zero((var,))
-        for i, g in enumerate(self.gamma):
-            acc = acc + g * t**i * one_plus(var) ** (self.d - 2 * i)
-        return acc
+    def reconstruct(self) -> IntPolynomial:
+        """The polynomial in t; its t^m coefficient is sum_i gamma_i C(d-2i, m-i).
 
-    def is_nonnegative(self) -> bool:
-        return all(g >= 0 for g in self.gamma)
+        >>> GammaExpansion(3, (1, 8)).reconstruct().coeffs_list()
+        [1, 11, 11, 1]
+        """
+        if self.gamma and 2 * (len(self.gamma) - 1) > self.d:
+            raise ValueError(
+                f"negative power: gamma has {len(self.gamma)} entries, d = {self.d}"
+            )
+        coeffs = [0] * (self.d + 1)
+        for i, g in enumerate(self.gamma):
+            _add_gamma_term(coeffs, g, i, self.d - 2 * i)
+        return uni(coeffs)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "gamma": list(self.gamma)}
@@ -302,27 +310,47 @@ def gamma_expand(p: IntPolynomial, d: int) -> GammaExpansion:
         raise ValueError("gamma_expand needs a univariate polynomial")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    var = p.vars[0]
     coeffs = [p.terms.get((i,), 0) for i in range(max(d, p.degree()) + 1)]
     if len(coeffs) > d + 1 and any(coeffs[d + 1 :]):
         raise NotSymmetricError(f"degree exceeds d={d}")
     coeffs = coeffs[: d + 1]
     if coeffs != coeffs[::-1]:
         raise NotSymmetricError(f"coefficients {coeffs} are not palindromic for d={d}")
-    remainder = p
     gamma = []
     for i in range(d // 2 + 1):
-        g = remainder.terms.get((i,), 0)
+        g = coeffs[i]
         gamma.append(g)
         if g:
-            remainder = remainder - g * uni([0] * i + [1], var) * one_plus(var) ** (d - 2 * i)
-    if not remainder.is_zero():
-        raise NonzeroRemainderError(f"nonzero remainder {remainder} after peeling")
-    while gamma and gamma[-1] == 0:
-        gamma.pop()
-    if not gamma:
-        gamma = [0]
-    return GammaExpansion(d, tuple(gamma))
+            _add_gamma_term(coeffs, -g, i, d - 2 * i)
+    if any(coeffs):
+        raise NonzeroRemainderError(f"nonzero remainder {uni(coeffs, p.vars[0])} after peeling")
+    return GammaExpansion(d, strip_zeros(gamma))
+
+
+def strip_zeros(xs: Sequence[int]) -> tuple[int, ...]:
+    """Drop trailing zeros, keeping at least one entry.
+
+    >>> strip_zeros([1, 2, 0, 0])
+    (1, 2)
+    """
+    out = list(xs)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out) or (0,)
+
+
+def peak_scale(cnt: int, i: int, n: int) -> int:
+    """cnt * 2^(2i+1-n) for 2i < n, exactly: the coefficient of
+    t^i (1+t)^(n-1-2i) that cnt words with i peaks contribute.  Raises
+    NonIntegralError when the result is not an integer.
+
+    >>> peak_scale(4, 0, 3)
+    1
+    """
+    q, r = divmod(cnt, 1 << (n - 1 - 2 * i))
+    if r:
+        raise NonIntegralError(f"{cnt} * 2^({2 * i + 1 - n}) is not an integer")
+    return q
 
 
 # -- bivariate (s+t)^k (st)^j (1+st)^(n-k-1-2j) expansion -----------------
@@ -415,35 +443,6 @@ def gessel_expand(F: IntPolynomial, n: int) -> GesselExpansion:
     if expansion.reconstruct() != F:
         raise NoExpansionError("internal: reconstruction mismatch after solve")
     return expansion
-
-
-# -- h-vector from f-vector ----------------------------------------------
-
-
-def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
-    """Solve sum h_i t^i (1+t)^(d-i) = sum f_(i-1) t^i triangularly.
-
-    The input lists f_(-1), f_0, ..., f_(d-1) with f_(-1) = 1.
-
-    >>> h_from_f([1, 4, 4], 2)
-    (1, 2, 1)
-    """
-    f = [int(x) for x in f]
-    if len(f) != d + 1:
-        raise ValueError(f"need d+1={d + 1} entries, got {len(f)}")
-    if f[0] != 1:
-        raise ValueError("f_(-1) must be 1")
-    rhs = uni(f)
-    h = []
-    remainder = rhs
-    for i in range(d + 1):
-        hi = remainder.terms.get((i,), 0)
-        h.append(hi)
-        if hi:
-            remainder = remainder - hi * uni([0] * i + [1]) * one_plus() ** (d - i)
-    if not remainder.is_zero():
-        raise NonzeroRemainderError(f"nonzero remainder {remainder}")
-    return tuple(h)
 
 
 # -- q-analogues ----------------------------------------------------------

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .action import OrbitReport
+from .action import OrbitReport, verified_orbit
 from .limits import check_enumeration_size
-from .polynomials import GammaExpansion, IntPolynomial, gamma_expand
-from .words import Boundary, LetterClass, Word, des, double_descent, letter_class_at, peak
+from .polynomials import IntPolynomial, gamma_expand, peak_scale, strip_zeros
+from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
 
 Element = Hashable
 
@@ -337,35 +339,8 @@ def poset_orbit(P: LabeledPoset, pi: Word) -> OrbitReport:
     descent polynomial t^k (1+t)^(p-r-1-2k)."""
     if not is_canonical(P):
         raise NotCanonicalError("poset orbits need a canonically labeled poset")
-    g = sign_grading(P)
-    members = {pi}
-    stack = [pi]
-    while stack:
-        v = stack.pop()
-        for x in v:
-            u = psi_x_poset(P, v, x)
-            if u not in members:
-                members.add(u)
-                stack.append(u)
-    reps = [v for v in members if double_descent(v, Boundary.ZERO) == 0]
-    if len(reps) != 1:
-        raise RuntimeError(
-            f"orbit of {pi} has {len(reps)} double-descent-free members, expected 1"
-        )
-    rep = reps[0]
-    k = des(rep)
-    d = len(P) - g.r - 1
-    counts: dict[tuple[int, ...], int] = {}
-    for v in members:
-        e = (des(v),)
-        counts[e] = counts.get(e, 0) + 1
-    poly = IntPolynomial.from_counts(("t",), counts)
-    claim = GammaExpansion(d, (0,) * k + (1,))
-    if claim.reconstruct() != poly:
-        raise RuntimeError(
-            f"orbit of {pi}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
-        )
-    return OrbitReport(tuple(sorted(members)), rep, k, poly, claim)
+    d = len(P) - sign_grading(P).r - 1
+    return verified_orbit(pi, partial(psi_x_poset, P), d, Boundary.ZERO)
 
 
 @dataclass(frozen=True)
@@ -380,22 +355,6 @@ class WpPolynomials:
 
     def to_json_dict(self) -> dict:
         return {"W": self.W.to_json_dict(), "a": list(self.a), "r": self.r, "d": self.d}
-
-
-def _scaled_counts(counts: Mapping[int, int], shift: int, scale_pow: int, top: int) -> tuple[int, ...]:
-    """a_i = counts[i + shift] * 2^(2i + scale_pow); fails if not integral."""
-    out = []
-    for i in range(top + 1):
-        cnt = counts.get(i + shift, 0)
-        num = cnt << (2 * i)
-        # scale_pow is negative: divide by 2^(-scale_pow)
-        den = 1 << (-scale_pow)
-        if num % den:
-            raise RuntimeError(f"a_{i} = {cnt} * 2^({2 * i + scale_pow}) is not integral")
-        out.append(num // den)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
@@ -416,26 +375,17 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
         raise RankOutOfRangeError(f"rank {g.r} is outside {{0, 1}}")
     exts = linear_extensions(P)
     p = len(P)
-    counts_des: dict[tuple[int, ...], int] = {}
-    for pi in exts:
-        e = (des(pi),)
-        counts_des[e] = counts_des.get(e, 0) + 1
-    W = IntPolynomial.from_counts(("t",), counts_des)
+    W = descent_poly(exts)
     d = p - g.r - 1
     gamma = gamma_expand(W, d).gamma
     if g.r == 0:
-        peaks: dict[int, int] = {}
-        for pi in exts:
-            pk = peak(pi, Boundary.ZERO)
-            peaks[pk] = peaks.get(pk, 0) + 1
-        a = _scaled_counts(peaks, 0, 1 - p, d // 2)
+        n, shift, source = p, 0, exts
     else:
-        Phat = adjoin_top(P)
-        peaks = {}
-        for pi in linear_extensions(Phat):
-            pk = peak(pi, Boundary.ZERO)
-            peaks[pk] = peaks.get(pk, 0) + 1
-        a = _scaled_counts(peaks, 1, 2 - p, d // 2)
+        # the rank-0 peak formula on the adjoined-top poset, one size up,
+        # with its index shifted by one
+        n, shift, source = p + 1, 1, linear_extensions(adjoin_top(P))
+    peaks = Counter(peak(pi, Boundary.ZERO) for pi in source)
+    a = strip_zeros([peak_scale(peaks[i + shift], i + shift, n) for i in range(d // 2 + 1)])
     if a != gamma:
         raise RuntimeError(
             f"peak-count route {a} disagrees with gamma peel {gamma} for {P!r}"

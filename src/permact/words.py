@@ -9,8 +9,11 @@ is never a valid letter.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator
+
+from .polynomials import IntPolynomial
 
 Word = tuple[int, ...]
 
@@ -143,6 +146,15 @@ def descent_set(w: Word) -> set[int]:
 
 def des(w: Word) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def descent_poly(ws: Iterable[Word]) -> IntPolynomial:
+    """Descent polynomial: the sum of t^des(w) over the words.
+
+    >>> descent_poly(all_permutations(3)).coeffs_list()
+    [1, 4, 1]
+    """
+    return IntPolynomial.from_counts(("t",), Counter((des(w),) for w in ws))
 
 
 def maj(w: Word) -> int:

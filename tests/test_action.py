@@ -6,11 +6,9 @@ from permact.action import (
     class_polys,
     orbit,
     orbit_members,
-    phi_closure,
     phi_prime_full,
     phi_prime_S,
     phi_prime_x,
-    phi_S,
     phi_x,
     x_factorization,
 )
@@ -68,8 +66,6 @@ def test_phi_prime_matches_phi_off_peaks():
 
 
 def test_subset_maps_compose():
-    assert phi_S(W0, (8,)) == phi_x(W0, 8)
-    assert phi_S(W0, (3, 4)) == phi_x(phi_x(W0, 3), 4)
     assert phi_prime_S(W0, (3, 4)) == phi_prime_x(phi_prime_x(W0, 3), 4)
     assert phi_prime_full(W0) == phi_prime_S(W0, range(1, 10))
 
@@ -96,10 +92,10 @@ def test_orbit_fixture_word():
     )
 
 
-def test_orbit_members_vs_phi_closure():
+def test_orbit_members_closure():
     w = (1, 3, 2)
-    assert orbit_members(w) == {(1, 3, 2)}
-    closure = phi_closure(w)
+    assert orbit_members(w, phi_prime_x) == {(1, 3, 2)}
+    closure = orbit_members(w, phi_x)
     assert closure >= {(1, 3, 2), (2, 3, 1)}
     for member in closure:
         for x in (1, 2, 3):

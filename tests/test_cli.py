@@ -29,6 +29,17 @@ def test_orbit(capsys):
     assert data["rep"] == [1, 2]
 
 
+def test_orbit_zero_boundary_needs_negative_letters(capsys):
+    for word in ("12", "123"):
+        code, out, err = run_cli(capsys, "orbit", word, "--boundary", "zero")
+        assert code == 2
+        assert not out
+        assert "negative" in err
+    code, out, _ = run_cli(capsys, "orbit", "-2 -1", "--boundary", "zero")
+    assert code == 0
+    assert json.loads(out)["members"] == [[-2, -1], [-1, -2]]
+
+
 def test_sort_methods_agree(capsys):
     _, rec, _ = run_cli(capsys, "sort", "573148926")
     _, sli, _ = run_cli(capsys, "sort", "573148926", "--method", "slides")
@@ -148,6 +159,25 @@ def test_verify_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("suite,")
+
+
+def test_verify_empty_range_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "verify", "orb", "--max-n", "0")
+    assert code == 2
+    assert not out
+    assert "max_n" in err
+    monkeypatch.setenv("PERMACT_MAX_N", "0")
+    code, out, err = run_cli(capsys, "verify", "orb")
+    assert code == 2
+    assert "PERMACT_MAX_N" in err
+
+
+def test_verify_nonpositive_jobs_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "orb", "--jobs", jobs)
+        assert code == 2
+        assert not out
+        assert "jobs" in err
 
 
 def test_bad_word_is_usage_error(capsys):

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from permact import harness
 from permact.harness import (
     SUITES,
     Instance,
@@ -120,3 +122,76 @@ def test_enumeration_bound_env(monkeypatch):
     assert report.max_n == 4
     monkeypatch.delenv("PERMACT_MAX_N")
     assert enumeration_bound() == 10
+
+
+def test_run_suite_rejects_empty_range(monkeypatch):
+    with pytest.raises(ValueError, match="max_n = 0"):
+        run_suite("orb", 0)
+    monkeypatch.setenv("PERMACT_MAX_N", "0")
+    with pytest.raises(ValueError, match="PERMACT_MAX_N = 0"):
+        run_suite("orb")
+
+
+def test_workers_bounded_by_sizes_and_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert run_suite("narayana", 3, jobs=5000).passed
+    assert run_suite("narayana", 8, jobs=5000).passed
+    assert run_suite("narayana", 8, jobs=2).passed
+    assert run_suite("narayana", 1, jobs=5000).passed
+    assert started == [3, 4, 2]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert run_suite("narayana", 3, jobs=5000).passed
+    assert started == [3, 4, 2]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite("narayana", 3, jobs=jobs)
+
+
+# sha256 of report_emit(run_suite(name, 5), "json") for every suite.  Report
+# bytes are a compatibility promise: a refactor must leave these unchanged.
+REPORT_SHA256_N5 = {
+    "brenti-logconcave": "dd18d9338e5df432ce1e1ee0a8531a64eb67da53813be38031c036f22132f40c",
+    "constant-patterns": "ae72ebf51a5e63c6e9ccd6eee2a3c26555aeac54a9022229645498f641fe9d91",
+    "corre": "5d0a06f0b144d5c7a1fd9bfb19c727b6313fc9ff2d8256b401f0c8eb67db3058",
+    "divisibility": "2fde503018abf352f2f2b69cb95073d19d85ba49b215b06e89db73aff5e3c5bc",
+    "euler-mahonian": "709ff3b2501a2e30152d247667a9d525e83c7fc3708785ee5a8ba91f691162b9",
+    "evt": "83c38cc833bb0e285999da05733968dd8bc92e981eab2ed22830026ba6d2ff42",
+    "genbona": "5a86a784b5cf9158d20460647a1dfe6d2af2779d1566ee3b787ee984df5ee5e4",
+    "gessel": "ea2ff4a0ab72e60b4ca820dac2eeaa2a506fd7cc4b8c8abeddad54d92d0b6b11",
+    "guo-zeng": "7fb38f94fb0929cf5acabc52b40bb1b787174c56105a6286aeea4b9031eb1a8c",
+    "kreweras": "9100d6ddd653d591630161b0dcd97755770aa94b8239297302c936af69c96f9c",
+    "mahonian-s1s2": "2a6799e4571bebfdfb0c67d1bcf70f7f39455b8ed10e1981dde008856703a9a1",
+    "narayana": "b10a394b33455b7baf031f38ef411c1752fbb34e1a014c53c99019e1949cff14",
+    "orb": "312a7cf348a0ad56b90dd7069913dc65dc51b2eda86618fa567c6e46c245824f",
+    "pq-symmetry": "7c345db557a73e3aa78fe0bf382fe79e7c1db7d41183d4e2b3760714b6bce200",
+    "psi-prime": "d628967cf66c31ea7bcd7d3077afc2d85b40853b7c678b73a3a294921865599f",
+    "psiphi": "b5526a577188dfb7ef51f44768a742ca05e4d8d8908a751d99a8c741e57247e2",
+    "slides-equal-recursive": "33d35de09d92872412418683fd86f53ac157b3a433c26edc90a89e074b4bb41e",
+    "stack-invariance": "872556a6312ccaad65ace56ebc04dec53dafbae0621a1a7ea017b00854c3df79",
+    "veh-altsum": "9773b965d51f3f1324974c8b522c5e10c85cd30be7cfc2f6a649a5314bb52090",
+    "wp": "05fbbc0a56cf9bc159d24ce0a738136017b34a7ae96313b58301e1377a153f7e",
+}
+
+
+def test_report_bytes_pinned():
+    got = {
+        name: hashlib.sha256(report_emit(run_suite(name, 5), "json")).hexdigest()
+        for name in SUITES
+    }
+    assert got == REPORT_SHA256_N5

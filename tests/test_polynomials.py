@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permact.polynomials import (
@@ -7,10 +9,8 @@ from permact.polynomials import (
     NotSymmetricError,
     gamma_expand,
     gessel_expand,
-    h_from_f,
     latex_gamma_form,
     latex_poly,
-    one_plus,
     q_factorial,
     try_divide,
     uni,
@@ -46,9 +46,8 @@ def test_coefficient_and_degree():
         p.coeffs_list()
 
 
-def test_uni_and_one_plus():
+def test_uni():
     assert uni([1, 2, 1]) == (1 + T) ** 2
-    assert one_plus() == 1 + T
     assert str(uni([1, 2, 1])) == "1 + 2t + t^2"
     assert str(uni([0])) == "0"
 
@@ -75,7 +74,6 @@ def test_gamma_expand_fixtures():
     got = gamma_expand(uni([1, 4, 1]), 2)
     assert got == GammaExpansion(d=2, gamma=(1, 2))
     assert got.reconstruct() == uni([1, 4, 1])
-    assert got.is_nonnegative()
 
 
 def test_gamma_expand_rejects_asymmetric():
@@ -92,6 +90,43 @@ def test_gamma_round_trip_on_descent_polynomials():
             counts[des(w)] += 1
         poly = uni(counts)
         assert gamma_expand(poly, n - 1).reconstruct() == poly
+
+
+def _sparse_gamma_form(d, gamma):
+    """sum_i g_i t^i (1+t)^(d-2i) through sparse IntPolynomial powers."""
+    acc = IntPolynomial.zero(("t",))
+    for i, g in enumerate(gamma):
+        acc = acc + g * T**i * (1 + T) ** (d - 2 * i)
+    return acc
+
+
+def test_reconstruct_matches_sparse_powers():
+    rng = random.Random(2006)
+    for d in range(13):
+        top = d // 2 + 1
+        vectors = [
+            (),
+            (0,) * top,
+            (1,),
+            tuple(range(1, top + 1)),
+            tuple((-1) ** i * (i + 2) for i in range(top)),
+            (0,) * (top - 1) + (1,),
+        ] + [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, top))) for _ in range(6)]
+        for gamma in vectors:
+            poly = GammaExpansion(d, gamma).reconstruct()
+            assert poly == _sparse_gamma_form(d, gamma), (d, gamma)
+            trimmed = list(gamma) or [0]
+            while len(trimmed) > 1 and trimmed[-1] == 0:
+                trimmed.pop()
+            assert gamma_expand(poly, d).gamma == tuple(trimmed), (d, gamma)
+
+
+def test_reconstruct_rejects_negative_powers():
+    for d, gamma in [(0, (1, 1)), (3, (0, 0, 1)), (4, (1, 0, 0, 0)), (-1, (1,))]:
+        with pytest.raises(ValueError):
+            _sparse_gamma_form(d, gamma)
+        with pytest.raises(ValueError):
+            GammaExpansion(d, gamma).reconstruct()
 
 
 def test_gessel_expand_basics():
@@ -113,17 +148,6 @@ def test_gessel_expand_no_expansion():
         gessel_expand(s, 2)
     with pytest.raises(ValueError):
         gessel_expand(T, 2)
-
-
-def test_h_from_f():
-    # boundary of a square: 4 vertices, 4 edges
-    assert h_from_f((1, 4, 4), 2) == (1, 2, 1)
-    # boundary of an octahedron
-    assert h_from_f((1, 6, 12, 8), 3) == (1, 3, 3, 1)
-    with pytest.raises(ValueError):
-        h_from_f((1, 4), 2)
-    with pytest.raises(ValueError):
-        h_from_f((2, 4, 4), 2)
 
 
 def test_q_factorial():
