@@ -1,0 +1,93 @@
+"""Paired benchmark of two checkouts, written to BENCH_<label>.json.
+
+    python3 scripts/bench_pair.py --parent DIR --change DIR --label NAME
+
+For every workload of BENCHMARK.json, ``perfbench/run.py --trace 0`` runs
+``PAIRS`` times on each checkout, alternating which side goes first, with
+one seed per pair; then every workload gets one ``--trace 1`` run per side.
+The file records each run's metrics and, per workload and metric, each
+side's median and quartiles, the parent's quartile spread and the number of
+pairs the change wins (ties count for neither side), with the Python version
+and the CPU count.  A gain counts only when the change wins at least nine
+pairs in ten and the medians differ by more than the parent's quartile
+spread.  Both checkouts must hold the same ``perfbench/`` and
+``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} failed {result['failed']} instances")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs, summary, traced = [], {}, {}
+    for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
+        for k in range(PAIRS):
+            seed = 100 * (w + 1) + k
+            order = ["parent", "change"] if (w + k) % 2 == 0 else ["change", "parent"]
+            for side in order:
+                metrics = run_bench(sides[side], workload, seed, bench["run_seconds"], 0)
+                runs.append({"workload": workload, "seed": seed, "side": side, "metrics": metrics})
+                print(f"{workload} seed {seed} {side}: wall_s {metrics['wall_s']:.3f}", flush=True)
+        summary[workload] = {}
+        for metric in bench["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            values = {side: [r["metrics"][name] for r in runs
+                             if r["workload"] == workload and r["side"] == side]
+                      for side in sides}
+            row = {side: spread(v) for side, v in values.items()}
+            row["parent_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
+            row["change_wins"] = sum(sign * (c - p) < 0
+                                     for p, c in zip(values["parent"], values["change"]))
+            summary[workload][name] = row
+        traced[workload] = {side: run_bench(path, workload, 100 * (w + 1) + PAIRS,
+                                            bench["run_seconds"], 1)
+                            for side, path in sides.items()}
+    record = {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "run_seconds": bench["run_seconds"],
+        "summary": summary,
+        "traced": traced,
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

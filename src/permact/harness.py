@@ -252,8 +252,18 @@ def _run_stack_invariance(n: int) -> Instance:
     )
 
 
+def _postorder(node: trees.BinaryTreeNode | None) -> Word:
+    """S(L m R) = S(L) S(R) m, read off the decreasing binary tree."""
+    if node is None:
+        return ()
+    return _postorder(node.left) + _postorder(node.right) + (node.label,)
+
+
 def _run_slides(n: int) -> Instance:
     for w in words.all_permutations(n):
+        if n <= 5 and stacksort.stack_sort(w) != _postorder(trees.binary_tree(w)):
+            return _fail("slides-equal-recursive", n, "stack pass differs from the binary-tree post-order",
+                         {"word": w})
         if stacksort.stack_sort_via_slides(w) != stacksort.stack_sort(w):
             return _fail("slides-equal-recursive", n, "slide composition differs from recursive sort", {"word": w})
     return _pass(
@@ -409,6 +419,12 @@ def _run_wp(n: int) -> Instance:
 
 def _run_psiphi(n: int) -> Instance:
     for w in words.all_permutations(n):
+        if n <= 5:
+            depths, right = trees.right_edges_via_tree(w)
+            heights = trees.label_heights(trees.unordered_tree(w))
+            if (trees.right_edge_depths(w) != depths or trees.redge_set(w) != right
+                    or trees.veh(w) != sum(1 for h in heights.values() if h % 2 == 0)):
+                return _fail("psiphi", n, "stack scans differ from the tree walks", {"word": w})
         v = trees.psi(w)
         if trees.phi_cap(v) != w or trees.psi(trees.phi_cap(w)) != w:
             return _fail("psiphi", n, "the two products of hops are not mutually inverse", {"word": w})
@@ -474,6 +490,10 @@ def _run_veh_altsum(n: int) -> Instance:
 def _run_evt(n: int) -> Instance:
     images: set[Word] = set()
     for w in words.all_permutations(n):
+        if n <= 5:
+            heights = trees.label_heights(mahonian.increasing_tree(w))
+            if mahonian.ev_set(w) != {i + 1 for i, a in enumerate(w) if heights[a] % 2 == 0}:
+                return _fail("evt", n, "stack scan differs from the increasing-tree heights", {"word": w})
         v = mahonian.theta(w)
         if set(mahonian.ev_set(v)) != words.descent_set(w):
             return _fail("evt", n, "even-height positions of the image differ from the descent set", {"word": w, "image": v})
@@ -508,14 +528,27 @@ def _run_guo_zeng(n: int) -> Instance:
     return _pass("guo-zeng", n, f"gamma vector {ge.gamma} is nonnegative", {"gamma": list(ge.gamma)})
 
 
+def _after_masks(perms: list[Word], n: int) -> list[int]:
+    """Bit (a-1)n + (b-1) of a permutation's mask is set iff a comes after b."""
+    return [sum(1 << ((a - 1) * n + b - 1) for k, b in enumerate(pi) for a in pi[k + 1 :])
+            for pi in perms]
+
+
 def _run_gessel(n: int) -> Instance:
+    # des(pi^-1 tau) counts the i where tau_i comes after tau_(i+1) in pi;
+    # bit (a-1)n + (b-1) of t is set iff b immediately follows a in tau
     perms = list(words.all_permutations(n))
-    inverses = {w: words.perm_inverse(w) for w in perms}
-    by_des: dict[int, IntPolynomial] = {}
+    pi_des = [des(pi) for pi in perms]
+    after = _after_masks(perms, n)
+    by_des: dict[int, Counter] = {}
     for tau in perms:
-        F = IntPolynomial.from_counts(("s", "t"), Counter(
-            (des(pi), des(words.perm_compose(inverses[pi], tau))) for pi in perms
-        ))
+        t = sum(1 << ((a - 1) * n + b - 1) for a, b in zip(tau, tau[1:]))
+        F = Counter(zip(pi_des, [(m & t).bit_count() for m in after]))
+        if n <= 4 and F != Counter(
+            (des(pi), des(words.perm_compose(words.perm_inverse(pi), tau))) for pi in perms
+        ):
+            return _fail("gessel", n, "bitmask pair tally differs from composing the permutations",
+                         {"tau": tau})
         d = des(tau)
         if d in by_des:
             if by_des[d] != F:
@@ -528,7 +561,7 @@ def _run_gessel(n: int) -> Instance:
             by_des[d] = F
     table = {}
     for d in sorted(by_des):
-        ge = gessel_expand(by_des[d], n)
+        ge = gessel_expand(IntPolynomial.from_counts(("s", "t"), by_des[d]), n)
         negs = ge.negative_entries()
         if negs:
             return _fail(

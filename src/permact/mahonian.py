@@ -29,26 +29,25 @@ def increasing_tree(w: Word) -> UnorderedTree:
     return root
 
 
-def _letter_heights(w: Word) -> dict[int, int]:
-    heights: dict[int, int] = {}
-
-    def walk(node: UnorderedTree, h: int) -> None:
-        for child in node.children:
-            heights[child.label] = h + 1
-            walk(child, h + 1)
-
-    walk(increasing_tree(w), 0)
-    return heights
-
-
 def ev_set(w: Word) -> frozenset[int]:
     """Positions i (1-indexed) whose letter has even height in the tree.
+
+    Parents are next-smaller letters, so in a right-to-left pass over an
+    increasing stack a letter's height is one more than the stack left.
 
     >>> sorted(ev_set((5, 8, 6, 3, 1, 7, 4, 9, 2)))
     [2, 4, 7, 8]
     """
-    heights = _letter_heights(w)
-    return frozenset(i + 1 for i, a in enumerate(w) if heights[a] % 2 == 0)
+    out = []
+    stack: list[int] = []
+    for i in range(len(w) - 1, -1, -1):
+        b = w[i]
+        while stack and stack[-1] > b:
+            stack.pop()
+        if len(stack) % 2 == 1:
+            out.append(i + 1)
+        stack.append(b)
+    return frozenset(out)
 
 
 def veh_prime(w: Word) -> int:
@@ -96,6 +95,7 @@ def joint_distributions(n: int) -> tuple[Counter, Counter]:
     lhs: Counter = Counter()
     rhs: Counter = Counter()
     for w in all_permutations(n):
-        lhs[veh_prime(w), siveh(w)] += 1
+        ev = ev_set(w)
+        lhs[len(ev), sum(ev)] += 1
         rhs[des(w), maj(w)] += 1
     return lhs, rhs

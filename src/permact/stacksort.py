@@ -1,19 +1,18 @@
-"""Stack sorting, both as a recursion and as a product of slide moves.
+"""Stack sorting, both as a one-stack pass and as a product of slide moves.
 
-The sort S maps L m R to S(L) S(R) m, where m is the maximum letter.  It can
-also be realized one descent at a time: a slide lifts the top letter of a
-descent out and drops it into the first gap to its right whose two neighbors
-bracket it.  Sliding the letters that top the descents of the original word,
-leftmost descent first, reproduces S exactly; the equality of the two routes
-is checked exhaustively in the verification suites.
+The sort S maps L m R to S(L) S(R) m, where m is the maximum letter; West's
+single pass over one stack computes it in linear time.  It can also be
+realized one descent at a time: a slide lifts the top letter of a descent out
+and drops it into the first gap to its right whose two neighbors bracket it.
+Sliding the letters that top the descents of the original word, leftmost
+descent first, reproduces S exactly; the equality of the two routes is
+checked exhaustively in the verification suites.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .limits import check_enumeration_size
-from .words import Word, all_permutations, descent_set
+from .words import Word, all_permutations, descent_set, identity
 
 
 class NotADescentError(ValueError):
@@ -26,10 +25,13 @@ def stack_sort(w: Word) -> Word:
     >>> stack_sort((5, 7, 3, 1, 4, 8, 9, 2, 6))
     (5, 1, 3, 4, 7, 8, 2, 6, 9)
     """
-    if len(w) <= 1:
-        return w
-    k = w.index(max(w))
-    return stack_sort(w[:k]) + stack_sort(w[k + 1 :]) + (w[k],)
+    out: list[int] = []
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            out.append(stack.pop())
+        stack.append(a)
+    return tuple(out + stack[::-1])
 
 
 def slide_r(w: Word, i: int) -> Word:
@@ -104,6 +106,15 @@ def enumerate_r_sortable(n: int, r: int) -> list[Word]:
 
 
 def r_sortable_classes(n: int) -> dict[Word, int]:
-    """Map each permutation of {1..n} to its sorting depth."""
+    """Map each permutation of {1..n}, in lex order, to its sorting depth;
+    depth(w) = 1 + depth(S(w)) is memoised, so no word is sorted twice."""
     check_enumeration_size(n)
-    return {w: sort_depth(w) for w in all_permutations(n)}
+    depths = {identity(n): 0}
+    for w in all_permutations(n):
+        chain = []
+        while w not in depths:
+            chain.append(w)
+            w = stack_sort(w)
+        for d, v in enumerate(reversed(chain), depths[w] + 1):
+            depths[v] = d
+    return {w: depths[w] for w in all_permutations(n)}

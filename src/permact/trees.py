@@ -8,6 +8,11 @@ maximum below a virtual root and recurses on the segments in between; its
 non-root vertices of even height give veh, the statistic matched to descents
 by the modified involutions.
 
+The statistics build no tree: in a left-to-right pass over a decreasing
+stack, once the letters smaller than a are popped, the stack holds the
+previous-greater chain of a, whose size is both its right-edge depth and one
+less than its unordered-tree height.
+
 231-avoiding words are exactly those whose unordered tree readout loses no
 information; ordering each vertex's children decreasingly and walking the
 tree in pre-order gives the classical bijection to Dyck paths.
@@ -59,15 +64,12 @@ def word_of(node: BinaryTreeNode | None) -> Word:
 def right_edge_depths(w: Word) -> dict[int, int]:
     """For each letter, the number of right edges on its path from the root."""
     depths: dict[int, int] = {}
-
-    def walk(node: BinaryTreeNode | None, r: int) -> None:
-        if node is None:
-            return
-        depths[node.label] = r
-        walk(node.left, r)
-        walk(node.right, r + 1)
-
-    walk(binary_tree(w), 0)
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            stack.pop()
+        depths[a] = len(stack)
+        stack.append(a)
     return depths
 
 
@@ -83,21 +85,40 @@ def odd_set(w: Word) -> frozenset[int]:
 def redge_set(w: Word) -> frozenset[int]:
     """Letters that are right children in the binary tree; one per descent.
 
+    A letter is one iff its previous-greater letter exists and is smaller
+    than its next-greater one, if any: the letter below it on the stack and
+    the letter that pops it.
+
     >>> sorted(redge_set((3, 2, 1)))
     [1, 2]
     """
     out: set[int] = set()
-
-    def walk(node: BinaryTreeNode | None) -> None:
-        if node is None:
-            return
-        if node.right is not None:
-            out.add(node.right.label)
-        walk(node.left)
-        walk(node.right)
-
-    walk(binary_tree(w))
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            x = stack.pop()
+            if stack and stack[-1] < a:
+                out.add(x)
+        stack.append(a)
+    out.update(stack[1:])
     return frozenset(out)
+
+
+def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
+    """Independent route to right_edge_depths and redge_set: walk the
+    binary tree itself."""
+    depths: dict[int, int] = {}
+    right: set[int] = set()
+    todo = [(binary_tree(w), 0)]
+    while todo:
+        node, r = todo.pop()
+        if node is None:
+            continue
+        depths[node.label] = r
+        if node.right is not None:
+            right.add(node.right.label)
+        todo += [(node.left, r), (node.right, r + 1)]
+    return depths, frozenset(right)
 
 
 # -- unordered decreasing tree ----------------------------------------------
@@ -152,10 +173,12 @@ def label_heights(tree: UnorderedTree) -> dict[int, int]:
 def veh(w: Word) -> int:
     """Number of letters at even height in the unordered decreasing tree.
 
+    Those are the letters of the odd set.
+
     >>> veh((6, 5, 2, 4, 1, 9, 7, 3, 8))
     4
     """
-    return sum(1 for h in label_heights(unordered_tree(w)).values() if h % 2 == 0)
+    return len(odd_set(w))
 
 
 # -- transports between the statistics ---------------------------------------

@@ -53,6 +53,29 @@ def test_sort_iterate(capsys):
     assert out.strip() == "1 2 3"
 
 
+LONG = 1500  # past the default recursion limit
+
+
+@pytest.mark.parametrize("letters", [range(1, LONG + 1), range(LONG, 0, -1)])
+def test_sort_long_word(capsys, letters):
+    code, out, _ = run_cli(capsys, "sort", " ".join(map(str, letters)))
+    assert code == 0
+    assert out.split() == [str(a) for a in range(1, LONG + 1)]
+
+
+@pytest.mark.parametrize("letters, descents, depth", [
+    (range(1, LONG + 1), 0, 0),
+    (range(LONG, 0, -1), LONG - 1, 1),
+])
+def test_stats_long_word(capsys, letters, descents, depth):
+    code, out, _ = run_cli(capsys, "stats", " ".join(map(str, letters)))
+    assert code == 0
+    data = json.loads(out)
+    assert data["des"] == len(data["redge"]) == descents
+    assert data["sort_depth"] == depth
+    assert data["veh"] == len(data["odd"])
+
+
 def test_class_rsortable(capsys):
     code, out, _ = run_cli(capsys, "class", "rsortable", "--n", "4", "--r", "1")
     data = json.loads(out)

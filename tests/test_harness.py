@@ -195,3 +195,16 @@ def test_report_bytes_pinned():
         for name in SUITES
     }
     assert got == REPORT_SHA256_N5
+
+
+@pytest.mark.parametrize("suite, n, target, broken, stage", [
+    ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
+    ("psiphi", 4, harness.trees, ("redge_set", lambda w: frozenset()), "stack scans"),
+    ("evt", 3, harness.mahonian, ("ev_set", lambda w: frozenset()), "stack scan"),
+    ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort", lambda w: w), "post-order"),
+])
+def test_in_suite_oracles_catch_a_broken_kernel(monkeypatch, suite, n, target, broken, stage):
+    monkeypatch.setattr(target, *broken)
+    inst = SUITES[suite].runner(n)
+    assert not inst.ok and inst.hard_failure
+    assert stage in inst.detail
