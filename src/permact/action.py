@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .polynomials import (
@@ -86,11 +86,37 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
 
     Classification uses the given boundary sentinels; with TOP this moves
     double descents right and double ascents left while fixing peaks and
-    valleys.
+    valleys.  Only x's two neighbors are compared (an end compares as the
+    sentinel would: larger under TOP, 0 under ZERO); then the smaller
+    blocks on either side of x, one of them empty, trade places.
 
     >>> phi_prime_x((5, 7, 3, 1, 4, 8, 9, 2, 6), 4)
     (5, 7, 4, 3, 1, 8, 9, 2, 6)
     """
+    try:
+        k = w.index(x)
+    except ValueError:
+        raise LetterNotPresentError(f"letter {x} not in word") from None
+    n = len(w)
+    end_smaller = boundary is Boundary.ZERO and x > 0
+    left_smaller = w[k - 1] < x if k else end_smaller
+    right_smaller = w[k + 1] < x if k + 1 < n else end_smaller
+    if left_smaller == right_smaller:
+        return w
+    i = k
+    while i and w[i - 1] < x:
+        i -= 1
+    j = k + 1
+    while j < n and w[j] < x:
+        j += 1
+    return w[:i] + w[k + 1 : j] + (x,) + w[i:k] + w[j:]
+
+
+def phi_prime_x_via_factorization(
+    w: Word, x: int, boundary: Boundary = Boundary.TOP
+) -> Word:
+    """Independent route to phi_prime_x: classify x with letter_class_at,
+    then swap through x_factorization."""
     try:
         k = w.index(x)
     except ValueError:
@@ -146,7 +172,23 @@ class OrbitReport:
 
 
 def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
-    """Closure of {seed} under hop(., x) for every letter x."""
+    """Orbit of seed under commuting involutions hop(., x), one per letter x.
+
+    The orbit is {hop_S(seed) : S a set of letters that move seed}: a letter
+    that fixes seed fixes every member, by commutation.  So each moving
+    letter doubles the members found so far, which costs 2^k - 1 hops plus
+    one probe per letter.  ``orbit_closure`` is the general route.
+    """
+    members = [seed]
+    for x in seed:
+        if hop(seed, x) != seed:
+            members += [hop(m, x) for m in members]
+    return frozenset(members)
+
+
+def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
+    """Closure of {seed} under hop(., x) for every letter x, by search;
+    needs neither commutation nor involutions."""
     members = {seed}
     stack = [seed]
     while stack:
@@ -157,6 +199,13 @@ def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Wor
                 members.add(u)
                 stack.append(u)
     return frozenset(members)
+
+
+@lru_cache(maxsize=None)
+def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial]:
+    """The claimed orbit form t^k (1+t)^(d-2k) and its polynomial."""
+    claim = GammaExpansion(d, (0,) * k + (1,))
+    return claim, claim.reconstruct()
 
 
 def verified_orbit(
@@ -174,8 +223,8 @@ def verified_orbit(
     rep = reps[0]
     k = des(rep)
     poly = descent_poly(members)
-    claim = GammaExpansion(d, (0,) * k + (1,))
-    if claim.reconstruct() != poly:
+    claim, expected = _closed_form(d, k)
+    if expected != poly:
         raise RuntimeError(
             f"orbit of {seed}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
         )

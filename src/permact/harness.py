@@ -155,8 +155,13 @@ def _pass(suite: str, n: int, detail: str, data: dict | None = None) -> Instance
 
 @lru_cache(maxsize=None)
 def eulerian_poly(n: int) -> IntPolynomial:
-    """Descent generating polynomial of all permutations of [n]."""
-    return descent_poly(words.all_permutations(n))
+    """Descent generating polynomial of all permutations of [n], from the
+    recurrence A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        padded = [0, *row, 0]
+        row = [(k + 1) * padded[k + 1] + (m - k) * padded[k] for k in range(m)]
+    return IntPolynomial.from_counts(("t",), {(k,): a for k, a in enumerate(row)})
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +178,9 @@ def _run_orb(n: int) -> Instance:
     for w in words.all_permutations(n):
         if w in seen:
             continue
+        if n <= 6 and (action.orbit_members(w, action.phi_prime_x)
+                       != action.orbit_closure(w, action.phi_prime_x)):
+            return _fail("orb", n, "orbit doubling differs from the search closure", {"word": w})
         rep = action.orbit(w)
         members = set(rep.members)
         if members & seen:
@@ -204,22 +212,28 @@ def _run_corre(n: int) -> Instance:
     letters = range(1, n + 1)
     checks = 0
     for w in ws:
+        hops = [action.phi_prime_x(w, x) for x in letters]
+        if n <= 5:
+            for x, h in zip(letters, hops):
+                if h != action.phi_prime_x_via_factorization(w, x):
+                    return _fail("corre", n, "hop kernel differs from the factorization route",
+                                 {"word": w, "x": x})
         full = action.phi_prime_full(w)
         if des(full) + des(w) != n - 1:
             return _fail("corre", n, "product of all hops does not complement des", {"word": w})
         checks += 1
-        for x in letters:
-            if action.phi_prime_x(action.phi_prime_x(w, x), x) != w:
+        for x, h in zip(letters, hops):
+            if action.phi_prime_x(h, x) != w:
                 return _fail("corre", n, "hop operator is not an involution", {"word": w, "x": x})
             checks += 1
         for x in letters:
             for y in range(x + 1, n + 1):
-                xy = action.phi_prime_x(action.phi_prime_x(w, y), x)
-                yx = action.phi_prime_x(action.phi_prime_x(w, x), y)
-                if xy != yx:
+                if action.phi_prime_x(hops[y - 1], x) != action.phi_prime_x(hops[x - 1], y):
                     return _fail("corre", n, "hop operators do not commute", {"word": w, "x": x, "y": y})
                 checks += 1
     cp = action.class_polys(words.all_permutations(n))
+    if cp.W != eulerian_poly(n):
+        return _fail("corre", n, "Eulerian recurrence differs from the brute-force descent tally")
     gam = gamma_expand(eulerian_poly(n), n - 1).gamma
     if cp.b != gam:
         return _fail("corre", n, f"class coefficients {cp.b} != Eulerian gamma {gam}")

@@ -148,12 +148,16 @@ def _ltr_segments(w: Word) -> list[tuple[int, Word]]:
 
 
 def unordered_tree(w: Word) -> UnorderedTree:
-    """Hang each left-to-right maximum below the root; recurse on segments."""
-
-    def build(label: int | None, sub: Word) -> UnorderedTree:
-        return UnorderedTree(label, [build(m, rest) for m, rest in _ltr_segments(sub)])
-
-    return build(None, w)
+    """Hang each left-to-right maximum below the root; repeat on segments."""
+    root = UnorderedTree(None)
+    todo = [(root, w)]
+    while todo:
+        node, sub = todo.pop()
+        for m, rest in _ltr_segments(sub):
+            child = UnorderedTree(m)
+            node.children.append(child)
+            todo.append((child, rest))
+    return root
 
 
 def label_heights(tree: UnorderedTree) -> dict[int, int]:
@@ -246,14 +250,17 @@ def dyck_path(w: Word) -> str:
     if not avoids_231(w):
         raise Not231AvoidingError(f"{w} contains a 231 pattern")
     out: list[str] = []
-
-    def walk(node: UnorderedTree) -> None:
-        for child in sorted(node.children, key=lambda c: -(c.label or 0)):
+    # one list of unvisited children per open vertex, largest label last
+    todo = [sorted(unordered_tree(w).children, key=lambda c: c.label)]
+    while todo:
+        if todo[-1]:
+            child = todo[-1].pop()
             out.append("u")
-            walk(child)
-            out.append("d")
-
-    walk(unordered_tree(w))
+            todo.append(sorted(child.children, key=lambda c: c.label))
+        else:
+            todo.pop()
+            if todo:
+                out.append("d")
     return "".join(out)
 
 

@@ -212,24 +212,36 @@ def letter_class_at(w: Word, k: int, boundary: Boundary = Boundary.TOP) -> Lette
     return LetterClass.DOUBLE_DESCENT
 
 
-def _count(w: Word, boundary: Boundary, cls: LetterClass) -> int:
-    return classify(w, boundary).count(cls)
+def _count(w: Word, boundary: Boundary, up_in: bool, up_out: bool) -> int:
+    """Letters b, with left neighbor a and right neighbor c (sentinels at
+    the ends), where (a < b, b < c) is (up_in, up_out); one pass, no
+    classify tuple."""
+    if not w:
+        return 0
+    s = _sentinel(w, boundary)
+    count = 0
+    a, b = s, w[0]
+    for c in w[1:] + (s,):
+        if (a < b) is up_in and (b < c) is up_out:
+            count += 1
+        a, b = b, c
+    return count
 
 
 def peak(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, LetterClass.PEAK)
+    return _count(w, boundary, True, False)
 
 
 def valley(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, LetterClass.VALLEY)
+    return _count(w, boundary, False, True)
 
 
 def double_ascent(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, LetterClass.DOUBLE_ASCENT)
+    return _count(w, boundary, True, True)
 
 
 def double_descent(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, LetterClass.DOUBLE_DESCENT)
+    return _count(w, boundary, False, False)
 
 
 def complement(w: Word) -> Word:

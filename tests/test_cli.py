@@ -113,6 +113,16 @@ def test_dyck(capsys):
     assert "231" in err
 
 
+@pytest.mark.parametrize("letters, path", [
+    (range(1, LONG + 1), "ud" * LONG),
+    (range(LONG, 0, -1), "u" * LONG + "d" * LONG),
+])
+def test_dyck_long_word(capsys, letters, path):
+    code, out, _ = run_cli(capsys, "dyck", " ".join(map(str, letters)))
+    assert code == 0
+    assert out.strip() == path
+
+
 def test_mahonian(capsys):
     code, out, _ = run_cli(capsys, "mahonian", "--n", "4")
     data = json.loads(out)

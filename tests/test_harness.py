@@ -6,6 +6,8 @@ import json
 import pytest
 
 from permact import harness
+from permact.action import phi_x
+from permact.cli import main
 from permact.harness import (
     SUITES,
     Instance,
@@ -21,6 +23,7 @@ from permact.harness import (
 )
 from permact.limits import BoundExceededError, check_enumeration_size, enumeration_bound
 from permact.polynomials import uni
+from permact.words import Boundary, LetterClass, all_permutations, descent_poly, letter_class_at
 
 
 def test_suite_registry():
@@ -89,6 +92,8 @@ def test_report_emit_formats():
 
 def test_eulerian_and_involution_polynomials():
     assert eulerian_poly(4) == uni([1, 11, 11, 1])
+    for n in range(9):
+        assert eulerian_poly(n) == descent_poly(all_permutations(n))
     assert involution_descent_poly(3) == uni([1, 2, 1])
     assert involution_descent_poly(4) == uni([1, 4, 4, 1])
 
@@ -197,7 +202,24 @@ def test_report_bytes_pinned():
     assert got == REPORT_SHA256_N5
 
 
+def orbit_members_skipping_last_mover(seed, hop):
+    """A planted defect: doubling that never applies the last moving letter."""
+    moving = [x for x in seed if hop(seed, x) != seed]
+    members = [seed]
+    for x in moving[:-1]:
+        members += [hop(m, x) for m in members]
+    return frozenset(members)
+
+
+def phi_prime_x_swapping_peaks(w, x, boundary=Boundary.TOP):
+    """A planted defect: the hop also swaps the two blocks of a peak."""
+    cls = letter_class_at(w, w.index(x), boundary)
+    return w if cls is LetterClass.VALLEY else phi_x(w, x)
+
+
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
+    ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
+    ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
     ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
     ("psiphi", 4, harness.trees, ("redge_set", lambda w: frozenset()), "stack scans"),
     ("evt", 3, harness.mahonian, ("ev_set", lambda w: frozenset()), "stack scan"),
@@ -208,3 +230,9 @@ def test_in_suite_oracles_catch_a_broken_kernel(monkeypatch, suite, n, target, b
     inst = SUITES[suite].runner(n)
     assert not inst.ok and inst.hard_failure
     assert stage in inst.detail
+
+
+def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):
+    monkeypatch.setattr(harness.action, "phi_prime_x", phi_prime_x_swapping_peaks)
+    assert main(["verify", "corre", "--max-n", "5"]) == 1
+    assert "factorization" in capsys.readouterr().out
