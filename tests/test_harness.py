@@ -218,12 +218,12 @@ def phi_prime_x_swapping_peaks(w, x, boundary=Boundary.TOP):
 
 
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
-    ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
-    ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
     ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
     ("psiphi", 4, harness.trees, ("redge_set", lambda w: frozenset()), "stack scans"),
     ("evt", 3, harness.mahonian, ("ev_set", lambda w: frozenset()), "stack scan"),
     ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort", lambda w: w), "post-order"),
+    ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
+    ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(monkeypatch, suite, n, target, broken, stage):
     monkeypatch.setattr(target, *broken)
