@@ -363,6 +363,16 @@ def _run_constant_patterns(n: int) -> Instance:
 
 
 def _run_pq_symmetry(n: int) -> Instance:
+    if n <= 5:
+        runs = Counter(
+            (peak(w), patterns.count_13_2_via_runs(w), patterns.count_2_31_via_runs(w), des(w))
+            for w in words.all_permutations(n)
+        )
+        if patterns.pattern_tally(n) != runs:
+            return _fail(
+                "pq-symmetry", n,
+                "shared (peak, 13-2, 2-31, des) tally differs from the per-word run-based tally",
+            )
     if not patterns.check_pq_symmetry(n):
         return _fail("pq-symmetry", n, "A_n(p,q,t) != A_n(q,p,t)")
     bs = []
@@ -381,7 +391,7 @@ def _run_pq_symmetry(n: int) -> Instance:
 
 def _run_mahonian_s1s2(n: int) -> Instance:
     if not patterns.check_mahonian(n):
-        return _fail("mahonian-s1s2", n, "a specialization differs from the q-factorial")
+        return _fail("mahonian-s1s2", n, "an exponent-sum tally of A_n differs from the q-factorial")
     return _pass("mahonian-s1s2", n, "A_n(q,q^2,q) = A_n(q^2,q,q) = [n]_q!")
 
 
@@ -395,7 +405,7 @@ def _run_wp(n: int) -> Instance:
     for P in corpus:
         exts = posets.linear_extensions(P)
         wpp = posets.wp_polynomial(P)
-        labels = sorted(P.labels.values())
+        labels = P.sorted_labels
         if len(P) <= 6:
             for pi in exts:
                 for x in labels:

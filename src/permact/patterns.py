@@ -43,82 +43,76 @@ from .words import (
 def count_2_31(w: Word) -> int:
     """Pairs i < j with w_(j+1) < w_i < w_j and (j, j+1) adjacent.
 
-    >>> count_2_31((2, 3, 1))
+    A left-to-right scan: at each descent a > b, count the letters seen so far
+    strictly between b and a in a bitmask.  Words not on 1..n are ranked first.
+
+    >>> count_2_31((-20, 30, -40))
     1
     """
-    n = len(w)
-    c = 0
-    for j in range(1, n - 1):
-        hi, lo = w[j], w[j + 1]
-        if lo < hi:
-            c += sum(1 for i in range(j) if lo < w[i] < hi)
-    return c
+    if not w or max(w) <= len(w):
+        seen = c = a = 0
+        try:
+            for b in w:
+                if b < a:
+                    c += (seen & ((1 << a) - (2 << b))).bit_count()
+                seen |= 1 << b
+                a = b
+            return c
+        except ValueError:  # a negative letter made a negative shift count
+            pass
+    rank = {a: r for r, a in enumerate(sorted(w), 1)}
+    return count_2_31(tuple(rank[a] for a in w))
 
 
 def count_13_2(w: Word) -> int:
-    """Pairs i < j with w_(i-1) < w_j < w_i and (i-1, i) adjacent.
+    """Pairs i < j with w_(i-1) < w_j < w_i and (i-1, i) adjacent: the (2-31)
+    pairs of the reversed word, so the same scan run right to left.
 
     >>> count_13_2((1, 3, 2))
     1
     """
-    n = len(w)
-    c = 0
-    for i in range(1, n):
-        lo, hi = w[i - 1], w[i]
-        if lo < hi:
-            c += sum(1 for j in range(i + 1, n) if lo < w[j] < hi)
-    return c
+    return count_2_31(w[::-1])
 
 
-def _pv_positions(w: Word) -> list[tuple[int, LetterClass]]:
+def _via_runs(w: Word, first: LetterClass, after: bool) -> int:
+    """Letters strictly between each `first` extremum and the next (opposite)
+    one, counted before the pair or after it; peaks and valleys alternate."""
     cls = classify(w, Boundary.TOP)
-    keep = (LetterClass.PEAK, LetterClass.VALLEY)
-    return [(k, c) for k, c in enumerate(cls) if c in keep]
+    ends = [k for k, x in enumerate(cls) if x in (LetterClass.PEAK, LetterClass.VALLEY)]
+    c = 0
+    for j, k in zip(ends, ends[1:]):
+        if cls[j] is first:
+            lo, hi = sorted((w[j], w[k]))
+            c += sum(1 for a in (w[k + 1 :] if after else w[:j]) if lo < a < hi)
+    return c
 
 
 def count_2_31_via_runs(w: Word) -> int:
-    """Independent route: for each consecutive peak-then-valley pair (no other
-    peak or valley between them), count earlier letters with values strictly
-    between the two."""
-    c = 0
-    pv = _pv_positions(w)
-    for (jp, cp), (kv, cv) in zip(pv, pv[1:]):
-        if cp is LetterClass.PEAK and cv is LetterClass.VALLEY:
-            hi, lo = w[jp], w[kv]
-            c += sum(1 for i in range(jp) if lo < w[i] < hi)
-    return c
+    """Independent route: peak-then-valley pairs against earlier letters."""
+    return _via_runs(w, LetterClass.PEAK, after=False)
 
 
 def count_13_2_via_runs(w: Word) -> int:
-    """Independent route: consecutive valley-then-peak pairs against later
-    letters with values strictly between the two."""
-    c = 0
-    n = len(w)
-    pv = _pv_positions(w)
-    for (iv, cv), (jp, cp) in zip(pv, pv[1:]):
-        if cv is LetterClass.VALLEY and cp is LetterClass.PEAK:
-            lo, hi = w[iv], w[jp]
-            c += sum(1 for k in range(jp + 1, n) if lo < w[k] < hi)
-    return c
+    """Independent route: valley-then-peak pairs against later letters."""
+    return _via_runs(w, LetterClass.VALLEY, after=True)
 
 
 def avoids_231(w: Word) -> bool:
-    """No i < j < k with w_k < w_i < w_j.
+    """No i < j < k with w_k < w_i < w_j: no letter falls below one that an
+    earlier, larger letter popped off the stack.
 
     >>> avoids_231((2, 3, 1))
     False
     >>> avoids_231((2, 1, 3))
     True
     """
-    n = len(w)
-    INF = max(w, default=0) + 1
-    suffix_min = [INF] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_min[k] = min(w[k], suffix_min[k + 1])
-    for j in range(1, n - 1):
-        lo, hi = suffix_min[j + 1], w[j]
-        if lo < hi and any(lo < w[i] < hi for i in range(j)):
+    stack, popped = [], min(w, default=0)  # nothing popped yet: below every letter
+    for a in w:
+        if a < popped:
             return False
+        while stack and stack[-1] < a:
+            popped = stack.pop()
+        stack.append(a)
     return True
 
 
@@ -148,39 +142,43 @@ def avoiding_permutations(n: int) -> Iterator[Word]:
 # -- the trivariate refinement ------------------------------------------
 
 
+def pattern_tally(n: int) -> Counter:
+    """The joint distribution of (peak, 13-2, 2-31, des) over S_n, in one pass."""
+    check_enumeration_size(n)
+    return Counter((peak(w), count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
+
+
 @functools.lru_cache(maxsize=None)
+def _pattern_tables(n: int) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
+    """A_n(p, q, t) and all b_(n,i)(p, q) from one pattern_tally, with the
+    exact 2-adic scaling and A_n = sum b_i t^i (1+t)^(n-1-2i) asserted."""
+    if n < 1:  # S_0 holds the empty word only, and no b-expansion exists
+        return IntPolynomial.constant(("p", "q", "t"), 1), ()
+    apq: Counter = Counter()
+    by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
+    for (i, a, b, d), cnt in pattern_tally(n).items():
+        apq[a, b, d] += cnt
+        by_peak[i][a, b] += cnt
+    rebuilt: Counter = Counter()
+    for i, counts in enumerate(by_peak):
+        m = n - 1 - 2 * i
+        for (a, b), cnt in counts.items():
+            counts[a, b] = c = peak_scale(cnt, i, n)
+            for j in range(m + 1):
+                rebuilt[a, b, i + j] += c * math.comb(m, j)
+    if rebuilt != apq:
+        raise AssertionError(f"b_({n},i) do not reconstruct A_{n}(p,q,t)")
+    table = tuple(IntPolynomial(("p", "q"), counts) for counts in by_peak)
+    return IntPolynomial.from_counts(("p", "q", "t"), apq), table
+
+
 def apq_polynomial(n: int) -> IntPolynomial:
     """A_n(p, q, t) over S_n, variables ("p", "q", "t").
 
     >>> apq_polynomial(2).coefficient((0, 0, 1))
     1
     """
-    check_enumeration_size(n)
-    counts = Counter((count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
-    return IntPolynomial.from_counts(("p", "q", "t"), counts)
-
-
-@functools.lru_cache(maxsize=None)
-def _bni_table(n: int) -> tuple[IntPolynomial, ...]:
-    """All b_(n,i)(p, q) at once, with the divisibility and reconstruction
-    identities asserted."""
-    check_enumeration_size(n)
-    counts = Counter((peak(w), (count_13_2(w), count_2_31(w))) for w in all_permutations(n))
-    by_peak: list[dict[tuple[int, int], int]] = [{} for _ in range((n - 1) // 2 + 1)]
-    for (i, exps), cnt in counts.items():
-        by_peak[i][exps] = peak_scale(cnt, i, n)
-    table = [IntPolynomial(("p", "q"), terms) for terms in by_peak]
-    # the b_i must reassemble the full refinement
-    p = IntPolynomial.variable("p", ("p", "q", "t"))
-    q = IntPolynomial.variable("q", ("p", "q", "t"))
-    t = IntPolynomial.variable("t", ("p", "q", "t"))
-    acc = IntPolynomial.zero(("p", "q", "t"))
-    for i, b in enumerate(table):
-        lifted = b.substitute({"p": p, "q": q})
-        acc = acc + lifted * t**i * (1 + t) ** (n - 1 - 2 * i)
-    if acc != apq_polynomial(n):
-        raise AssertionError(f"b_({n},i) do not reconstruct A_{n}(p,q,t)")
-    return tuple(table)
+    return _pattern_tables(n)[0]
 
 
 def bni_polynomial(n: int, i: int) -> IntPolynomial:
@@ -189,7 +187,7 @@ def bni_polynomial(n: int, i: int) -> IntPolynomial:
     >>> bni_polynomial(3, 1) == IntPolynomial(("p", "q"), {(1, 0): 1, (0, 1): 1})
     True
     """
-    table = _bni_table(n)
+    table = _pattern_tables(n)[1]
     if not 0 <= i < len(table):
         raise ValueError(f"need 0 <= i <= {(n - 1) // 2}, got {i}")
     return table[i]
@@ -205,24 +203,25 @@ def check_mahonian(n: int) -> bool:
     """Both one-variable specializations of A_n collapse to [n]_q!.
 
     Substituting (p, q, t) -> (q, q^2, q) tracks (13-2) + 2(2-31) + des, and
-    (q^2, q, q) tracks 2(13-2) + (2-31) + des.
+    (q^2, q, q) tracks 2(13-2) + (2-31) + des; each is tallied straight from
+    the exponents of A_n.
     """
-    A = apq_polynomial(n)
-    qq = IntPolynomial.variable("q")
-    target = q_factorial(n)
-    first = A.substitute({"p": qq, "q": qq**2, "t": qq})
-    second = A.substitute({"p": qq**2, "q": qq, "t": qq})
+    first: Counter = Counter()
+    second: Counter = Counter()
+    for (a, b, d), c in apq_polynomial(n).terms.items():
+        first[a + 2 * b + d] += c
+        second[2 * a + b + d] += c
+    target = Counter(dict(enumerate(q_factorial(n).coeffs_list())))
     return first == target and second == target
 
 
 def check_divisibility(n: int) -> dict[int, bool]:
     """For each i, whether (p + q)^i divides b_(n,i) exactly."""
-    p = IntPolynomial.variable("p", ("p", "q"))
-    q = IntPolynomial.variable("q", ("p", "q"))
-    out = {}
-    for i in range((n - 1) // 2 + 1):
-        out[i] = try_divide(bni_polynomial(n, i), (p + q) ** i) is not None
-    return out
+    p_plus_q = IntPolynomial(("p", "q"), {(1, 0): 1, (0, 1): 1})
+    return {
+        i: try_divide(bni_polynomial(n, i), p_plus_q**i) is not None
+        for i in range((n - 1) // 2 + 1)
+    }
 
 
 # -- Narayana ---------------------------------------------------------------

@@ -104,8 +104,10 @@ class LabeledPoset:
             if lab == 0:
                 raise InvalidPosetError("labels must be nonzero")
             self.labels[e] = lab
-        if len(set(self.labels.values())) != len(self.elements):
+        self.label_set: frozenset[int] = frozenset(self.labels.values())
+        if len(self.label_set) != len(self.elements):
             raise InvalidPosetError("labels must be distinct")
+        self.sorted_labels: list[int] = sorted(self.label_set)
 
     def _topological_order(self) -> tuple[Element, ...]:
         indeg = {e: len(self._down[e]) for e in self.elements}
@@ -284,7 +286,7 @@ def linear_extensions(P: LabeledPoset) -> list[Word]:
 
 
 def is_linear_extension(P: LabeledPoset, pi: Word) -> bool:
-    if sorted(pi) != sorted(P.labels.values()):
+    if sorted(pi) != P.sorted_labels:
         return False
     pos = {lab: i for i, lab in enumerate(pi)}
     return all(pos[P.labels[x]] < pos[P.labels[y]] for x, y in P.covers)
@@ -299,7 +301,7 @@ def psi_x_poset(P: LabeledPoset, pi: Word, x: int) -> Word:
     linear extension; a violation would mean the canonical-labeling premise
     failed, and raises BrokenInvariantError.
     """
-    if x not in set(P.labels.values()):
+    if x not in P.label_set:
         raise ValueError(f"{x} is not a label of the poset")
     if not is_linear_extension(P, pi):
         raise NotALinearExtensionError(f"{pi} is not a linear extension")

@@ -145,7 +145,13 @@ def descent_set(w: Word) -> set[int]:
 
 
 def des(w: Word) -> int:
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    count = 0
+    a = w[0] if w else 0
+    for b in w:
+        if a > b:
+            count += 1
+        a = b
+    return count
 
 
 def descent_poly(ws: Iterable[Word]) -> IntPolynomial:
@@ -163,7 +169,13 @@ def maj(w: Word) -> int:
     >>> maj((5, 7, 3, 1, 4, 8, 9, 2, 6))
     12
     """
-    return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    total = 0
+    a = w[0] if w else 0
+    for i, b in enumerate(w):
+        if a > b:
+            total += i
+        a = b
+    return total
 
 
 def _sentinel(w: Word, boundary: Boundary) -> int:

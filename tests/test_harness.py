@@ -22,7 +22,8 @@ from permact.harness import (
     run_suite,
 )
 from permact.limits import BoundExceededError, check_enumeration_size, enumeration_bound
-from permact.polynomials import uni
+from permact.patterns import apq_polynomial, count_2_31
+from permact.polynomials import IntPolynomial, uni
 from permact.words import Boundary, LetterClass, all_permutations, descent_poly, letter_class_at
 
 
@@ -217,6 +218,24 @@ def phi_prime_x_swapping_peaks(w, x, boundary=Boundary.TOP):
     return w if cls is LetterClass.VALLEY else phi_x(w, x)
 
 
+def count_2_31_off_by_one(w):
+    """A planted defect: one (2-31) occurrence too many."""
+    return count_2_31(w) + 1
+
+
+def apq_polynomial_plus_p(n):
+    """A planted defect: A_n(p,q,t) with an extra term p."""
+    return apq_polynomial(n) + IntPolynomial.variable("p", ("p", "q", "t"))
+
+
+@pytest.fixture
+def fresh_pattern_tables():
+    """Keep tables built from a planted kernel out of the shared cache."""
+    harness.patterns._pattern_tables.cache_clear()
+    yield
+    harness.patterns._pattern_tables.cache_clear()
+
+
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
     ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
     ("psiphi", 4, harness.trees, ("redge_set", lambda w: frozenset()), "stack scans"),
@@ -224,8 +243,12 @@ def phi_prime_x_swapping_peaks(w, x, boundary=Boundary.TOP):
     ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort", lambda w: w), "post-order"),
     ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
     ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
+    ("pq-symmetry", 4, harness.patterns, ("count_2_31", count_2_31_off_by_one), "run-based"),
+    ("mahonian-s1s2", 3, harness.patterns, ("apq_polynomial", apq_polynomial_plus_p), "exponent-sum"),
 ])
-def test_in_suite_oracles_catch_a_broken_kernel(monkeypatch, suite, n, target, broken, stage):
+def test_in_suite_oracles_catch_a_broken_kernel(
+    monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
+):
     monkeypatch.setattr(target, *broken)
     inst = SUITES[suite].runner(n)
     assert not inst.ok and inst.hard_failure

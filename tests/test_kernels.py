@@ -2,6 +2,8 @@
 they replace."""
 
 import itertools
+import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -14,6 +16,16 @@ from permact.action import (
     phi_prime_x_via_factorization,
 )
 from permact.mahonian import ev_set, increasing_tree
+from permact.patterns import (
+    apq_polynomial,
+    bni_polynomial,
+    count_2_31,
+    count_2_31_via_runs,
+    count_13_2,
+    count_13_2_via_runs,
+    pattern_tally,
+)
+from permact.polynomials import IntPolynomial
 from permact.stacksort import r_sortable_classes, sort_depth, stack_sort
 from permact.trees import (
     label_heights,
@@ -28,6 +40,7 @@ from permact.words import (
     LetterClass,
     all_permutations,
     classify,
+    des,
     descent_poly,
     double_ascent,
     double_descent,
@@ -130,3 +143,97 @@ def test_hops_and_orbits_on_random_words():
         assert descent_poly(members).coeffs_list() == [0] * k + [comb(m, i) for i in range(m + 1)]
 
     check()
+
+
+def brute_2_31(w):
+    """i < j < k with k = j + 1 and w_k < w_i < w_j, straight from the pattern."""
+    n = len(w)
+    return sum(
+        1
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+        if k == j + 1 and w[k] < w[i] < w[j]
+    )
+
+
+def brute_13_2(w):
+    """i < j < k with j = i + 1 and w_i < w_k < w_j."""
+    n = len(w)
+    return sum(
+        1
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+        if j == i + 1 and w[i] < w[k] < w[j]
+    )
+
+
+def assert_pattern_routes_agree(w):
+    assert count_2_31(w) == brute_2_31(w) == count_2_31_via_runs(w)
+    assert count_13_2(w) == brute_13_2(w) == count_13_2_via_runs(w)
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("letters", [
+    lambda n: range(1, n + 1),
+    lambda n: range(-n, 0),
+    mixed_sign_letters,
+    lambda n: range(5, 7 * n + 5, 7),
+], ids=["permutations", "negative", "mixed-sign", "gapped"])
+def test_pattern_scans_match_brute_force_and_runs(n, letters):
+    for w in itertools.permutations(letters(n)):
+        assert_pattern_routes_agree(w)
+
+
+def test_pattern_scans_on_long_words():
+    rng = random.Random(1500)
+    for letters in (range(1, 1501), range(-750, 751), range(10**18, 10**18 + 3 * 1500, 3)):
+        w = [a for a in letters if a]
+        rng.shuffle(w)
+        w = tuple(w)
+        assert count_2_31(w) == count_2_31_via_runs(w)
+        assert count_13_2(w) == count_13_2_via_runs(w)
+    for w in (tuple(range(1, 1501)), tuple(range(1500, 0, -1))):
+        assert count_2_31(w) == count_13_2(w) == 0
+
+
+def test_pattern_scans_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.integers(-10**12, 10**12).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(letters, unique=True, max_size=30).map(tuple))
+    def check(w):
+        assert_pattern_routes_agree(w)
+
+    check()
+
+
+def definitional_tally(n):
+    """(peak, 13-2, 2-31, des) per word, with peaks from classify and the
+    patterns from the triple loops."""
+    return Counter(
+        (classify(w).count(LetterClass.PEAK), brute_13_2(w), brute_2_31(w), des(w))
+        for w in all_permutations(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shared_tables_match_definitional_counters(n):
+    tally = definitional_tally(n)
+    assert pattern_tally(n) == tally
+    apq = Counter()
+    for (_, a, b, d), cnt in tally.items():
+        apq[a, b, d] += cnt
+    assert apq_polynomial(n) == IntPolynomial(("p", "q", "t"), apq)
+    for i in range((n - 1) // 2 + 1):
+        scale = 2 ** (n - 1 - 2 * i)
+        by_pattern = Counter()
+        for (k, a, b, _), cnt in tally.items():
+            if k == i:
+                by_pattern[a, b] += cnt
+        assert all(cnt % scale == 0 for cnt in by_pattern.values())
+        expected = {ab: cnt // scale for ab, cnt in by_pattern.items()}
+        assert bni_polynomial(n, i) == IntPolynomial(("p", "q"), expected)
