@@ -12,6 +12,9 @@ The modified involution ``phi_prime_x`` applies the swap only when x is a
 double ascent or double descent, so peaks and valleys both stay put.  These
 involutions commute, and the group they generate cuts each symmetric group
 into orbits whose descent generating function is t^k (1+t)^(n-1-2k).
+
+``orbits`` is the one orbit enumerator: whatever walks a set of words orbit
+by orbit iterates it, and it holds the only set of words already seen.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .polynomials import (
     GammaExpansion,
@@ -186,6 +189,20 @@ def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Wor
     return frozenset(members)
 
 
+def orbits(seeds: Iterable[Word], hop: Callable[[Word, int], Word]) -> Iterator[frozenset[Word]]:
+    """Each orbit that meets seeds, once, as orbit_members of its first seed
+    not seen yet.  Raises RuntimeError when a new orbit meets an earlier one,
+    which commuting involutions cannot produce."""
+    seen: set[Word] = set()
+    for w in seeds:
+        if w not in seen:
+            members = orbit_members(w, hop)
+            if not seen.isdisjoint(members):
+                raise RuntimeError(f"orbits are not disjoint: the orbit of {w} meets an earlier one")
+            seen |= members
+            yield members
+
+
 def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
     """Closure of {seed} under hop(., x) for every letter x, by search;
     needs neither commutation nor involutions."""
@@ -208,17 +225,15 @@ def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial]:
     return claim, claim.reconstruct()
 
 
-def verified_orbit(
-    seed: Word, hop: Callable[[Word, int], Word], d: int, boundary: Boundary
-) -> OrbitReport:
-    """Orbit of seed under hop, checked to have exactly one member without
-    double descents (under boundary) and descent polynomial t^k (1+t)^(d-2k),
-    k the descent count of that member.  Raises RuntimeError otherwise."""
-    members = orbit_members(seed, hop)
+def verified_orbit(members: frozenset[Word], d: int, boundary: Boundary) -> OrbitReport:
+    """The orbit report of members, checked to have exactly one member
+    without double descents (under boundary) and descent polynomial
+    t^k (1+t)^(d-2k), k the descent count of that member.  Raises
+    RuntimeError otherwise."""
     reps = [v for v in members if double_descent(v, boundary) == 0]
     if len(reps) != 1:
         raise RuntimeError(
-            f"orbit of {seed} has {len(reps)} double-descent-free members, expected 1"
+            f"orbit of {min(members)} has {len(reps)} double-descent-free members, expected 1"
         )
     rep = reps[0]
     k = des(rep)
@@ -226,7 +241,7 @@ def verified_orbit(
     claim, expected = _closed_form(d, k)
     if expected != poly:
         raise RuntimeError(
-            f"orbit of {seed}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
+            f"orbit of {min(members)}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
         )
     return OrbitReport(tuple(sorted(members)), rep, k, poly, claim)
 
@@ -247,7 +262,7 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
             "the zero boundary needs every letter negative (below the 0 sentinel); "
             f"{w} has a positive letter"
         )
-    report = verified_orbit(w, partial(phi_prime_x, boundary=boundary), len(w) - 1, boundary)
+    report = verified_orbit(orbit_members(w, partial(phi_prime_x, boundary=boundary)), len(w) - 1, boundary)
     if peak(w, boundary) != report.peak:
         raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
     return report

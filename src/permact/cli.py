@@ -11,10 +11,11 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 
 from . import action, harness, mahonian, patterns, posets, stacksort, trees, words
 from .polynomials import IntPolynomial, latex_gamma_form
-from .words import Boundary, Word, des, descent_poly, maj
+from .words import Boundary, des, descent_poly, maj
 
 
 def _emit_json(data) -> None:
@@ -91,6 +92,8 @@ def cmd_class(args) -> int:
 
 def cmd_apq(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"apq needs --n of at least 1, got {n}")
     poly = patterns.apq_polynomial(n)
     bs = [patterns.bni_polynomial(n, i) for i in range((n - 1) // 2 + 1)]
     if args.out == "latex":
@@ -156,14 +159,10 @@ def cmd_poset(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         P = posets.LabeledPoset.from_json_dict(json.load(fh))
     if args.orbits:
-        reports = []
-        seen: set[Word] = set()
-        for pi in posets.linear_extensions(P):
-            if pi in seen:
-                continue
-            rep = posets.poset_orbit(P, pi)
-            seen |= set(rep.members)
-            reports.append(rep.to_json_dict())
+        d = posets.orbit_degree(P)
+        hop = partial(posets.psi_x_poset, P)
+        reports = [action.verified_orbit(members, d, Boundary.ZERO).to_json_dict()
+                   for members in action.orbits(posets.linear_extensions(P), hop)]
         _emit_json({"poset": P.to_json_dict(), "orbits": reports})
         return 0
     if args.poly:

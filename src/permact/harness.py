@@ -3,15 +3,17 @@ implements, each run per n up to a default or user-supplied bound.
 
 Theorem suites must pass; a failure means a bug and exits with code 1.
 Conjecture suites report consistency only; a genuine counterexample would be
-a discovery, reported with exit code 3.  Exhaustive enumeration is used for
-n <= 7 and seeded random sampling beyond that, so reports are byte-identical
-across runs and across worker counts.
+a discovery, reported with exit code 3.  Every suite enumerates exhaustively
+except two, which sample with fixed seeds: corre samples words above n = 7
+and wp samples posets above n = 5.  So reports are byte-identical across runs
+and across worker counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -19,7 +21,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Mapping
 
@@ -169,35 +171,57 @@ def involution_descent_poly(n: int) -> IntPolynomial:
     return descent_poly(words.involutions(n))
 
 
+def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str) -> Instance | None:
+    """None when value is constant on every orbit of S_n, else the suite's
+    failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
+    value(u) != value(w).  The orbits are the classes of the group the hops
+    generate, so this is the claim "no hop changes value" at one value per
+    word.  For n <= 6 the hop-by-hop sweep of every orbit is the oracle: no
+    hop leaves its orbit, and the two verdicts agree."""
+    hop = action.phi_prime_x
+    covered = 0
+    for members in action.orbits(words.all_permutations(n), hop):
+        covered += len(members)
+        changed = len({value(w) for w in members}) > 1
+        if not (changed or n <= 6):
+            continue
+        # members are reached from the seed by hops, so a bad orbit has a move
+        hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
+        moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
+        if n <= 6 and (changed != bool(moves) or any(u not in members for _, _, u in hops)):
+            return _fail(suite, n, "the hop-by-hop sweep disagrees with the orbit check",
+                         {"orbit": members})
+        if changed:
+            w, x, u = moves[0]
+            return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+    if covered != factorial(n):
+        return _fail(suite, n, f"orbit sizes sum to {covered}, not {factorial(n)}")
+    return None
+
+
 # -- suite runners (module level so worker processes can pickle them) ---------
 
 
 def _run_orb(n: int) -> Instance:
-    seen: set[Word] = set()
-    norbits = 0
-    for w in words.all_permutations(n):
-        if w in seen:
-            continue
-        if n <= 6 and (action.orbit_members(w, action.phi_prime_x)
-                       != action.orbit_closure(w, action.phi_prime_x)):
-            return _fail("orb", n, "orbit doubling differs from the search closure", {"word": w})
-        rep = action.orbit(w)
-        members = set(rep.members)
-        if members & seen:
-            return _fail("orb", n, "orbits are not disjoint", {"word": w})
+    norbits = covered = 0
+    for members in action.orbits(words.all_permutations(n), action.phi_prime_x):
+        if n <= 6 and members != action.orbit_closure(min(members), action.phi_prime_x):
+            return _fail("orb", n, "orbit doubling differs from the search closure",
+                         {"word": min(members)})
+        rep = action.verified_orbit(members, n - 1, Boundary.TOP)
         for m in rep.members:
             if peak(m) != rep.peak:
                 return _fail(
                     "orb", n, "peak is not constant on an orbit",
                     {"word": m, "expected_peak": rep.peak},
                 )
-        seen |= members
+        covered += len(members)
         norbits += 1
-    if len(seen) != factorial(n):
-        return _fail("orb", n, f"orbits cover {len(seen)} of {factorial(n)} words")
+    if covered != factorial(n):
+        return _fail("orb", n, f"orbits cover {covered} of {factorial(n)} words")
     return _pass(
         "orb", n,
-        f"{norbits} orbits partition all {len(seen)} permutations; "
+        f"{norbits} orbits partition all {covered} permutations; "
         "each descent polynomial equals t^k (1+t)^(n-1-2k)",
     )
 
@@ -246,17 +270,16 @@ def _run_corre(n: int) -> Instance:
 
 
 def _run_stack_invariance(n: int) -> Instance:
-    count = 0
-    for w in words.all_permutations(n):
-        s = stacksort.stack_sort(w)
-        classes = words.classify(w)
-        for x in range(1, n + 1):
-            if stacksort.stack_sort(action.phi_prime_x(w, x)) != s:
-                return _fail("stack-invariance", n, "stack sort changed under a hop", {"word": w, "x": x})
-            count += 1
-            # the unmodified block swap also fixes S whenever one block is
-            # empty, which is every letter class except peaks
-            if classes[w.index(x)] is not words.LetterClass.PEAK:
+    sorts = {w: stacksort.stack_sort(w) for w in words.all_permutations(n)}
+    bad = _constant_on_orbits("stack-invariance", n, sorts.__getitem__, "stack sort changed under a hop")
+    if bad is not None:
+        return bad
+    count = n * len(sorts)
+    for w, s in sorts.items():
+        # the unmodified block swap also fixes S whenever one block is
+        # empty, which is every letter class except peaks
+        for x, cls in zip(w, words.classify(w)):
+            if cls is not words.LetterClass.PEAK:
                 if stacksort.stack_sort(action.phi_x(w, x)) != s:
                     return _fail("stack-invariance", n, "stack sort changed under a non-peak block swap", {"word": w, "x": x})
                 count += 1
@@ -288,16 +311,12 @@ def _run_slides(n: int) -> Instance:
 
 def _run_genbona(n: int) -> Instance:
     depths = stacksort.r_sortable_classes(n)
-    for w, dep in depths.items():
-        for x in range(1, n + 1):
-            dv = depths[action.phi_prime_x(w, x)]
-            # sort depth is preserved except that the identity (depth 0) may
-            # trade places with depth-1 words, which moves no set S_n^r, r >= 1
-            if dv != dep and max(dv, 1) != max(dep, 1):
-                return _fail(
-                    "genbona", n, "sort depth changed by more than the 0/1 identity swap",
-                    {"word": w, "x": x, "depth": dep, "image_depth": dv},
-                )
+    # sort depth is preserved except that the identity (depth 0) may trade
+    # places with depth-1 words, which moves no set S_n^r, r >= 1
+    bad = _constant_on_orbits("genbona", n, lambda w: max(depths[w], 1),
+                              "sort depth changed by more than the 0/1 identity swap")
+    if bad is not None:
+        return bad
     bs = {}
     for r in range(1, n):
         T = [w for w, dep in depths.items() if dep <= r]
@@ -351,10 +370,9 @@ def _run_constant_patterns(n: int) -> Instance:
         if pair != (patterns.count_13_2_via_runs(w), patterns.count_2_31_via_runs(w)):
             return _fail("constant-patterns", n, "direct and run-based pattern counts disagree", {"word": w})
         stats[w] = pair
-    for w, pair in stats.items():
-        for x in range(1, n + 1):
-            if stats[action.phi_prime_x(w, x)] != pair:
-                return _fail("constant-patterns", n, "pattern counts changed under a hop", {"word": w, "x": x})
+    bad = _constant_on_orbits("constant-patterns", n, stats.__getitem__, "pattern counts changed under a hop")
+    if bad is not None:
+        return bad
     return _pass(
         "constant-patterns", n,
         f"(13-2) and (2-31) constant on all orbits ({len(stats) * n} hops checked), "
@@ -411,26 +429,22 @@ def _run_wp(n: int) -> Instance:
                 for x in labels:
                     if posets.psi_x_poset(P, posets.psi_x_poset(P, pi, x), x) != pi:
                         return _fail("wp", n, "poset hop is not an involution", {"poset": P.to_json_dict(), "pi": pi, "x": x})
-                for ai in range(len(labels)):
-                    for bi in range(ai + 1, len(labels)):
-                        x, y = labels[ai], labels[bi]
-                        xy = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, y), x)
-                        yx = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, x), y)
-                        if xy != yx:
-                            return _fail("wp", n, "poset hops do not commute", {"poset": P.to_json_dict(), "pi": pi, "x": x, "y": y})
-        seen: set[Word] = set()
+                for x, y in itertools.combinations(labels, 2):
+                    xy = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, y), x)
+                    yx = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, x), y)
+                    if xy != yx:
+                        return _fail("wp", n, "poset hops do not commute", {"poset": P.to_json_dict(), "pi": pi, "x": x, "y": y})
+        covered = 0
         total = IntPolynomial.zero(("t",))
-        for pi in exts:
-            if pi in seen:
-                continue
-            rep = posets.poset_orbit(P, pi)
-            if posets.sign_grading(P).r == 0:
+        for members in action.orbits(exts, partial(posets.psi_x_poset, P)):
+            rep = action.verified_orbit(members, wpp.d, Boundary.ZERO)
+            if wpp.r == 0:
                 for v in rep.members:
                     if peak(v, Boundary.ZERO) != des(rep.rep):
                         return _fail("wp", n, "rank-0 peak not constant on an orbit", {"poset": P.to_json_dict(), "pi": v})
-            seen |= set(rep.members)
+            covered += len(members)
             total = total + rep.descent_poly
-        if seen != set(exts):
+        if covered != len(exts):
             return _fail("wp", n, "orbits do not partition the linear extensions", {"poset": P.to_json_dict()})
         if total != wpp.W:
             return _fail("wp", n, "orbit polynomials do not sum to W(P;t)", {"poset": P.to_json_dict()})
@@ -825,41 +839,22 @@ def report_emit(report: Report, fmt: str, include_timing: bool = False) -> bytes
 
 def build_table(kind: str, n: int) -> tuple[list[str], list[list[str]]]:
     """Rows (as strings) for the named polynomial family, sizes 1..n."""
-    if kind == "eulerian":
-        header = ["n", "polynomial", "gamma"]
-        rows = []
-        for m in range(1, n + 1):
-            poly = eulerian_poly(m)
-            gam = gamma_expand(poly, m - 1)
-            rows.append([str(m), str(poly), " ".join(map(str, gam.gamma))])
-        return header, rows
+    rows = []
     if kind == "apq":
-        header = ["n", "gamma_form", "b"]
-        rows = []
         for m in range(1, n + 1):
             bs = [patterns.bni_polynomial(m, i) for i in range((m - 1) // 2 + 1)]
-            rows.append([
-                str(m),
-                latex_gamma_form(bs, m - 1),
-                "; ".join(str(b) for b in bs),
-            ])
-        return header, rows
-    if kind == "narayana":
-        header = ["n", "polynomial", "gamma"]
-        rows = []
-        for m in range(1, n + 1):
+            rows.append([str(m), latex_gamma_form(bs, m - 1), "; ".join(map(str, bs))])
+        return ["n", "gamma_form", "b"], rows
+    if kind not in ("eulerian", "narayana", "involution"):
+        raise UnknownFormatError(f"unknown table kind {kind!r}")
+    for m in range(1, n + 1):
+        if kind == "narayana":
             poly, gam = patterns.narayana(m)
-            rows.append([str(m), str(poly), " ".join(map(str, gam.gamma))])
-        return header, rows
-    if kind == "involution":
-        header = ["n", "polynomial", "gamma"]
-        rows = []
-        for m in range(1, n + 1):
-            poly = involution_descent_poly(m)
+        else:
+            poly = eulerian_poly(m) if kind == "eulerian" else involution_descent_poly(m)
             gam = gamma_expand(poly, m - 1)
-            rows.append([str(m), str(poly), " ".join(map(str, gam.gamma))])
-        return header, rows
-    raise UnknownFormatError(f"unknown table kind {kind!r}")
+        rows.append([str(m), str(poly), " ".join(map(str, gam.gamma))])
+    return ["n", "polynomial", "gamma"], rows
 
 
 def emit_table(header: list[str], rows: list[list[str]], fmt: str) -> bytes:

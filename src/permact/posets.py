@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .action import OrbitReport, verified_orbit
+from .action import OrbitReport, orbit_members, verified_orbit
 from .limits import check_enumeration_size
 from .polynomials import IntPolynomial, gamma_expand, peak_scale, strip_zeros
 from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
@@ -164,9 +164,6 @@ class LabeledPoset:
         for m in self.minimals():
             extend([m])
         return out
-
-    def label_word(self, elements: Sequence[Element]) -> Word:
-        return tuple(self.labels[e] for e in elements)
 
     def to_json_dict(self) -> dict:
         return {
@@ -336,13 +333,19 @@ def psi_x_poset(P: LabeledPoset, pi: Word, x: int) -> Word:
     return result
 
 
+def orbit_degree(P: LabeledPoset) -> int:
+    """d = p - r - 1, the degree of the orbit forms t^k (1+t)^(d-2k) of P's
+    linear extensions; raises NotCanonicalError unless P is canonical."""
+    if not is_canonical(P):
+        raise NotCanonicalError("poset orbits need a canonically labeled poset")
+    return len(P) - sign_grading(P).r - 1
+
+
 def poset_orbit(P: LabeledPoset, pi: Word) -> OrbitReport:
     """Orbit of a linear extension under all label hops, with the verified
     descent polynomial t^k (1+t)^(p-r-1-2k)."""
-    if not is_canonical(P):
-        raise NotCanonicalError("poset orbits need a canonically labeled poset")
-    d = len(P) - sign_grading(P).r - 1
-    return verified_orbit(pi, partial(psi_x_poset, P), d, Boundary.ZERO)
+    d = orbit_degree(P)
+    return verified_orbit(orbit_members(pi, partial(psi_x_poset, P)), d, Boundary.ZERO)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ is never a valid letter.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator
@@ -178,10 +179,15 @@ def maj(w: Word) -> int:
     return total
 
 
-def _sentinel(w: Word, boundary: Boundary) -> int:
-    if boundary is Boundary.ZERO:
-        return 0
-    return max(w) + 1
+# the end letter under each boundary (inf is above every int letter, however
+# large), and the class of a letter b between a and c, keyed by (a < b, b < c)
+_SENTINEL = {Boundary.TOP: math.inf, Boundary.ZERO: 0}
+_CLASSES = {
+    (False, True): LetterClass.VALLEY,
+    (True, False): LetterClass.PEAK,
+    (True, True): LetterClass.DOUBLE_ASCENT,
+    (False, False): LetterClass.DOUBLE_DESCENT,
+}
 
 
 def classify(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[LetterClass, ...]:
@@ -190,38 +196,17 @@ def classify(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[LetterClass, .
     >>> [c.name[0] for c in classify((2, 3, 1))]
     ['V', 'P', 'V']
     """
-    if not w:
-        return ()
-    s = _sentinel(w, boundary)
-    n = len(w)
-    out = []
-    for k, a in enumerate(w):
-        left = w[k - 1] if k > 0 else s
-        right = w[k + 1] if k + 1 < n else s
-        if left > a < right:
-            out.append(LetterClass.VALLEY)
-        elif left < a > right:
-            out.append(LetterClass.PEAK)
-        elif left < a < right:
-            out.append(LetterClass.DOUBLE_ASCENT)
-        else:
-            out.append(LetterClass.DOUBLE_DESCENT)
-    return tuple(out)
+    s = _SENTINEL[boundary]
+    padded = (s, *w, s)
+    return tuple([_CLASSES[a < b, b < c] for a, b, c in zip(padded, padded[1:], padded[2:])])
 
 
 def letter_class_at(w: Word, k: int, boundary: Boundary = Boundary.TOP) -> LetterClass:
     """Class of the letter at 0-based index k; avoids classifying the rest."""
-    s = _sentinel(w, boundary)
-    a = w[k]
+    s = _SENTINEL[boundary]
     left = w[k - 1] if k > 0 else s
     right = w[k + 1] if k + 1 < len(w) else s
-    if left > a < right:
-        return LetterClass.VALLEY
-    if left < a > right:
-        return LetterClass.PEAK
-    if left < a < right:
-        return LetterClass.DOUBLE_ASCENT
-    return LetterClass.DOUBLE_DESCENT
+    return _CLASSES[left < w[k], w[k] < right]
 
 
 def _count(w: Word, boundary: Boundary, up_in: bool, up_out: bool) -> int:
@@ -230,14 +215,15 @@ def _count(w: Word, boundary: Boundary, up_in: bool, up_out: bool) -> int:
     classify tuple."""
     if not w:
         return 0
-    s = _sentinel(w, boundary)
+    s = _SENTINEL[boundary]
     count = 0
-    a, b = s, w[0]
-    for c in w[1:] + (s,):
+    rest = iter(w)
+    a, b = s, next(rest)
+    for c in rest:
         if (a < b) is up_in and (b < c) is up_out:
             count += 1
         a, b = b, c
-    return count
+    return count + ((a < b) is up_in and (b < s) is up_out)
 
 
 def peak(w: Word, boundary: Boundary = Boundary.TOP) -> int:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from permact.action import (
@@ -5,7 +7,9 @@ from permact.action import (
     NonIntegralBError,
     class_polys,
     orbit,
+    orbit_closure,
     orbit_members,
+    orbits,
     phi_prime_full,
     phi_prime_S,
     phi_prime_x,
@@ -13,6 +17,7 @@ from permact.action import (
     x_factorization,
 )
 from permact.polynomials import uni
+from permact.posets import all_canonical_posets, linear_extensions, psi_x_poset
 from permact.words import LetterClass, all_permutations, classify, des
 
 W0 = (5, 7, 3, 1, 4, 8, 9, 2, 6)
@@ -100,6 +105,44 @@ def test_orbit_members_closure():
     for member in closure:
         for x in (1, 2, 3):
             assert phi_x(member, x) in closure
+
+
+def closures_in_first_seen_order(seeds, hop):
+    """The search closure of every seed not in an earlier closure."""
+    out, seen = [], set()
+    for w in seeds:
+        if w not in seen:
+            out.append(orbit_closure(w, hop))
+            seen |= out[-1]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbits_partition_the_symmetric_group(n):
+    seeds = list(all_permutations(n))
+    parts = list(orbits(seeds, phi_prime_x))
+    assert parts == closures_in_first_seen_order(seeds, phi_prime_x)
+    assert sum(map(len, parts)) == len(seeds)
+
+
+def test_orbits_partition_poset_linear_extensions():
+    for P in all_canonical_posets(5):
+        exts = linear_extensions(P)
+        hop = partial(psi_x_poset, P)
+        parts = list(orbits(exts, hop))
+        assert parts == closures_in_first_seen_order(exts, hop)
+        assert sum(map(len, parts)) == len(exts)
+
+
+def test_orbits_that_overlap_raise():
+    def sort_letters(w, x):
+        """Not an involution: every word hops to its sorted form."""
+        return tuple(sorted(w))
+
+    parts = orbits([(1, 2), (2, 1)], sort_letters)
+    assert next(parts) == {(1, 2)}
+    with pytest.raises(RuntimeError, match="not disjoint"):
+        next(parts)
 
 
 def test_class_polys_full_symmetric_group():

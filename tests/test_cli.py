@@ -97,6 +97,15 @@ def test_apq_latex(capsys):
     assert out.strip() == "(1+t)^2 + (p+q)t"
 
 
+def test_apq_nonpositive_n_is_usage_error(capsys):
+    for n in ("0", "-1"):
+        for out_format in ("json", "latex"):
+            code, out, err = run_cli(capsys, "apq", "--n", n, "--out", out_format)
+            assert code == 2
+            assert not out
+            assert "at least 1" in err
+
+
 def test_tree_kinds(capsys):
     for kind in ("binary", "unordered", "increasing"):
         code, out, _ = run_cli(capsys, "tree", "312", "--kind", kind)

@@ -2,11 +2,12 @@ import csv
 import hashlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from permact import harness
-from permact.action import phi_x
+from permact import harness, patterns
+from permact.action import orbits, phi_x
 from permact.cli import main
 from permact.harness import (
     SUITES,
@@ -22,9 +23,15 @@ from permact.harness import (
     run_suite,
 )
 from permact.limits import BoundExceededError, check_enumeration_size, enumeration_bound
-from permact.patterns import apq_polynomial, count_2_31
+from permact.patterns import (
+    apq_polynomial,
+    count_2_31,
+    count_2_31_via_runs,
+    count_13_2,
+    count_13_2_via_runs,
+)
 from permact.polynomials import IntPolynomial, uni
-from permact.words import Boundary, LetterClass, all_permutations, descent_poly, letter_class_at
+from permact.words import Boundary, LetterClass, all_permutations, des, descent_poly, letter_class_at
 
 
 def test_suite_registry():
@@ -228,12 +235,36 @@ def apq_polynomial_plus_p(n):
     return apq_polynomial(n) + IntPolynomial.variable("p", ("p", "q", "t"))
 
 
+# A planted defect both counting routes share, so they still agree: (13-2)
+# also counts the descents, which are not constant on orbits.
+PATTERNS_COUNTING_DESCENTS = SimpleNamespace(
+    count_13_2=lambda w: count_13_2(w) + des(w),
+    count_13_2_via_runs=lambda w: count_13_2_via_runs(w) + des(w),
+    count_2_31=count_2_31,
+    count_2_31_via_runs=count_2_31_via_runs,
+)
+
+
+def depths_by_descents(n):
+    """A planted defect: des in place of the sort depth."""
+    return {w: des(w) for w in all_permutations(n)}
+
+
+def orbits_split_in_two(seeds, hop):
+    """A planted defect: every orbit of two or more words comes out as two
+    halves, each constant whenever the orbit is."""
+    for members in orbits(seeds, hop):
+        ordered = sorted(members)
+        half = len(ordered) // 2
+        yield from (frozenset(part) for part in (ordered[:half], ordered[half:]) if part)
+
+
 @pytest.fixture
 def fresh_pattern_tables():
     """Keep tables built from a planted kernel out of the shared cache."""
-    harness.patterns._pattern_tables.cache_clear()
+    patterns._pattern_tables.cache_clear()
     yield
-    harness.patterns._pattern_tables.cache_clear()
+    patterns._pattern_tables.cache_clear()
 
 
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
@@ -245,6 +276,12 @@ def fresh_pattern_tables():
     ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
     ("pq-symmetry", 4, harness.patterns, ("count_2_31", count_2_31_off_by_one), "run-based"),
     ("mahonian-s1s2", 3, harness.patterns, ("apq_polynomial", apq_polynomial_plus_p), "exponent-sum"),
+    ("stack-invariance", 7, harness.stacksort, ("stack_sort", lambda w: w), "stack sort changed under a hop"),
+    ("genbona", 4, harness.stacksort, ("r_sortable_classes", depths_by_descents), "sort depth changed"),
+    ("constant-patterns", 4, harness, ("patterns", PATTERNS_COUNTING_DESCENTS), "changed under a hop"),
+    ("stack-invariance", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
+    ("genbona", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
+    ("constant-patterns", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

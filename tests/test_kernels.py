@@ -108,17 +108,40 @@ CLASS_COUNTS = [
 ]
 
 
+def classes_from_padded_word(w, boundary):
+    """The class of each letter of w, read between explicit end letters:
+    max(w) + 1 under TOP, 0 under ZERO."""
+    s = 0 if boundary is Boundary.ZERO else max(w, default=0) + 1
+    padded = (s, *w, s)
+    return tuple(
+        LetterClass.VALLEY if a > b < c else
+        LetterClass.PEAK if a < b > c else
+        LetterClass.DOUBLE_ASCENT if a < b < c else
+        LetterClass.DOUBLE_DESCENT
+        for a, b, c in zip(padded, padded[1:], padded[2:])
+    )
+
+
+HUGE = 10**18
+
+
 @pytest.mark.parametrize("n", range(8))
 @pytest.mark.parametrize("boundary, letters", [
     (Boundary.TOP, lambda n: range(1, n + 1)),
     (Boundary.ZERO, lambda n: range(-n, 0)),
     (Boundary.ZERO, mixed_sign_letters),
-], ids=["top", "zero-negative", "zero-mixed"])
+    (Boundary.TOP, lambda n: [HUGE + k for k in range(n)]),
+    (Boundary.TOP, lambda n: [(-1) ** k * (HUGE - k) for k in range(n)]),
+    (Boundary.ZERO, lambda n: [-HUGE - k for k in range(n)]),
+    (Boundary.ZERO, lambda n: [(-1) ** k * (HUGE - k) for k in range(n)]),
+], ids=["top", "zero-negative", "zero-mixed", "top-huge", "top-huge-mixed",
+        "zero-huge-negative", "zero-huge-mixed"])
 def test_hop_and_class_counts_match_classify_routes(n, boundary, letters):
     for w in itertools.permutations(letters(n)):
         for x in w:
             assert phi_prime_x(w, x, boundary) == phi_prime_x_via_factorization(w, x, boundary)
         classes = classify(w, boundary)
+        assert classes == classes_from_padded_word(w, boundary)
         for count, cls in CLASS_COUNTS:
             assert count(w, boundary) == classes.count(cls)
 
