@@ -1,6 +1,6 @@
 """Paired benchmark of two checkouts, written to BENCH_<label>.json.
 
-    python3 scripts/bench_pair.py --parent DIR --change DIR --label NAME
+    python3 scripts/bench_pair.py --parent DIR --change DIR --label NAME [--instance SUITE:N ...]
 
 For every workload of BENCHMARK.json, ``perfbench/run.py --trace 0`` runs
 ``PAIRS`` times on each checkout, alternating which side goes first, with
@@ -8,10 +8,12 @@ one seed per pair; then every workload gets one ``--trace 1`` run per side.
 The file records each run's metrics and, per workload and metric, each
 side's median and quartiles, the parent's quartile spread and the number of
 pairs the change wins (ties count for neither side), with the Python version
-and the CPU count.  A gain counts only when the change wins at least nine
-pairs in ten and the medians differ by more than the parent's quartile
-spread.  Both checkouts must hold the same ``perfbench/`` and
-``BENCHMARK.json``.
+and the CPU count.  Each ``--instance SUITE:N`` also records, per side, the
+untraced seconds of that one instance as ``permact verify SUITE --max-n N
+--timing`` reports them, over ``PAIRS`` alternating runs.  A gain counts
+only when the change wins at least nine pairs in ten and the medians differ
+by more than the parent's quartile spread.  Both checkouts must hold the
+same ``perfbench/`` and ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def instance_seconds(checkout: Path, suite: str, n: int) -> float:
+    """The seconds ``permact verify --timing`` reports for the instance at n."""
+    cmd = [sys.executable, "-m", "permact.cli", "verify", suite, "--max-n", str(n), "--timing"]
+    env = {k: v for k, v in os.environ.items() if k != "PERMACT_MAX_N"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True).stdout
+    last = json.loads(out)["instances"][-1]
+    if last["n"] != n or not last["ok"]:
+        raise SystemExit(f"{checkout}: {suite} n={n} did not pass")
+    return last["seconds"]
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
@@ -49,6 +63,7 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
+    parser.add_argument("--instance", action="append", default=[], metavar="SUITE:N")
     args = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -75,6 +90,16 @@ def main() -> int:
         traced[workload] = {side: run_bench(path, workload, 100 * (w + 1) + PAIRS,
                                             bench["run_seconds"], 1)
                             for side, path in sides.items()}
+    instances = {}
+    for spec in args.instance:
+        suite, n = spec.rsplit(":", 1)
+        seconds: dict[str, list[float]] = {side: [] for side in sides}
+        for k in range(PAIRS):
+            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+                seconds[side].append(instance_seconds(sides[side], suite, int(n)))
+        instances[spec] = {side: {**spread(v), "runs": v} for side, v in seconds.items()}
+        print(f"{spec}: parent {instances[spec]['parent']['median']:.3f} s, "
+              f"change {instances[spec]['change']['median']:.3f} s", flush=True)
     record = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
@@ -82,6 +107,7 @@ def main() -> int:
         "summary": summary,
         "traced": traced,
         "runs": runs,
+        "instances": instances,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -36,10 +36,9 @@ from .words import (
     LetterClass,
     Word,
     des,
-    descent_poly,
-    double_descent,
     letter_class_at,
     peak,
+    shape,
 )
 
 
@@ -155,7 +154,8 @@ class OrbitReport:
 
     ``peak`` is the descent count of the canonical representative (the unique
     member without double descents); it equals the peak count of every member
-    under the TOP boundary.
+    under the TOP boundary.  ``peaks`` holds each member's own peak count,
+    aligned with ``members``; it is not part of the JSON form.
     """
 
     members: tuple[Word, ...]
@@ -163,6 +163,7 @@ class OrbitReport:
     peak: int
     descent_poly: IntPolynomial
     gamma_claim: GammaExpansion
+    peaks: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,12 +181,14 @@ def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Wor
     The orbit is {hop_S(seed) : S a set of letters that move seed}: a letter
     that fixes seed fixes every member, by commutation.  So each moving
     letter doubles the members found so far, which costs 2^k - 1 hops plus
-    one probe per letter.  ``orbit_closure`` is the general route.
+    one probe per letter; the probe's image is the seed's new member.
+    ``orbit_closure`` is the general route.
     """
     members = [seed]
     for x in seed:
-        if hop(seed, x) != seed:
-            members += [hop(m, x) for m in members]
+        image = hop(seed, x)
+        if image != seed:
+            members += [image] + [hop(m, x) for m in members[1:]]
     return frozenset(members)
 
 
@@ -219,31 +222,46 @@ def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Wor
 
 
 @lru_cache(maxsize=None)
-def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial]:
-    """The claimed orbit form t^k (1+t)^(d-2k) and its polynomial."""
+def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial, tuple[int, ...]]:
+    """The claimed orbit form t^k (1+t)^(d-2k), its polynomial and its
+    dense coefficients."""
     claim = GammaExpansion(d, (0,) * k + (1,))
-    return claim, claim.reconstruct()
+    poly = claim.reconstruct()
+    return claim, poly, tuple(poly.coeffs_list())
 
 
 def verified_orbit(members: frozenset[Word], d: int, boundary: Boundary) -> OrbitReport:
     """The orbit report of members, checked to have exactly one member
     without double descents (under boundary) and descent polynomial
-    t^k (1+t)^(d-2k), k the descent count of that member.  Raises
-    RuntimeError otherwise."""
-    reps = [v for v in members if double_descent(v, boundary) == 0]
+    t^k (1+t)^(d-2k), k the descent count of that member.  One ``shape``
+    pass per member gives its descent, peak and double-descent counts.
+    Raises RuntimeError otherwise."""
+    ordered = sorted(members)
+    tally = [0] * max(len(ordered[0]), 1)
+    peaks = []
+    reps = []
+    for v in ordered:
+        descents, peak_count, double_descents = shape(v, boundary)
+        tally[descents] += 1
+        peaks.append(peak_count)
+        if not double_descents:
+            reps.append(v)
     if len(reps) != 1:
         raise RuntimeError(
-            f"orbit of {min(members)} has {len(reps)} double-descent-free members, expected 1"
+            f"orbit of {ordered[0]} has {len(reps)} double-descent-free members, expected 1"
         )
+    # k read by des, not by shape: a shape that miscounts descents then
+    # fails the closed-form comparison
     rep = reps[0]
     k = des(rep)
-    poly = descent_poly(members)
-    claim, expected = _closed_form(d, k)
-    if expected != poly:
+    claim, poly, dense = _closed_form(d, k)
+    counts = strip_zeros(tally)
+    if counts != dense:
         raise RuntimeError(
-            f"orbit of {min(members)}: descent polynomial {poly} != t^{k}(1+t)^{d - 2 * k}"
+            f"orbit of {ordered[0]}: descent polynomial coefficients {list(counts)} "
+            f"!= t^{k}(1+t)^{d - 2 * k}"
         )
-    return OrbitReport(tuple(sorted(members)), rep, k, poly, claim)
+    return OrbitReport(tuple(ordered), rep, k, poly, claim, tuple(peaks))
 
 
 def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
@@ -296,14 +314,23 @@ def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPo
     >>> class_polys(all_permutations(3)).b
     (1, 2)
     """
-    words = [tuple(v) for v in T]
-    if not words:
+    shapes: Counter = Counter()
+    n = None
+    for v in T:
+        v = tuple(v)
+        if n is None:
+            n = len(v)
+        elif len(v) != n:
+            raise ValueError("class members must share one length")
+        shapes[shape(v, boundary)] += 1
+    if n is None:
         raise ValueError("empty class")
-    n = len(words[0])
-    if any(len(v) != n for v in words):
-        raise ValueError("class members must share one length")
-    W = descent_poly(words)
-    peak_counts = Counter((peak(v, boundary),) for v in words)
+    descent_counts: Counter = Counter()
+    peak_counts: Counter = Counter()
+    for (descents, peak_count, _), c in shapes.items():
+        descent_counts[(descents,)] += c
+        peak_counts[(peak_count,)] += c
+    W = IntPolynomial.from_counts(("t",), descent_counts)
     Wbar = IntPolynomial.from_counts(("t",), peak_counts)
     try:
         b = strip_zeros([peak_scale(peak_counts[(i,)], i, n) for i in range((n - 1) // 2 + 1)])

@@ -26,6 +26,13 @@ def _parse_boundary(name: str) -> Boundary:
     return Boundary.TOP if name == "top" else Boundary.ZERO
 
 
+def _size(command: str, n: int, least: int) -> int:
+    """n, or ValueError (exit 2) when it is below the command's smallest size."""
+    if n < least:
+        raise ValueError(f"{command} needs --n of at least {least}, got {n}")
+    return n
+
+
 def cmd_stats(args) -> int:
     w = words.parse_word(args.word)
     stats = {
@@ -71,7 +78,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_class(args) -> int:
-    members = stacksort.enumerate_r_sortable(args.n, args.r)
+    members = stacksort.enumerate_r_sortable(_size("class rsortable", args.n, 0), args.r)
     out = {
         "n": args.n,
         "r": args.r,
@@ -91,9 +98,7 @@ def cmd_class(args) -> int:
 
 
 def cmd_apq(args) -> int:
-    n = args.n
-    if n < 1:
-        raise ValueError(f"apq needs --n of at least 1, got {n}")
+    n = _size("apq", args.n, 1)
     poly = patterns.apq_polynomial(n)
     bs = [patterns.bni_polynomial(n, i) for i in range((n - 1) // 2 + 1)]
     if args.out == "latex":
@@ -143,7 +148,7 @@ def cmd_dyck(args) -> int:
 
 
 def cmd_mahonian(args) -> int:
-    n = args.n
+    n = _size("mahonian", args.n, 0)
     lhs, rhs = mahonian.joint_distributions(n)
     equal = lhs == rhs
     _emit_json({
@@ -185,7 +190,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_table(args) -> int:
-    header, rows = harness.build_table(args.kind, args.n)
+    header, rows = harness.build_table(args.kind, _size("table", args.n, 1))
     sys.stdout.write(harness.emit_table(header, rows, args.format).decode("utf-8"))
     sys.stdout.flush()
     return 0

@@ -283,8 +283,12 @@ def linear_extensions(P: LabeledPoset) -> list[Word]:
 
 
 def is_linear_extension(P: LabeledPoset, pi: Word) -> bool:
-    if sorted(pi) != P.sorted_labels:
-        return False
+    return sorted(pi) == P.sorted_labels and _respects_covers(P, pi)
+
+
+def _respects_covers(P: LabeledPoset, pi: Word) -> bool:
+    """Every cover x < y of P has x's label before y's in pi, an
+    arrangement of P's labels."""
     pos = {lab: i for i, lab in enumerate(pi)}
     return all(pos[P.labels[x]] < pos[P.labels[y]] for x, y in P.covers)
 
@@ -326,7 +330,8 @@ def psi_x_poset(P: LabeledPoset, pi: Word, x: int) -> Word:
             break
     if result is None:
         raise BrokenInvariantError(f"no gap accepts {x} in {pi}")
-    if not is_linear_extension(P, result):
+    # result rearranges pi, so only the cover relations can fail
+    if not _respects_covers(P, result):
         raise BrokenInvariantError(
             f"hop of {x} left the extension set: {pi} -> {result}"
         )

@@ -242,6 +242,39 @@ def double_descent(w: Word, boundary: Boundary = Boundary.TOP) -> int:
     return _count(w, boundary, False, False)
 
 
+def shape(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[int, int, int]:
+    """(des, peak, double_descent) of w in one pass: each descent b > c
+    ends a peak when b was reached by a rise (or from a lower sentinel),
+    else a double descent; the last letter is closed by the sentinel.
+
+    >>> shape((5, 7, 3, 1, 4, 8, 9, 2, 6))
+    (3, 2, 1)
+    """
+    if not w:
+        return 0, 0, 0
+    s = _SENTINEL[boundary]
+    descents = peaks = double_descents = 0
+    b = w[0]
+    rising = s < b
+    for c in w[1:]:
+        if b < c:
+            rising = True
+        else:
+            descents += 1
+            if rising:
+                peaks += 1
+                rising = False
+            else:
+                double_descents += 1
+        b = c
+    if not b < s:
+        if rising:
+            peaks += 1
+        else:
+            double_descents += 1
+    return descents, peaks, double_descents
+
+
 def complement(w: Word) -> Word:
     """Reverse the relative order of the letters within their own letter set.
 

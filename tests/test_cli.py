@@ -106,6 +106,19 @@ def test_apq_nonpositive_n_is_usage_error(capsys):
             assert "at least 1" in err
 
 
+@pytest.mark.parametrize("argv, least", [
+    (("mahonian", "--n", "-1"), 0),
+    (("class", "rsortable", "--n", "-1", "--r", "1"), 0),
+    (("table", "eulerian", "--n", "-2"), 1),
+    (("table", "eulerian", "--n", "0"), 1),
+])
+def test_size_below_the_smallest_n_is_usage_error(capsys, argv, least):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert f"at least {least}" in err
+
+
 def test_tree_kinds(capsys):
     for kind in ("binary", "unordered", "increasing"):
         code, out, _ = run_cli(capsys, "tree", "312", "--kind", kind)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from permact import harness, patterns
-from permact.action import orbits, phi_x
+from permact.action import _closed_form, orbits, phi_prime_x, phi_x
 from permact.cli import main
 from permact.harness import (
     SUITES,
@@ -31,7 +31,15 @@ from permact.patterns import (
     count_13_2_via_runs,
 )
 from permact.polynomials import IntPolynomial, uni
-from permact.words import Boundary, LetterClass, all_permutations, des, descent_poly, letter_class_at
+from permact.words import (
+    Boundary,
+    LetterClass,
+    all_permutations,
+    des,
+    descent_poly,
+    letter_class_at,
+    shape,
+)
 
 
 def test_suite_registry():
@@ -77,10 +85,13 @@ def test_exit_codes_for_failures():
 
 
 def test_reports_are_deterministic_across_jobs():
-    serial = run_suite("kreweras", 6, jobs=1)
-    parallel = run_suite("kreweras", 6, jobs=2)
-    assert report_emit(serial, "json") == report_emit(parallel, "json")
-    assert report_emit(serial, "csv") == report_emit(parallel, "csv")
+    # corre at n = 8 is its sampled regime
+    for name, max_n in [("kreweras", 6), ("orb", 7), ("corre", 8)]:
+        serial = run_suite(name, max_n, jobs=1)
+        parallel = run_suite(name, max_n, jobs=2)
+        assert [inst.n for inst in parallel.instances] == list(range(1, max_n + 1))
+        assert report_emit(serial, "json") == report_emit(parallel, "json")
+        assert report_emit(serial, "csv") == report_emit(parallel, "csv")
 
 
 def test_report_emit_formats():
@@ -250,6 +261,37 @@ def depths_by_descents(n):
     return {w: des(w) for w in all_permutations(n)}
 
 
+def phi_prime_x_stuck_in_front(w, x, boundary=Boundary.TOP):
+    """A planted defect: the largest letter, once in front, never hops back."""
+    if x == len(w) and w[0] == x:
+        return w
+    return phi_prime_x(w, x, boundary)
+
+
+def phi_prime_x_trading_two_words(w, x, boundary=Boundary.TOP):
+    """A planted defect: letter 1, a valley the true hops fix, trades
+    (n 1 2 ... n-1) with (1 n 2 ... n-1).  Every hop is still an involution
+    and the identity's product of hops is unchanged."""
+    if x != 1:
+        return phi_prime_x(w, x, boundary)
+    n = len(w)
+    a, b = (n, *range(1, n)), (1, n, *range(2, n))
+    return b if w == a else a if w == b else w
+
+
+def shape_without_double_descents(w, boundary=Boundary.TOP):
+    """A planted defect: no letter is counted as a double descent."""
+    descents, peaks, _ = shape(w, boundary)
+    return descents, peaks, 0
+
+
+def closed_form_top_coefficient_plus_one(d, k):
+    """A planted defect: the cached dense form of t^k (1+t)^(d-2k) has its
+    top coefficient one too large."""
+    claim, poly, dense = _closed_form(d, k)
+    return claim, poly, (*dense[:-1], dense[-1] + 1)
+
+
 def orbits_split_in_two(seeds, hop):
     """A planted defect: every orbit of two or more words comes out as two
     halves, each constant whenever the orbit is."""
@@ -282,6 +324,10 @@ def fresh_pattern_tables():
     ("stack-invariance", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
     ("genbona", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
     ("constant-patterns", 5, harness.action, ("orbits", orbits_split_in_two), "hop-by-hop sweep"),
+    ("corre", 6, harness.action, ("phi_prime_x", phi_prime_x_stuck_in_front), "not an involution"),
+    ("corre", 6, harness.action, ("phi_prime_x", phi_prime_x_trading_two_words), "do not commute"),
+    ("orb", 4, harness.action, ("shape", shape_without_double_descents), "double-descent-free"),
+    ("orb", 4, harness.action, ("_closed_form", closed_form_top_coefficient_plus_one), "descent polynomial"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

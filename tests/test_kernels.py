@@ -45,6 +45,7 @@ from permact.words import (
     double_ascent,
     double_descent,
     peak,
+    shape,
     valley,
 )
 
@@ -134,8 +135,9 @@ HUGE = 10**18
     (Boundary.TOP, lambda n: [(-1) ** k * (HUGE - k) for k in range(n)]),
     (Boundary.ZERO, lambda n: [-HUGE - k for k in range(n)]),
     (Boundary.ZERO, lambda n: [(-1) ** k * (HUGE - k) for k in range(n)]),
+    (Boundary.ZERO, lambda n: range(1, n + 1)),
 ], ids=["top", "zero-negative", "zero-mixed", "top-huge", "top-huge-mixed",
-        "zero-huge-negative", "zero-huge-mixed"])
+        "zero-huge-negative", "zero-huge-mixed", "zero-positive"])
 def test_hop_and_class_counts_match_classify_routes(n, boundary, letters):
     for w in itertools.permutations(letters(n)):
         for x in w:
@@ -144,6 +146,7 @@ def test_hop_and_class_counts_match_classify_routes(n, boundary, letters):
         assert classes == classes_from_padded_word(w, boundary)
         for count, cls in CLASS_COUNTS:
             assert count(w, boundary) == classes.count(cls)
+        assert shape(w, boundary) == (des(w), peak(w, boundary), double_descent(w, boundary))
 
 
 def test_hops_and_orbits_on_random_words():

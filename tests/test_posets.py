@@ -2,6 +2,7 @@ import pytest
 
 from permact.polynomials import uni
 from permact.posets import (
+    BrokenInvariantError,
     CannotCanonicalizeError,
     InvalidPosetError,
     LabeledPoset,
@@ -102,6 +103,14 @@ def test_psi_x_poset_fixtures():
     assert psi_x_poset(V, (-2, -1, 1), 1) == (-2, -1, 1)
     with pytest.raises(NotALinearExtensionError):
         psi_x_poset(V, (-1, 1, -2), -1)
+
+
+def test_psi_x_poset_rejects_a_hop_that_breaks_a_cover():
+    # not canonical: both ends of the cover a < b carry negative labels, so
+    # the double ascent -1 hops in front of -2
+    P = LabeledPoset(("a", "b"), (("a", "b"),), {"a": -2, "b": -1})
+    with pytest.raises(BrokenInvariantError, match="left the extension set"):
+        psi_x_poset(P, (-2, -1), -1)
 
 
 def test_psi_x_poset_involution_and_commutation():
