@@ -73,12 +73,34 @@ def x_factorization(w: Word, x: int) -> tuple[Word, Word, int, Word, Word]:
     return w[:i], w[i:k], x, w[k + 1 : j], w[j:]
 
 
+def _swap_blocks(w: Word, k: int) -> Word:
+    """w with the two all-smaller blocks adjacent to x = w[k] traded."""
+    x = w[k]
+    i = k
+    while i and w[i - 1] < x:
+        i -= 1
+    j = k + 1
+    n = len(w)
+    while j < n and w[j] < x:
+        j += 1
+    return w[:i] + w[k + 1 : j] + (x,) + w[i:k] + w[j:]
+
+
 def phi_x(w: Word, x: int) -> Word:
     """Swap the two all-smaller blocks adjacent to x.  An involution.
 
     >>> phi_x((3, 1, 2), 2)
     (3, 2, 1)
     """
+    try:
+        k = w.index(x)
+    except ValueError:
+        raise LetterNotPresentError(f"letter {x} not in word") from None
+    return _swap_blocks(w, k)
+
+
+def phi_x_via_factorization(w: Word, x: int) -> Word:
+    """Independent route to phi_x: swap the blocks of x_factorization."""
     w1, w2, _, w4, w5 = x_factorization(w, x)
     return w1 + w4 + (x,) + w2 + w5
 
@@ -99,19 +121,12 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
         k = w.index(x)
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
-    n = len(w)
     end_smaller = boundary is Boundary.ZERO and x > 0
     left_smaller = w[k - 1] < x if k else end_smaller
-    right_smaller = w[k + 1] < x if k + 1 < n else end_smaller
+    right_smaller = w[k + 1] < x if k + 1 < len(w) else end_smaller
     if left_smaller == right_smaller:
         return w
-    i = k
-    while i and w[i - 1] < x:
-        i -= 1
-    j = k + 1
-    while j < n and w[j] < x:
-        j += 1
-    return w[:i] + w[k + 1 : j] + (x,) + w[i:k] + w[j:]
+    return _swap_blocks(w, k)
 
 
 def phi_prime_x_via_factorization(
@@ -125,7 +140,7 @@ def phi_prime_x_via_factorization(
         raise LetterNotPresentError(f"letter {x} not in word") from None
     cls = letter_class_at(w, k, boundary)
     if cls in (LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT):
-        return phi_x(w, x)
+        return phi_x_via_factorization(w, x)
     return w
 
 

@@ -112,22 +112,42 @@ def cmd_apq(args) -> int:
     return 0
 
 
-def _binary_json(node):
-    if node is None:
+# json.dumps with an indent recurses once per nesting level, and a level
+# of an unordered tree is two (a dict and its children list): about 490
+# levels fit under the default recursion limit
+MAX_TREE_DEPTH = 400
+
+
+def _too_deep(depth: int) -> None:
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"the tree is deeper than {MAX_TREE_DEPTH} levels, too deep to print as JSON")
+
+
+def _binary_json(root):
+    if root is None:
         return None
-    return {
-        "label": node.label,
-        "left": _binary_json(node.left),
-        "right": _binary_json(node.right),
-    }
+    out = {"label": root.label, "left": None, "right": None}
+    todo = [(root, out, 1)]
+    while todo:
+        node, into, depth = todo.pop()
+        _too_deep(depth)
+        for side, child in (("left", node.left), ("right", node.right)):
+            if child is not None:
+                into[side] = {"label": child.label, "left": None, "right": None}
+                todo.append((child, into[side], depth + 1))
+    return out
 
 
 def _unordered_json(tree):
-    children = sorted(tree.children, key=lambda c: c.label)
-    return {
-        "label": tree.label,
-        "children": [_unordered_json(c) for c in children],
-    }
+    out = {"label": tree.label, "children": []}
+    todo = [(tree, out, 0)]
+    while todo:
+        node, into, depth = todo.pop()
+        _too_deep(depth)
+        for child in sorted(node.children, key=lambda c: c.label):
+            into["children"].append({"label": child.label, "children": []})
+            todo.append((child, into["children"][-1], depth + 1))
+    return out
 
 
 def cmd_tree(args) -> int:

@@ -441,18 +441,35 @@ def _run_wp(n: int) -> Instance:
         wpp = posets.wp_polynomial(P)
         labels = P.sorted_labels
         if len(P) <= 6:
+            # the hop table of this poset: pi -> (psi_x(pi) for x in labels),
+            # filled on first use; the checks fill it for every extension,
+            # so the orbits read it too
+            table: dict[Word, tuple[Word, ...]] = {}
+
+            def row(pi: Word) -> tuple[Word, ...]:
+                r = table.get(pi)
+                if r is None:
+                    r = table[pi] = tuple([posets.psi_x_poset(P, pi, x) for x in labels])
+                return r
+
+            pairs = list(itertools.combinations(range(len(labels)), 2))
             for pi in exts:
-                for x in labels:
-                    if posets.psi_x_poset(P, posets.psi_x_poset(P, pi, x), x) != pi:
+                rows = [row(h) for h in row(pi)]
+                for i, x in enumerate(labels):
+                    if rows[i][i] != pi:
                         return _fail("wp", n, "poset hop is not an involution", {"poset": P.to_json_dict(), "pi": pi, "x": x})
-                for x, y in itertools.combinations(labels, 2):
-                    xy = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, y), x)
-                    yx = posets.psi_x_poset(P, posets.psi_x_poset(P, pi, x), y)
-                    if xy != yx:
-                        return _fail("wp", n, "poset hops do not commute", {"poset": P.to_json_dict(), "pi": pi, "x": x, "y": y})
+                for i, j in pairs:
+                    # psi_x(psi_y(pi)) against psi_y(psi_x(pi)), x < y
+                    if rows[j][i] != rows[i][j]:
+                        return _fail("wp", n, "poset hops do not commute",
+                                     {"poset": P.to_json_dict(), "pi": pi, "x": labels[i], "y": labels[j]})
+            column = {x: i for i, x in enumerate(labels)}
+            hop = lambda pi, x: row(pi)[column[x]]
+        else:
+            hop = partial(posets.psi_x_poset, P)
         covered = 0
         total = IntPolynomial.zero(("t",))
-        for members in action.orbits(exts, partial(posets.psi_x_poset, P)):
+        for members in action.orbits(exts, hop):
             rep = action.verified_orbit(members, wpp.d, Boundary.ZERO)
             if wpp.r == 0:
                 for v, p in zip(rep.members, rep.peaks):
@@ -472,19 +489,27 @@ def _run_wp(n: int) -> Instance:
 
 
 def _run_psiphi(n: int) -> Instance:
+    # for n <= 5 the kernels meet their oracles on every word first, so a
+    # broken kernel fails here before psi and phi_cap compose it
+    for w in words.all_permutations(n) if n <= 5 else ():
+        depths, right = trees.right_edges_via_tree(w)
+        heights = trees.label_heights(trees.unordered_tree(w))
+        if (trees.right_edge_depths(w) != depths or trees.redge_set(w) != right
+                or trees.veh(w) != sum(1 for h in heights.values() if h % 2 == 0)):
+            return _fail("psiphi", n, "stack scans differ from the tree walks", {"word": w})
+        for x in w:
+            # the block swap that psi and phi_cap apply
+            if trees.phi_x(w, x) != action.phi_x_via_factorization(w, x):
+                return _fail("psiphi", n, "block swap differs from the factorization route",
+                             {"word": w, "x": x})
     for w in words.all_permutations(n):
-        if n <= 5:
-            depths, right = trees.right_edges_via_tree(w)
-            heights = trees.label_heights(trees.unordered_tree(w))
-            if (trees.right_edge_depths(w) != depths or trees.redge_set(w) != right
-                    or trees.veh(w) != sum(1 for h in heights.values() if h % 2 == 0)):
-                return _fail("psiphi", n, "stack scans differ from the tree walks", {"word": w})
         v = trees.psi(w)
-        if trees.phi_cap(v) != w or trees.psi(trees.phi_cap(w)) != w:
+        c = trees.phi_cap(w)
+        if trees.phi_cap(v) != w or trees.psi(c) != w:
             return _fail("psiphi", n, "the two products of hops are not mutually inverse", {"word": w})
         if trees.odd_set(w) != trees.redge_set(v):
             return _fail("psiphi", n, "odd right-depth letters do not map to right children", {"word": w})
-        if trees.redge_set(w) != trees.odd_set(trees.phi_cap(w)):
+        if trees.redge_set(w) != trees.odd_set(c):
             return _fail("psiphi", n, "right children do not map back to odd right-depth letters", {"word": w})
     return _pass("psiphi", n, f"inverse pair and the odd/right-edge exchange hold on all {factorial(n)} words")
 
@@ -492,7 +517,7 @@ def _run_psiphi(n: int) -> Instance:
 def _run_psi_prime(n: int) -> Instance:
     depths = stacksort.r_sortable_classes(n)
     images: dict[Word, Word] = {}
-    for w in words.all_permutations(n):
+    for w in depths:
         v = trees.psi_prime(w)
         if v != trees.psi_prime_recursive(w):
             return _fail("psi-prime", n, "direct and recursive constructions disagree", {"word": w})
@@ -516,6 +541,8 @@ def _run_kreweras(n: int) -> Instance:
     image = []
     for w in patterns.avoiding_permutations(n):
         p = trees.dyck_path(w)
+        if n <= 5 and p != trees.dyck_path_via_tree(w):
+            return _fail("kreweras", n, "the height scan differs from the tree walk", {"word": w, "path": p})
         even_up, double_up = trees.kreweras_stats(p)
         if even_up != trees.veh(w) or double_up != des(w):
             return _fail("kreweras", n, "(veh, des) does not translate to the path statistics", {"word": w, "path": p})

@@ -515,14 +515,17 @@ def all_canonical_posets(max_size: int) -> list[LabeledPoset]:
             pairs = frozenset(slots[i] for i in range(len(slots)) if bits >> i & 1)
             if not _is_transitive(pairs):
                 continue
-            form = _canonical_form(n, pairs)
-            if form in seen:
-                continue
-            seen.add(form)
+            # labelability is a property of the isomorphism class, so
+            # skipping unlabelable posets before the isomorphism test keeps
+            # the first labelable representative of every class
             covers = _reduction(pairs)
             labels = _forced_canonical_labels(n, covers)
             if labels is None:
                 continue
+            form = _canonical_form(n, pairs)
+            if form in seen:
+                continue
+            seen.add(form)
             P = LabeledPoset(range(n), covers, labels)
             if not is_canonical(P):
                 raise AssertionError("forced labeling failed the canonical check")

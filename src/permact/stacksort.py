@@ -12,7 +12,7 @@ checked exhaustively in the verification suites.
 from __future__ import annotations
 
 from .limits import check_enumeration_size
-from .words import Word, all_permutations, descent_set, identity
+from .words import Word, all_permutations, identity
 
 
 class NotADescentError(ValueError):
@@ -34,6 +34,21 @@ def stack_sort(w: Word) -> Word:
     return tuple(out + stack[::-1])
 
 
+def _slide(v: list[int], k: int) -> None:
+    """Slide v[k], the top of a descent, right into the first gap (a, b) with
+    a < v[k] < b, in place; the end of v exceeds every letter."""
+    if not (0 <= k < len(v) - 1) or v[k] <= v[k + 1]:
+        raise NotADescentError(f"position {k + 1} is not a descent of {tuple(v)}")
+    x = v.pop(k)
+    n = len(v)
+    # the left letter of each gap tried is a letter x has passed, so it is
+    # smaller than x: the first gap whose right letter is larger accepts x
+    m = k + 1
+    while m < n and v[m] < x:
+        m += 1
+    v.insert(m, x)
+
+
 def slide_r(w: Word, i: int) -> Word:
     """Slide the letter at descent position i (1-indexed) right into the first
     gap (a, b) with a < w_i < b; the virtual terminal letter exceeds everything.
@@ -41,34 +56,25 @@ def slide_r(w: Word, i: int) -> Word:
     >>> slide_r((5, 7, 3, 1, 4, 8, 9, 2, 6), 2)
     (5, 3, 1, 4, 7, 8, 9, 2, 6)
     """
-    if not (1 <= i < len(w)) or w[i - 1] <= w[i]:
-        raise NotADescentError(f"position {i} is not a descent of {w}")
-    x = w[i - 1]
-    rest = w[: i - 1] + w[i:]
-    top = max(w) + 1
-    # insertion at position m in rest puts x between rest[m-1] and rest[m]
-    for m in range(i, len(rest) + 1):
-        left = rest[m - 1]
-        right = rest[m] if m < len(rest) else top
-        if left < x < right:
-            return rest[:m] + (x,) + rest[m:]
-    raise AssertionError("unreachable: the terminal gap always accepts the letter")
+    v = list(w)
+    _slide(v, i - 1)
+    return tuple(v)
 
 
 def stack_sort_via_slides(w: Word) -> Word:
     """Slide the top letter of each original descent, leftmost descent first.
 
     Later slides act on the partially slid word, so each letter is located
-    afresh; it still tops a descent when its turn comes, and slide_r guards
-    that precondition.
+    afresh; it still tops a descent when its turn comes, and the slide step
+    guards that precondition.
 
     >>> stack_sort_via_slides((5, 7, 3, 1, 4, 8, 9, 2, 6))
     (5, 1, 3, 4, 7, 8, 2, 6, 9)
     """
-    tops = [w[i - 1] for i in sorted(descent_set(w))]
-    for x in tops:
-        w = slide_r(w, w.index(x) + 1)
-    return w
+    v = list(w)
+    for x in [a for a, b in zip(w, w[1:]) if a > b]:
+        _slide(v, v.index(x))
+    return tuple(v)
 
 
 def sort_depth(w: Word) -> int:
@@ -107,14 +113,17 @@ def enumerate_r_sortable(n: int, r: int) -> list[Word]:
 
 def r_sortable_classes(n: int) -> dict[Word, int]:
     """Map each permutation of {1..n}, in lex order, to its sorting depth;
-    depth(w) = 1 + depth(S(w)) is memoised, so no word is sorted twice."""
+    depth(w) = 1 + depth(S(w)) is memoised, so no word is sorted twice.
+    S maps S_n into itself, so the memo holds S_n from the start and is the
+    result."""
     check_enumeration_size(n)
-    depths = {identity(n): 0}
-    for w in all_permutations(n):
+    depths: dict[Word, int | None] = dict.fromkeys(all_permutations(n))
+    depths[identity(n)] = 0
+    for w in depths:
         chain = []
-        while w not in depths:
+        while depths[w] is None:
             chain.append(w)
             w = stack_sort(w)
         for d, v in enumerate(reversed(chain), depths[w] + 1):
             depths[v] = d
-    return {w: depths[w] for w in all_permutations(n)}
+    return depths

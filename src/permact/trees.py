@@ -47,11 +47,21 @@ class BinaryTreeNode:
 
 
 def binary_tree(w: Word) -> BinaryTreeNode | None:
-    """Decreasing binary tree: maximum at the root, parts on either side below."""
-    if not w:
-        return None
-    k = w.index(max(w))
-    return BinaryTreeNode(w[k], binary_tree(w[:k]), binary_tree(w[k + 1 :]))
+    """Decreasing binary tree: maximum at the root, parts on either side below.
+
+    Built in one left-to-right pass over the right spine of the tree so far:
+    the letters smaller than a leave the spine and the last of them becomes
+    a's left child, and a becomes the right child of the spine's new end.
+    """
+    spine: list[BinaryTreeNode] = []
+    for a in w:
+        node = BinaryTreeNode(a)
+        while spine and spine[-1].label < a:
+            node.left = spine.pop()
+        if spine:
+            spine[-1].right = node
+        spine.append(node)
+    return spine[0] if spine else None
 
 
 def word_of(node: BinaryTreeNode | None) -> Word:
@@ -244,9 +254,37 @@ def dyck_path(w: Word) -> str:
     """Pre-order walk of the unordered tree with children ordered decreasingly;
     defined (and injective) on 231-avoiding words.
 
+    The walk needs no tree.  A letter's parent is its previous-greater
+    letter, so with children in position order the pre-order visits the
+    letters left to right: an up-step to each, after falling back to its
+    parent's height.  A vertex's children increase left to right, so the
+    decreasing order mirrors that walk, which reverses it and swaps u and d:
+    from the right, u^(h - h' + 1) d for a letter of height h followed by
+    one of height h' (h' = 1 past the end).
+
     >>> dyck_path((2, 1, 3))
     'uduudd'
     """
+    if not avoids_231(w):
+        raise Not231AvoidingError(f"{w} contains a 231 pattern")
+    heights: list[int] = []
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            stack.pop()
+        stack.append(a)
+        heights.append(len(stack))
+    out: list[str] = []
+    after = 1
+    for h in reversed(heights):
+        out.append("u" * (h - after + 1) + "d")
+        after = h
+    return "".join(out)
+
+
+def dyck_path_via_tree(w: Word) -> str:
+    """Independent route to dyck_path: build the unordered tree and walk it
+    with each vertex's children sorted by label."""
     if not avoids_231(w):
         raise Not231AvoidingError(f"{w} contains a 231 pattern")
     out: list[str] = []

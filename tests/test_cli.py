@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from permact.cli import main
+from permact.cli import MAX_TREE_DEPTH, main
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,13 @@ LONG = 1500  # past the default recursion limit
 @pytest.mark.parametrize("letters", [range(1, LONG + 1), range(LONG, 0, -1)])
 def test_sort_long_word(capsys, letters):
     code, out, _ = run_cli(capsys, "sort", " ".join(map(str, letters)))
+    assert code == 0
+    assert out.split() == [str(a) for a in range(1, LONG + 1)]
+
+
+@pytest.mark.parametrize("letters", [range(1, LONG + 1), range(LONG, 0, -1)])
+def test_sort_long_word_by_slides(capsys, letters):
+    code, out, _ = run_cli(capsys, "sort", " ".join(map(str, letters)), "--method", "slides")
     assert code == 0
     assert out.split() == [str(a) for a in range(1, LONG + 1)]
 
@@ -124,6 +132,39 @@ def test_tree_kinds(capsys):
         code, out, _ = run_cli(capsys, "tree", "312", "--kind", kind)
         assert code == 0
         json.loads(out)
+
+
+@pytest.mark.parametrize("letters, kind", [
+    (range(1, LONG + 1), "binary"),
+    *((range(LONG, 0, -1), kind) for kind in ("binary", "unordered", "increasing")),
+])
+def test_tree_too_deep_for_json_exits_2(capsys, letters, kind):
+    code, out, err = run_cli(capsys, "tree", " ".join(map(str, letters)), "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert str(MAX_TREE_DEPTH) in err
+
+
+@pytest.mark.parametrize("kind", ["unordered", "increasing"])
+def test_flat_tree_of_long_increasing_word(capsys, kind):
+    """Every letter of 1 2 ... n hangs below the root in these two trees."""
+    code, out, _ = run_cli(capsys, "tree", " ".join(map(str, range(1, LONG + 1))), "--kind", kind)
+    assert code == 0
+    assert len(json.loads(out)["children"]) == LONG
+
+
+@pytest.mark.parametrize("kind, sha256", [
+    ("binary", "c8b1b119dfbf26a7a59410d7a0590de2adb39785e55e47551258c53241e6b7ea"),
+    ("unordered", "01c14d22f1886cb20a808067f0448b2c77ee3c5df248e6f4c3ea3a2f02b9304a"),
+    ("increasing", "0c1651d3e26d96d4fbb31b755b4f37e76261c1ef702e2adb9f7d5333ddf98419"),
+])
+def test_tree_at_the_depth_limit_keeps_its_bytes(capsys, kind, sha256):
+    """The decreasing word of MAX_TREE_DEPTH letters gives a chain of that
+    many labeled levels in all three trees; the digests pin the bytes the
+    recursive JSON construction printed."""
+    code, out, _ = run_cli(capsys, "tree", " ".join(map(str, range(MAX_TREE_DEPTH, 0, -1))), "--kind", kind)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_dyck(capsys):

@@ -31,6 +31,8 @@ from permact.patterns import (
     count_13_2_via_runs,
 )
 from permact.polynomials import IntPolynomial, uni
+from permact.posets import psi_x_poset
+from permact.trees import dyck_path
 from permact.words import (
     Boundary,
     LetterClass,
@@ -301,6 +303,26 @@ def orbits_split_in_two(seeds, hop):
         yield from (frozenset(part) for part in (ordered[:half], ordered[half:]) if part)
 
 
+def psi_x_poset_only_forward(P, pi, x):
+    """A planted defect: a hop that would move a linear extension to a
+    lexicographically smaller one leaves it in place, so no moving hop is
+    an involution."""
+    image = psi_x_poset(P, pi, x)
+    return image if image > pi else pi
+
+
+def dyck_path_swapping_two_steps(w):
+    """A planted defect: the first peak ud of the path becomes a valley du."""
+    return dyck_path(w).replace("ud", "du", 1)
+
+
+def phi_x_fixing_double_descents(w, x):
+    """A planted defect: a double descent (under TOP) stays put."""
+    if letter_class_at(w, w.index(x), Boundary.TOP) is LetterClass.DOUBLE_DESCENT:
+        return w
+    return phi_x(w, x)
+
+
 @pytest.fixture
 def fresh_pattern_tables():
     """Keep tables built from a planted kernel out of the shared cache."""
@@ -328,6 +350,9 @@ def fresh_pattern_tables():
     ("corre", 6, harness.action, ("phi_prime_x", phi_prime_x_trading_two_words), "do not commute"),
     ("orb", 4, harness.action, ("shape", shape_without_double_descents), "double-descent-free"),
     ("orb", 4, harness.action, ("_closed_form", closed_form_top_coefficient_plus_one), "descent polynomial"),
+    ("wp", 4, harness.posets, ("psi_x_poset", psi_x_poset_only_forward), "not an involution"),
+    ("kreweras", 4, harness.trees, ("dyck_path", dyck_path_swapping_two_steps), "tree walk"),
+    ("psiphi", 4, harness.trees, ("phi_x", phi_x_fixing_double_descents), "factorization route"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

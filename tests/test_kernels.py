@@ -4,7 +4,7 @@ they replace."""
 import itertools
 import random
 from collections import Counter
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -14,10 +14,13 @@ from permact.action import (
     orbit_members,
     phi_prime_x,
     phi_prime_x_via_factorization,
+    phi_x,
+    phi_x_via_factorization,
 )
 from permact.mahonian import ev_set, increasing_tree
 from permact.patterns import (
     apq_polynomial,
+    avoiding_permutations,
     bni_polynomial,
     count_2_31,
     count_2_31_via_runs,
@@ -26,8 +29,17 @@ from permact.patterns import (
     pattern_tally,
 )
 from permact.polynomials import IntPolynomial
-from permact.stacksort import r_sortable_classes, sort_depth, stack_sort
+from permact.stacksort import (
+    NotADescentError,
+    r_sortable_classes,
+    slide_r,
+    sort_depth,
+    stack_sort,
+    stack_sort_via_slides,
+)
 from permact.trees import (
+    dyck_path,
+    dyck_path_via_tree,
     label_heights,
     redge_set,
     right_edge_depths,
@@ -263,3 +275,83 @@ def test_shared_tables_match_definitional_counters(n):
         assert all(cnt % scale == 0 for cnt in by_pattern.values())
         expected = {ab: cnt // scale for ab, cnt in by_pattern.items()}
         assert bni_polynomial(n, i) == IntPolynomial(("p", "q"), expected)
+
+
+SIGNED_LETTERS = [
+    lambda n: range(1, n + 1),
+    lambda n: range(-n, 0),
+    mixed_sign_letters,
+]
+SIGNED_IDS = ["permutations", "negative", "mixed-sign"]
+LONG_WORDS = [tuple(range(1, 1501)), tuple(range(1500, 0, -1))]
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
+def test_block_swap_matches_factorization(n, letters):
+    for w in itertools.permutations(letters(n)):
+        for x in w:
+            assert phi_x(w, x) == phi_x_via_factorization(w, x)
+
+
+def test_block_swap_matches_factorization_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.integers(-10**6, 10**6).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(letters, unique=True, max_size=40).map(tuple))
+    def check(w):
+        for x in w:
+            assert phi_x(w, x) == phi_x_via_factorization(w, x)
+
+    check()
+
+
+def first_gap_slide(w, i):
+    """Take w_i out and try every gap to its right, nearest first, until one
+    has a smaller letter on its left and a larger one (or the end) on its
+    right."""
+    x = w[i - 1]
+    rest = w[: i - 1] + w[i:]
+    for m in range(i, len(rest) + 1):
+        right = rest[m] if m < len(rest) else inf
+        if rest[m - 1] < x < right:
+            return rest[:m] + (x,) + rest[m:]
+    raise AssertionError("no gap accepts the letter")
+
+
+def slides_by_slide_r(w):
+    """Compose slide_r at the tops of w's descents, leftmost first."""
+    for x in [a for a, b in zip(w, w[1:]) if a > b]:
+        w = slide_r(w, w.index(x) + 1)
+    return w
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
+def test_slide_matches_first_gap_search(n, letters):
+    for w in itertools.permutations(letters(n)):
+        for i in range(-1, n + 2):
+            if 1 <= i < n and w[i - 1] > w[i]:
+                assert slide_r(w, i) == first_gap_slide(w, i)
+            else:
+                with pytest.raises(NotADescentError):
+                    slide_r(w, i)
+        assert stack_sort_via_slides(w) == slides_by_slide_r(w) == stack_sort(w)
+
+
+@pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
+def test_slides_on_long_words(w):
+    assert stack_sort_via_slides(w) == slides_by_slide_r(w) == tuple(range(1, 1501))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_dyck_height_scan_matches_tree_walk(n):
+    for w in avoiding_permutations(n):
+        assert dyck_path(w) == dyck_path_via_tree(w)
+
+
+@pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
+def test_dyck_height_scan_on_long_words(w):
+    assert dyck_path(w) == dyck_path_via_tree(w)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from permact.polynomials import uni
@@ -177,6 +180,14 @@ def test_corpus_counts():
     sizes = [len(all_canonical_posets(k)) for k in range(1, 6)]
     # cumulative counts of canonically labelable posets on at most k points
     assert sizes == [1, 3, 7, 18, 52]
+
+
+def test_corpus_is_pinned():
+    """The posets, their labelings and their order, as first recorded."""
+    corpus = json.dumps([P.to_json_dict() for P in all_canonical_posets(5)], sort_keys=True)
+    assert hashlib.sha256(corpus.encode()).hexdigest() == (
+        "48415bf3e5f1125b0f59de16e61a165504d138e64450ed6df6da512d4ccac2d4"
+    )
 
 
 def test_corpus_members_are_canonical():
