@@ -286,7 +286,11 @@ def _run_corre(n: int) -> Instance:
 
 
 def _run_stack_invariance(n: int) -> Instance:
-    sorts = {w: stacksort.stack_sort(w) for w in words.all_permutations(n)}
+    held: dict[Word, Word] = {}  # one copy of each distinct sort (326 at n = 7)
+    sorts: dict[Word, Word] = {}
+    for w in words.all_permutations(n):
+        s = stacksort.stack_sort(w)
+        sorts[w] = held.setdefault(s, s)
     bad = _constant_on_orbits("stack-invariance", n, sorts.__getitem__, "stack sort changed under a hop")
     if bad is not None:
         return bad
@@ -296,7 +300,7 @@ def _run_stack_invariance(n: int) -> Instance:
         # empty, which is every letter class except peaks
         for x, cls in zip(w, words.classify(w)):
             if cls is not words.LetterClass.PEAK:
-                if stacksort.stack_sort(action.phi_x(w, x)) != s:
+                if sorts[action.phi_x(w, x)] != s:
                     return _fail("stack-invariance", n, "stack sort changed under a non-peak block swap", {"word": w, "x": x})
                 count += 1
     return _pass(
@@ -305,16 +309,9 @@ def _run_stack_invariance(n: int) -> Instance:
     )
 
 
-def _postorder(node: trees.BinaryTreeNode | None) -> Word:
-    """S(L m R) = S(L) S(R) m, read off the decreasing binary tree."""
-    if node is None:
-        return ()
-    return _postorder(node.left) + _postorder(node.right) + (node.label,)
-
-
 def _run_slides(n: int) -> Instance:
     for w in words.all_permutations(n):
-        if n <= 5 and stacksort.stack_sort(w) != _postorder(trees.binary_tree(w)):
+        if n <= 5 and stacksort.stack_sort(w) != trees.postorder(trees.binary_tree(w)):
             return _fail("slides-equal-recursive", n, "stack pass differs from the binary-tree post-order",
                          {"word": w})
         if stacksort.stack_sort_via_slides(w) != stacksort.stack_sort(w):
@@ -358,7 +355,9 @@ def _run_genbona(n: int) -> Instance:
 
 def _run_narayana(n: int) -> Instance:
     poly, gam = patterns.narayana(n)
-    avs = list(patterns.avoiding_permutations(n))
+    avs = patterns.avoiding_permutations(n)
+    if n <= 5 and avs != list(patterns.avoiders(range(1, n + 1))):
+        return _fail("narayana", n, "size-built avoiders differ from the recursive split")
     catalan = comb(2 * n, n) // (n + 1)
     if len(avs) != catalan:
         return _fail("narayana", n, f"{len(avs)} avoiders != Catalan number {catalan}")
@@ -397,16 +396,10 @@ def _run_constant_patterns(n: int) -> Instance:
 
 
 def _run_pq_symmetry(n: int) -> Instance:
-    if n <= 5:
-        runs = Counter(
-            (peak(w), patterns.count_13_2_via_runs(w), patterns.count_2_31_via_runs(w), des(w))
-            for w in words.all_permutations(n)
-        )
-        if patterns.pattern_tally(n) != runs:
-            return _fail(
-                "pq-symmetry", n,
-                "shared (peak, 13-2, 2-31, des) tally differs from the per-word run-based tally",
-            )
+    if n <= 5 and not (patterns.pattern_tally(n) == patterns.pattern_tally_per_word(n)
+                       == patterns.pattern_tally_via_runs(n)):
+        return _fail("pq-symmetry", n, "one-pass (peak, 13-2, 2-31, des) tally, per-word scan tally and "
+                     "per-word run-based tally disagree")
     if not patterns.check_pq_symmetry(n):
         return _fail("pq-symmetry", n, "A_n(p,q,t) != A_n(q,p,t)")
     bs = []
@@ -489,9 +482,10 @@ def _run_wp(n: int) -> Instance:
 
 
 def _run_psiphi(n: int) -> Instance:
+    perms = list(words.all_permutations(n))
     # for n <= 5 the kernels meet their oracles on every word first, so a
     # broken kernel fails here before psi and phi_cap compose it
-    for w in words.all_permutations(n) if n <= 5 else ():
+    for w in perms if n <= 5 else ():
         depths, right = trees.right_edges_via_tree(w)
         heights = trees.label_heights(trees.unordered_tree(w))
         if (trees.right_edge_depths(w) != depths or trees.redge_set(w) != right
@@ -502,14 +496,31 @@ def _run_psiphi(n: int) -> Instance:
             if trees.phi_x(w, x) != action.phi_x_via_factorization(w, x):
                 return _fail("psiphi", n, "block swap differs from the factorization route",
                              {"word": w, "x": x})
-    for w in words.all_permutations(n):
-        v = trees.psi(w)
-        c = trees.phi_cap(w)
-        if trees.phi_cap(v) != w or trees.psi(c) != w:
+        # the one-pass masks and the swap products that the table below uses
+        odd, right = trees.edge_masks(w)
+        if (odd != sum(1 << x for x in trees.odd_set(w))
+                or right != sum(1 << x for x in trees.redge_set(w))
+                or trees.swap_product(w, odd) != trees.psi(w)
+                or trees.swap_product(w, right) != trees.phi_cap(w)):
+            return _fail("psiphi", n, "edge masks or swap products differ from the set routes",
+                         {"word": w})
+    # the image table of this instance: per word of S_n (by lex rank), its
+    # odd-set and right-edge masks and the ranks of psi(w) and phi_cap(w)
+    rank = {w: k for k, w in enumerate(perms)}
+    odds, rights, psis, caps = [], [], [], []
+    for w in perms:
+        odd, right = trees.edge_masks(w)
+        odds.append(odd)
+        rights.append(right)
+        psis.append(rank[trees.swap_product(w, odd)])
+        caps.append(rank[trees.swap_product(w, right)])
+    for k, w in enumerate(perms):
+        v, c = psis[k], caps[k]
+        if caps[v] != k or psis[c] != k:
             return _fail("psiphi", n, "the two products of hops are not mutually inverse", {"word": w})
-        if trees.odd_set(w) != trees.redge_set(v):
+        if odds[k] != rights[v]:
             return _fail("psiphi", n, "odd right-depth letters do not map to right children", {"word": w})
-        if trees.redge_set(w) != trees.odd_set(c):
+        if rights[k] != odds[c]:
             return _fail("psiphi", n, "right children do not map back to odd right-depth letters", {"word": w})
     return _pass("psiphi", n, f"inverse pair and the odd/right-edge exchange hold on all {factorial(n)} words")
 
@@ -587,6 +598,8 @@ def _run_evt(n: int) -> Instance:
 
 def _run_euler_mahonian(n: int) -> Instance:
     lhs, rhs = mahonian.joint_distributions(n)
+    if n <= 5 and (lhs, rhs) != mahonian.joint_distributions_via_sets(n):
+        return _fail("euler-mahonian", n, "one-pass scan differs from the ev_set, des and maj tallies")
     if lhs != rhs:
         return _fail("euler-mahonian", n, "joint distributions differ")
     return _pass(
@@ -617,15 +630,18 @@ def _after_masks(perms: list[Word], n: int) -> list[int]:
 
 
 def _run_gessel(n: int) -> Instance:
-    # des(pi^-1 tau) counts the i where tau_i comes after tau_(i+1) in pi;
-    # bit (a-1)n + (b-1) of t is set iff b immediately follows a in tau
+    # des(pi^-1 tau) is the number of tau's adjacent pairs (a, b) whose
+    # column holds pi's bit; classes[d] holds the bits of the pi with des d
     perms = list(words.all_permutations(n))
-    pi_des = [des(pi) for pi in perms]
-    after = _after_masks(perms, n)
+    columns = words.pair_columns(_after_masks(perms, n), n)
+    classes: dict[int, int] = {}
+    for k, pi in enumerate(perms):
+        d = des(pi)
+        classes[d] = classes.get(d, 0) | 1 << k
+    full = (1 << len(perms)) - 1
     by_des: dict[int, Counter] = {}
     for tau in perms:
-        t = sum(1 << ((a - 1) * n + b - 1) for a, b in zip(tau, tau[1:]))
-        F = Counter(zip(pi_des, [(m & t).bit_count() for m in after]))
+        F = words.sliced_tally([columns[(a - 1) * n + b - 1] for a, b in zip(tau, tau[1:])], classes, full)
         if n <= 4 and F != Counter(
             (des(pi), des(words.perm_compose(words.perm_inverse(pi), tau))) for pi in perms
         ):

@@ -86,12 +86,43 @@ def theta(w: Word) -> Word:
 
 
 def joint_distributions(n: int) -> tuple[Counter, Counter]:
-    """Tallies of (veh', siveh) and of (des, maj) over all permutations of [n].
+    """Tallies of (veh', siveh) and of (des, maj) over all permutations of [n],
+    in one right-to-left pass per word.
+
+    The stack of ev_set holds, once b has popped the larger letters, exactly
+    the stacked letters below b, so as a bitmask it is cut to the bits below
+    b; position i counts toward EV when that cut leaves an odd number.
 
     >>> lhs, rhs = joint_distributions(3)
     >>> lhs == rhs
     True
     """
+    below = [(1 << b) - 1 for b in range(n + 1)]
+    lhs: Counter = Counter()
+    rhs: Counter = Counter()
+    for w in all_permutations(n):
+        stack = ev = sev = d = mj = 0
+        i = n
+        c = n + 1  # past the end: no descent at position n
+        for b in reversed(w):
+            if b > c:
+                d += 1
+                mj += i
+            stack &= below[b]
+            if stack.bit_count() & 1:
+                ev += 1
+                sev += i
+            stack |= 1 << b
+            c = b
+            i -= 1
+        lhs[ev, sev] += 1
+        rhs[d, mj] += 1
+    return lhs, rhs
+
+
+def joint_distributions_via_sets(n: int) -> tuple[Counter, Counter]:
+    """The same tallies from ev_set, des and maj word by word: the route
+    joint_distributions replaces."""
     lhs: Counter = Counter()
     rhs: Counter = Counter()
     for w in all_permutations(n):

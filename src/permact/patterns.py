@@ -134,18 +134,75 @@ def avoiders(letters: Sequence[int]) -> Iterator[Word]:
                 yield left + (biggest,) + right
 
 
-def avoiding_permutations(n: int) -> Iterator[Word]:
+def avoiding_permutations(n: int) -> list[Word]:
+    """The 231-avoiders of 1..n in the order of `avoiders`, built size by size:
+    an avoider of 1..m is one of 1..k, then m, then one of 1..m-1-k shifted
+    up by k.
+
+    >>> avoiding_permutations(3)
+    [(3, 2, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)]
+    """
     check_enumeration_size(n)
-    return avoiders(range(1, n + 1))
+    by_size: list[list[Word]] = [[()]]
+    for m in range(1, n + 1):
+        built: list[Word] = []
+        for k in range(m):
+            rights = [tuple([a + k for a in r]) for r in by_size[m - 1 - k]]
+            built += [head + r for head in [left + (m,) for left in by_size[k]] for r in rights]
+        by_size.append(built)
+    return by_size[-1]
 
 
 # -- the trivariate refinement ------------------------------------------
 
 
 def pattern_tally(n: int) -> Counter:
-    """The joint distribution of (peak, 13-2, 2-31, des) over S_n, in one pass."""
+    """The joint distribution of (peak, 13-2, 2-31, des) over S_n, one
+    left-to-right bitmask pass per word: at a descent a > b the (2-31) count
+    gains the seen letters strictly between b and a, and at an ascent a < b
+    the (13-2) count gains the unseen ones strictly between a and b.
+
+    >>> pattern_tally(3)[1, 1, 0, 1]
+    1
+    """
     check_enumeration_size(n)
+    if n < 1:
+        return Counter({(0, 0, 0, 0): 1})
+    # between[a][b]: the letters strictly between a and b, a < b
+    between = [[(1 << b) - (2 << a) for b in range(n + 1)] for a in range(n + 1)]
+    tally: Counter = Counter()
+    for w in all_permutations(n):
+        a = w[0]
+        seen = 1 << a
+        rising = False
+        peaks = p = q = d = 0
+        for b in w[1:]:
+            if a < b:
+                p += b - a - 1 - (seen & between[a][b]).bit_count()
+                rising = True
+            else:
+                q += (seen & between[b][a]).bit_count()
+                d += 1
+                if rising:
+                    peaks += 1
+                    rising = False
+            seen |= 1 << b
+            a = b
+        tally[peaks, p, q, d] += 1
+    return tally
+
+
+def pattern_tally_per_word(n: int) -> Counter:
+    """The same distribution from `peak`, `count_13_2`, `count_2_31` and
+    `des` word by word: the route pattern_tally replaces."""
     return Counter((peak(w), count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
+
+
+def pattern_tally_via_runs(n: int) -> Counter:
+    """The same distribution with both patterns counted from the runs."""
+    return Counter(
+        (peak(w), count_13_2_via_runs(w), count_2_31_via_runs(w), des(w)) for w in all_permutations(n)
+    )
 
 
 @functools.lru_cache(maxsize=None)

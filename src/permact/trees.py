@@ -65,10 +65,32 @@ def binary_tree(w: Word) -> BinaryTreeNode | None:
 
 
 def word_of(node: BinaryTreeNode | None) -> Word:
-    """In-order readout; inverse of binary_tree."""
-    if node is None:
-        return ()
-    return word_of(node.left) + (node.label,) + word_of(node.right)
+    """In-order readout; inverse of binary_tree.  An explicit stack holds the
+    nodes whose left subtree is being read, so depth costs no recursion."""
+    out: list[int] = []
+    stack: list[BinaryTreeNode] = []
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        out.append(node.label)
+        node = node.right
+    return tuple(out)
+
+
+def postorder(node: BinaryTreeNode | None) -> Word:
+    """Post-order readout: for the decreasing binary tree of L m R this is
+    the stack sort S(L) S(R) m.  It is the reverse of the pre-order that
+    visits right before left, walked with an explicit stack."""
+    out: list[int] = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is not None:
+            out.append(node.label)
+            todo += (node.left, node.right)
+    return tuple(reversed(out))
 
 
 def right_edge_depths(w: Word) -> dict[int, int]:
@@ -112,6 +134,40 @@ def redge_set(w: Word) -> frozenset[int]:
         stack.append(a)
     out.update(stack[1:])
     return frozenset(out)
+
+
+def edge_masks(w: Word) -> tuple[int, int]:
+    """(odd set, right-edge set) of a word on positive letters as bitmasks,
+    bit x for letter x, from one decreasing-stack pass: the stack size when
+    a arrives is its right-edge depth, and the pops mark the right children
+    as in redge_set.
+
+    >>> edge_masks((3, 1, 2)) == (0b110, 0b100)
+    True
+    """
+    odd = right = 0
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            x = stack.pop()
+            if stack and stack[-1] < a:
+                right |= 1 << x
+        if len(stack) & 1:
+            odd |= 1 << a
+        stack.append(a)
+    for x in stack[1:]:
+        right |= 1 << x
+    return odd, right
+
+
+def swap_product(w: Word, letters: int) -> Word:
+    """Block swaps at the letters of a bitmask, smallest first: psi(w) for
+    the odd-set mask and phi_cap(w) for the right-edge mask."""
+    while letters:
+        low = letters & -letters
+        w = phi_x(w, low.bit_length() - 1)
+        letters ^= low
+    return w
 
 
 def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:

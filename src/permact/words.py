@@ -301,12 +301,53 @@ def dec_subseq_counts(w: Word, k_max: int) -> tuple[int, ...]:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    n = len(w)
-    # ways[i] = number of decreasing subsequences of the current length
-    # ending at index i
-    ways = [1] * n
+    # larger[i]: the earlier positions with larger letters; ways[i] = number
+    # of decreasing subsequences of the current length ending at index i
+    larger = [[q for q in range(i) if w[q] > b] for i, b in enumerate(w)]
+    ways = [1] * len(w)
     out = []
     for _ in range(k_max):
-        ways = [sum(ways[q] for q in range(i) if w[q] > w[i]) for i in range(n)]
+        ways = [sum([ways[q] for q in qs]) for qs in larger]
         out.append(sum(ways))
     return tuple(out)
+
+
+def pair_columns(after: list[int], n: int) -> list[int]:
+    """Per-permutation masks over the ordered pairs of letters, bit (a-1)n +
+    (b-1) set iff a comes after b, transposed: bit k of column (a-1)n + (b-1)
+    is set iff a comes after b in the k-th permutation."""
+    columns = [0] * (n * n)
+    for k, m in enumerate(after):
+        bit = 1 << k
+        while m:
+            low = m & -m
+            columns[low.bit_length() - 1] |= bit
+            m ^= low
+    return columns
+
+
+def sliced_tally(rows: list[int], classes: dict[int, int], full: int) -> Counter:
+    """Counter of (d, c): the permutations in class mask classes[d] whose bit
+    is set in exactly c of the rows.  The rows are summed bit by bit into
+    binary planes (plane j holds bit j of every permutation's count), and
+    each count's mask is read off the planes."""
+    planes: list[int] = []
+    for x in rows:
+        j = 0
+        while x:
+            if j == len(planes):
+                planes.append(x)
+                break
+            planes[j], x = planes[j] ^ x, planes[j] & x
+            j += 1
+    levels = [full]  # levels[c]: the permutations counted c times
+    for p in reversed(planes):
+        levels = [m for lv in levels for m in (lv & ~p, lv & p)]
+    tally: Counter = Counter()
+    for c, lv in enumerate(levels):
+        if lv:
+            for d, m in classes.items():
+                v = (lv & m).bit_count()
+                if v:
+                    tally[d, c] = v
+    return tally

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,8 +25,10 @@ from permact.harness import (
     run_suite,
 )
 from permact.limits import BoundExceededError, check_enumeration_size, enumeration_bound
+from permact.mahonian import ev_set
 from permact.patterns import (
     apq_polynomial,
+    avoiding_permutations,
     count_2_31,
     count_2_31_via_runs,
     count_13_2,
@@ -37,9 +41,11 @@ from permact.words import (
     Boundary,
     LetterClass,
     all_permutations,
+    dec_subseq_counts,
     des,
     descent_poly,
     letter_class_at,
+    maj,
     shape,
 )
 
@@ -323,6 +329,30 @@ def phi_x_fixing_double_descents(w, x):
     return phi_x(w, x)
 
 
+def avoiders_repeating_the_first(n):
+    """A planted defect: the last avoider is replaced by a second copy of the
+    first, so the list keeps its Catalan length."""
+    avs = list(avoiding_permutations(n))
+    return avs[:-1] + avs[:1]
+
+
+def joint_distributions_skipping_last_position(n):
+    """A planted defect: the scan stops before position n, so the last letter
+    adds to neither tally."""
+    lhs, rhs = Counter(), Counter()
+    for w in all_permutations(n):
+        ev = ev_set(w[:-1])
+        lhs[len(ev), sum(ev)] += 1
+        rhs[des(w[:-1]), maj(w[:-1])] += 1
+    return lhs, rhs
+
+
+def dec_subseq_counts_off_at_d2(w, k_max):
+    """A planted defect: d_2 is one too large."""
+    ds = dec_subseq_counts(w, k_max)
+    return (ds[0], ds[1] + 1, *ds[2:])
+
+
 @pytest.fixture
 def fresh_pattern_tables():
     """Keep tables built from a planted kernel out of the shared cache."""
@@ -353,6 +383,10 @@ def fresh_pattern_tables():
     ("wp", 4, harness.posets, ("psi_x_poset", psi_x_poset_only_forward), "not an involution"),
     ("kreweras", 4, harness.trees, ("dyck_path", dyck_path_swapping_two_steps), "tree walk"),
     ("psiphi", 4, harness.trees, ("phi_x", phi_x_fixing_double_descents), "factorization route"),
+    ("narayana", 4, harness.patterns, ("avoiding_permutations", avoiders_repeating_the_first), "recursive split"),
+    ("euler-mahonian", 4, harness.mahonian, ("joint_distributions", joint_distributions_skipping_last_position),
+     "one-pass scan"),
+    ("veh-altsum", 4, harness.words, ("dec_subseq_counts", dec_subseq_counts_off_at_d2), "alternating sum"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
@@ -367,3 +401,30 @@ def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):
     monkeypatch.setattr(harness.action, "phi_prime_x", phi_prime_x_swapping_peaks)
     assert main(["verify", "corre", "--max-n", "5"]) == 1
     assert "factorization" in capsys.readouterr().out
+
+
+# the bindings perfbench/selftest.py's check_tracer patches and restores
+TRACED_DES = [("permact.words", "des"), ("permact.action", "des"), ("permact.harness", "des")]
+
+
+def test_bindings_the_benchmark_tracer_patches_exist(monkeypatch):
+    missing = [f"{mod}.{name}" for mod, name in TRACED_DES
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing, (
+        f"perfbench/selftest.py check_tracer patches {missing}, which no longer exist; "
+        "keep the bindings or change the benchmark's selftest in a benchmark change"
+    )
+    assert "__mul__" in IntPolynomial.__dict__ and "from_counts" in IntPolynomial.__dict__, (
+        "perfbench/selftest.py check_tracer patches IntPolynomial.__mul__ and from_counts"
+    )
+    calls = 0
+
+    def counting_des(w):
+        nonlocal calls
+        calls += 1
+        return des(w)
+
+    for mod, name in TRACED_DES:
+        monkeypatch.setattr(importlib.import_module(mod), name, counting_des)
+    assert SUITES["orb"].runner(4).ok
+    assert calls > 0, "orb at n = 4 no longer calls des, which perfbench/selftest.py check_tracer expects"

@@ -3,6 +3,7 @@ they replace."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 from math import comb, inf
 
@@ -17,16 +18,21 @@ from permact.action import (
     phi_x,
     phi_x_via_factorization,
 )
-from permact.mahonian import ev_set, increasing_tree
+from permact.harness import _after_masks
+from permact.mahonian import ev_set, increasing_tree, joint_distributions, joint_distributions_via_sets
 from permact.patterns import (
     apq_polynomial,
+    avoiders,
     avoiding_permutations,
+    avoids_231,
     bni_polynomial,
     count_2_31,
     count_2_31_via_runs,
     count_13_2,
     count_13_2_via_runs,
     pattern_tally,
+    pattern_tally_per_word,
+    pattern_tally_via_runs,
 )
 from permact.polynomials import IntPolynomial
 from permact.stacksort import (
@@ -38,26 +44,38 @@ from permact.stacksort import (
     stack_sort_via_slides,
 )
 from permact.trees import (
+    binary_tree,
     dyck_path,
     dyck_path_via_tree,
+    edge_masks,
     label_heights,
+    odd_set,
+    phi_cap,
+    postorder,
+    psi,
     redge_set,
     right_edge_depths,
     right_edges_via_tree,
+    swap_product,
     unordered_tree,
     veh,
+    word_of,
 )
 from permact.words import (
     Boundary,
     LetterClass,
     all_permutations,
     classify,
+    dec_subseq_counts,
     des,
     descent_poly,
     double_ascent,
     double_descent,
+    maj,
+    pair_columns,
     peak,
     shape,
+    sliced_tally,
     valley,
 )
 
@@ -355,3 +373,73 @@ def test_dyck_height_scan_matches_tree_walk(n):
 @pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
 def test_dyck_height_scan_on_long_words(w):
     assert dyck_path(w) == dyck_path_via_tree(w)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_one_pass_pattern_tally_matches_per_word_scans(n):
+    per_word = Counter((peak(w), count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
+    assert pattern_tally(n) == pattern_tally_per_word(n) == pattern_tally_via_runs(n) == per_word
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_one_pass_euler_mahonian_scan_matches_ev_set_des_maj(n):
+    lhs, rhs = Counter(), Counter()
+    for w in all_permutations(n):
+        ev = ev_set(w)
+        lhs[len(ev), sum(ev)] += 1
+        rhs[des(w), maj(w)] += 1
+    assert joint_distributions(n) == joint_distributions_via_sets(n) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bit_sliced_gessel_tally_matches_per_permutation_popcounts(n):
+    perms = list(all_permutations(n))
+    pi_des = [des(pi) for pi in perms]
+    after = _after_masks(perms, n)
+    columns = pair_columns(after, n)
+    classes = {}
+    for k, d in enumerate(pi_des):
+        classes[d] = classes.get(d, 0) | 1 << k
+    for tau in perms:
+        t = sum(1 << ((a - 1) * n + b - 1) for a, b in zip(tau, tau[1:]))
+        per_pi = Counter(zip(pi_des, [(m & t).bit_count() for m in after]))
+        rows = [columns[(a - 1) * n + b - 1] for a, b in zip(tau, tau[1:])]
+        assert sliced_tally(rows, classes, (1 << len(perms)) - 1) == per_pi
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_size_built_avoiders_match_recursive_split(n):
+    built = list(avoiding_permutations(n))
+    assert built == list(avoiders(range(1, n + 1)))
+    assert len(set(built)) == comb(2 * n, n) // (n + 1)
+    if n <= 7:
+        assert sorted(built) == [w for w in all_permutations(n) if avoids_231(w)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_edge_masks_and_swap_products_match_sets_psi_and_phi_cap(n):
+    for w in all_permutations(n):
+        odd, right = edge_masks(w)
+        assert odd == sum(1 << x for x in odd_set(w))
+        assert right == sum(1 << x for x in redge_set(w))
+        assert swap_product(w, odd) == psi(w)
+        assert swap_product(w, right) == phi_cap(w)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_dec_subseq_counts_match_brute_force(n):
+    k_max = n + 1  # past the longest decreasing subsequence, so zeros too
+    for w in all_permutations(n):
+        brute = tuple(
+            sum(1 for sub in itertools.combinations(w, i + 1) if all(a > b for a, b in zip(sub, sub[1:])))
+            for i in range(1, k_max + 1)
+        )
+        assert dec_subseq_counts(w, k_max) == brute
+
+
+@pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
+def test_tree_readouts_on_long_words(w):
+    assert len(w) > sys.getrecursionlimit()
+    tree = binary_tree(w)
+    assert word_of(tree) == w
+    assert postorder(tree) == stack_sort(w)
