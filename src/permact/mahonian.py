@@ -4,7 +4,7 @@ The increasing tree of a word hangs every right-to-left minimum below a root
 labeled 0; any other letter becomes a child of the leftmost smaller letter to
 its right.  EV collects the positions whose letters sit at even (positive)
 height; its size veh' refines to siveh, the sum of those positions, and the
-recursion theta below transports (veh', siveh) onto (des, maj) exactly.
+bijection theta below transports (veh', siveh) onto (des, maj) exactly.
 """
 
 from __future__ import annotations
@@ -72,17 +72,39 @@ def theta(w: Word) -> Word:
     """Bijection taking (veh', siveh) to (des, maj): EV(theta(w)) is the
     descent set of w.
 
-    Split at the minimum m into sigma m tau; recurse on the complement of
-    sigma (within its own letters) and on tau.
+    The recursion of theta_recursive, with an explicit stack of segments
+    over one list of labels: a segment keeps its minimum in place, its part
+    left of the minimum is mirrored within its own letters and pushed, and
+    the part right of it is taken next.
 
     >>> theta((5, 8, 6, 3, 1, 7, 4, 9, 2))
     (6, 3, 5, 8, 1, 9, 7, 4, 2)
     """
+    lab = list(w)
+    todo = [(0, len(lab))]
+    while todo:
+        lo, hi = todo.pop()
+        while hi - lo > 1:
+            k = lab.index(min(lab[lo:hi]), lo, hi)
+            if k - lo > 1:
+                left = lab[lo:k]
+                up = sorted(left)
+                down = up[::-1]
+                lab[lo:k] = [down[up.index(a)] for a in left]
+                todo.append((lo, k))
+            lo = k + 1
+    return tuple(lab)
+
+
+def theta_recursive(w: Word) -> Word:
+    """The defining recursion of theta, and its oracle: split at the minimum
+    m into sigma m tau; recurse on the complement of sigma (within its own
+    letters) and on tau."""
     if not w:
         return w
     k = w.index(min(w))
     sigma, m, tau = w[:k], w[k], w[k + 1 :]
-    return theta(complement(sigma)) + (m,) + theta(tau)
+    return theta_recursive(complement(sigma)) + (m,) + theta_recursive(tau)
 
 
 def joint_distributions(n: int) -> tuple[Counter, Counter]:

@@ -250,6 +250,16 @@ def bni_polynomial(n: int, i: int) -> IntPolynomial:
     return table[i]
 
 
+def bni_via_scans(n: int) -> list[IntPolynomial]:
+    """Every b_(n,i)(p, q), i = 0..(n-1)//2, scaled from pattern_tally_per_word:
+    the route that _pattern_tables' one-pass tally replaces."""
+    by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
+    for (i, a, b, _), cnt in pattern_tally_per_word(n).items():
+        by_peak[i][a, b] += cnt
+    return [IntPolynomial(("p", "q"), {ab: peak_scale(cnt, i, n) for ab, cnt in counts.items()})
+            for i, counts in enumerate(by_peak)]
+
+
 def check_pq_symmetry(n: int) -> bool:
     """A_n(p, q, t) == A_n(q, p, t)."""
     A = apq_polynomial(n)

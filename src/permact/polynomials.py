@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -390,16 +391,57 @@ def _gessel_basis(n: int, k: int, j: int) -> IntPolynomial:
     return (s + t) ** k * (s * t) ** j * (one + s * t) ** (n - k - 1 - 2 * j)
 
 
-def gessel_expand(F: IntPolynomial, n: int) -> GesselExpansion:
-    """Solve exactly for the coefficients of F in the (s+t)^k (st)^j (1+st)^... basis.
+@lru_cache(maxsize=None)
+def _gessel_terms(n: int, k: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """(s exponent, t exponent, coefficient) of every term of
+    (s+t)^k (st)^j (1+st)^(n-1-k-2j): the term C(k,a) C(e,b) of
+    s^(k-a) t^a (st)^(j+b), one per (a, b)."""
+    e = n - 1 - k - 2 * j
+    return tuple((k - a + j + b, a + j + b, comb(k, a) * comb(e, b))
+                 for a in range(k + 1) for b in range(e + 1))
 
-    Raises NoExpansionError if the system is inconsistent (or, defensively, if
-    the basis were dependent) and NonIntegralError if a coefficient is not an
-    integer.  Zero coefficients are dropped.
+
+def gessel_expand(F: IntPolynomial, n: int) -> GesselExpansion:
+    """The coefficients of F in the (s+t)^k (st)^j (1+st)^(n-1-k-2j) basis,
+    by an integer peel on dense coefficients.
+
+    The basis element of (k, j) has total degree at least D = k + 2j, and at
+    degree D its terms run over t^j .. t^(D-j), starting with s^(D-j) t^j at
+    coefficient 1.  So, taken by D ascending and then j ascending, each
+    c(k, j) is the residual's coefficient at s^(D-j) t^j: the peel is
+    triangular and divides by nothing.  Raises NoExpansionError when a
+    residual is left.  Zero coefficients are dropped.
 
     >>> s, t = (IntPolynomial.variable(v, ("s", "t")) for v in "st")
     >>> gessel_expand(1 + s * t, 2).coeffs
     {(0, 0): 1}
+    """
+    if F.vars != ("s", "t"):
+        raise ValueError("expected a polynomial in vars ('s', 't')")
+    size = max([n, *(max(e) + 1 for e in F.terms)])
+    rest = [[0] * size for _ in range(size)]
+    for (a, b), c in F.terms.items():
+        rest[a][b] = c
+    values = {}
+    for D in range(n):
+        for j in range(D // 2 + 1):
+            c = rest[D - j][j]
+            if c:
+                values[(D - 2 * j, j)] = c
+                for a, b, x in _gessel_terms(n, D - 2 * j, j):
+                    rest[a][b] -= c * x
+    if any(map(any, rest)):
+        raise NoExpansionError(f"no expansion exists for n={n}")
+    return GesselExpansion(n, values)
+
+
+def gessel_expand_via_solve(F: IntPolynomial, n: int) -> GesselExpansion:
+    """Independent route to gessel_expand: solve for the coefficients with
+    Fraction elimination over the sparse basis polynomials.
+
+    Raises NoExpansionError if the system is inconsistent (or, defensively, if
+    the basis were dependent) and NonIntegralError if a coefficient is not an
+    integer.  Zero coefficients are dropped.
     """
     if F.vars != ("s", "t"):
         raise ValueError("expected a polynomial in vars ('s', 't')")

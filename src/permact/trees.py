@@ -160,14 +160,19 @@ def edge_masks(w: Word) -> tuple[int, int]:
     return odd, right
 
 
+def _hop_product(w: Word, letters: int, hop) -> Word:
+    """Apply hop(., x) at the letters x of a bitmask, smallest first."""
+    while letters:
+        low = letters & -letters
+        w = hop(w, low.bit_length() - 1)
+        letters ^= low
+    return w
+
+
 def swap_product(w: Word, letters: int) -> Word:
     """Block swaps at the letters of a bitmask, smallest first: psi(w) for
     the odd-set mask and phi_cap(w) for the right-edge mask."""
-    while letters:
-        low = letters & -letters
-        w = phi_x(w, low.bit_length() - 1)
-        letters ^= low
-    return w
+    return _hop_product(w, letters, phi_x)
 
 
 def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
@@ -243,12 +248,20 @@ def label_heights(tree: UnorderedTree) -> dict[int, int]:
 def veh(w: Word) -> int:
     """Number of letters at even height in the unordered decreasing tree.
 
-    Those are the letters of the odd set.
+    Those are the letters of the odd set: counted in one decreasing-stack
+    pass, a letter whose previous-greater chain has odd size.
 
     >>> veh((6, 5, 2, 4, 1, 9, 7, 3, 8))
     4
     """
-    return len(odd_set(w))
+    count = 0
+    stack: list[int] = []
+    for a in w:
+        while stack and stack[-1] < a:
+            stack.pop()
+        count += len(stack) & 1
+        stack.append(a)
+    return count
 
 
 # -- transports between the statistics ---------------------------------------
@@ -279,15 +292,14 @@ def phi_cap(w: Word) -> Word:
 
 
 def psi_prime(w: Word) -> Word:
-    """Modified swaps at every odd-set letter; turns veh into the descent count.
+    """Modified swaps at every odd-set letter, smallest first, read off the
+    odd mask of edge_masks; turns veh into the descent count.  Letters must
+    be positive, as for edge_masks.
 
     >>> psi_prime((3, 1, 2))
     (3, 2, 1)
     """
-    out = w
-    for x in sorted(odd_set(w)):
-        out = phi_prime_x(out, x)
-    return out
+    return _hop_product(w, edge_masks(w)[0], phi_prime_x)
 
 
 def psi_prime_recursive(w: Word) -> Word:

@@ -96,32 +96,33 @@ def all_permutations(n: int) -> Iterator[Word]:
 
 
 def involutions(n: int) -> Iterator[Word]:
-    """All permutations of {1..n} equal to their own inverse.
+    """All permutations of {1..n} equal to their own inverse, built by size:
+    I_m is I_(m-1) with m fixed, then, for j = 1..m-1, m paired with j over
+    I_(m-2) on the other letters.  Only the two previous sizes are held;
+    size n is yielded lazily.  For n <= 0 the empty word is the one
+    involution.
 
-    Built directly by choosing, for the largest remaining element, either a
-    fixed point or a 2-cycle partner; this avoids scanning all of S_n.
+    >>> list(involutions(3))
+    [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2)]
     """
+    shortest: list[Word] = []
+    shorter: list[Word] = [()]
+    for m in range(1, n):
+        shortest, shorter = shorter, list(_involutions_from(m, shorter, shortest))
+    yield from _involutions_from(n, shorter, shortest) if n > 0 else shorter
 
-    def build(elems: tuple[int, ...]) -> Iterator[dict[int, int]]:
-        if not elems:
-            yield {}
-            return
-        x = elems[-1]
-        rest = elems[:-1]
-        for m in build(rest):
-            out = dict(m)
-            out[x] = x
-            yield out
-        for idx in range(len(rest)):
-            j = rest[idx]
-            for m in build(rest[:idx] + rest[idx + 1 :]):
-                out = dict(m)
-                out[x] = j
-                out[j] = x
-                yield out
 
-    for mapping in build(tuple(range(1, n + 1))):
-        yield tuple(mapping[i] for i in range(1, n + 1))
+def _involutions_from(m: int, shorter: list[Word], shortest: list[Word]) -> Iterator[Word]:
+    """I_m from I_(m-1) and I_(m-2); pairing m with j lifts a word of
+    I_(m-2) past j, in its letters and its positions alike."""
+    for u in shorter:
+        yield (*u, m)
+    for j in range(1, m):
+        for u in shortest:
+            v = [a + (a >= j) for a in u]
+            v.insert(j - 1, m)
+            v.append(j)
+            yield tuple(v)
 
 
 def perm_inverse(w: Word) -> Word:

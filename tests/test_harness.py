@@ -34,9 +34,9 @@ from permact.patterns import (
     count_13_2,
     count_13_2_via_runs,
 )
-from permact.polynomials import IntPolynomial, uni
+from permact.polynomials import GammaExpansion, GesselExpansion, IntPolynomial, gessel_expand, uni
 from permact.posets import psi_x_poset
-from permact.trees import dyck_path
+from permact.trees import dyck_path, odd_set
 from permact.words import (
     Boundary,
     LetterClass,
@@ -44,6 +44,7 @@ from permact.words import (
     dec_subseq_counts,
     des,
     descent_poly,
+    involutions,
     letter_class_at,
     maj,
     shape,
@@ -353,12 +354,60 @@ def dec_subseq_counts_off_at_d2(w, k_max):
     return (ds[0], ds[1] + 1, *ds[2:])
 
 
+def theta_skipping_the_complement(w):
+    """A planted defect: theta without the mirror of the part left of each
+    minimum, which leaves every word as it is."""
+    return w
+
+
+def psi_prime_dropping_the_largest_odd_letter(w):
+    """A planted defect: the hop at the largest odd-set letter is left out."""
+    for x in sorted(odd_set(w))[:-1]:
+        w = phi_prime_x(w, x)
+    return w
+
+
+def involutions_repeating_one_word(n):
+    """A planted defect: the last involution is replaced by a second copy of
+    the first, so the count stays the telephone number."""
+    invs = list(involutions(n))
+    return invs[:-1] + invs[:1]
+
+
+# the real kernels, for planted defects that wrap them while they are patched
+PATTERN_TABLES = patterns._pattern_tables
+BNI_POLYNOMIAL = patterns.bni_polynomial
+INVOLUTION_DESCENT_POLY = involution_descent_poly
+
+
+def pattern_tables_with_a_wrong_entry(n):
+    """A planted defect: b_(n,0) gains a term p, which (p+q)^0 still divides."""
+    apq, table = PATTERN_TABLES(n)
+    return apq, (table[0] + IntPolynomial.variable("p", ("p", "q")), *table[1:])
+
+
+def gessel_expand_dropping_the_last_coefficient(F, n):
+    """A planted defect: the peel forgets the last coefficient it found."""
+    coeffs = dict(gessel_expand(F, n).coeffs)
+    coeffs.popitem()
+    return GesselExpansion(n, coeffs)
+
+
+def involution_poly_leaning_left(n):
+    """A planted defect: an asymmetric polynomial in place of the involution
+    descent polynomial."""
+    return uni([2] + [1] * (n - 1))
+
+
 @pytest.fixture
 def fresh_pattern_tables():
-    """Keep tables built from a planted kernel out of the shared cache."""
-    patterns._pattern_tables.cache_clear()
+    """Keep tables built from a planted kernel out of the shared caches."""
+    caches = (PATTERN_TABLES, INVOLUTION_DESCENT_POLY)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    patterns._pattern_tables.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
@@ -387,6 +436,15 @@ def fresh_pattern_tables():
     ("euler-mahonian", 4, harness.mahonian, ("joint_distributions", joint_distributions_skipping_last_position),
      "one-pass scan"),
     ("veh-altsum", 4, harness.words, ("dec_subseq_counts", dec_subseq_counts_off_at_d2), "alternating sum"),
+    ("evt", 4, harness.mahonian, ("theta", theta_skipping_the_complement), "recursion"),
+    ("psi-prime", 4, harness.trees, ("psi_prime", psi_prime_dropping_the_largest_odd_letter),
+     "direct and recursive"),
+    ("guo-zeng", 4, harness.words, ("involutions", involutions_repeating_one_word), "S_n filter"),
+    ("divisibility", 4, harness.patterns, ("_pattern_tables", pattern_tables_with_a_wrong_entry),
+     "per-word scan"),
+    ("brenti-logconcave", 4, harness, ("involution_descent_poly", involution_poly_leaning_left),
+     "not symmetric"),
+    ("gessel", 3, harness, ("gessel_expand", gessel_expand_dropping_the_last_coefficient), "Fraction solve"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
@@ -395,6 +453,46 @@ def test_in_suite_oracles_catch_a_broken_kernel(
     inst = SUITES[suite].runner(n)
     assert not inst.ok and inst.hard_failure
     assert stage in inst.detail
+
+
+def gamma_vector_with_a_negative_entry(n):
+    """A planted counterexample: from n = 3 on, the involution descent
+    polynomial has gamma vector (1, -1)."""
+    return GammaExpansion(n - 1, (1, -1)).reconstruct() if n >= 3 else INVOLUTION_DESCENT_POLY(n)
+
+
+def b_n1_not_divisible_past_the_scans(n, i):
+    """A planted counterexample: at n = 6, past the scan oracle, b_(6,1)
+    gains a term p, so p + q no longer divides it."""
+    b = BNI_POLYNOMIAL(n, i)
+    return b + IntPolynomial.variable("p", ("p", "q")) if (n, i) == (6, 1) else b
+
+
+def involution_counts_not_log_concave(n):
+    """A planted counterexample: at n = 6 the counts are symmetric and
+    unimodal but 2^2 < 1 * 5."""
+    return uni([1, 2, 5, 5, 2, 1]) if n == 6 else INVOLUTION_DESCENT_POLY(n)
+
+
+
+@pytest.mark.parametrize("suite, max_n, target, planted, code, summary", [
+    ("guo-zeng", 4, harness, ("involution_descent_poly", gamma_vector_with_a_negative_entry), 3,
+     "COUNTEREXAMPLE at n = 3"),
+    ("divisibility", 6, patterns, ("bni_polynomial", b_n1_not_divisible_past_the_scans), 3,
+     "COUNTEREXAMPLE at n = 6"),
+    ("brenti-logconcave", 6, harness, ("involution_descent_poly", involution_counts_not_log_concave), 3,
+     "COUNTEREXAMPLE at n = 6"),
+    ("guo-zeng", 4, harness.words, ("involutions", involutions_repeating_one_word), 1, "FAIL at n = 2"),
+    ("divisibility", 4, patterns, ("_pattern_tables", pattern_tables_with_a_wrong_entry), 1, "FAIL at n = 1"),
+    ("brenti-logconcave", 4, harness, ("involution_descent_poly", involution_poly_leaning_left), 1,
+     "FAIL at n = 2"),
+])
+def test_conjecture_suites_separate_counterexamples_from_broken_kernels(
+    capsys, monkeypatch, fresh_pattern_tables, suite, max_n, target, planted, code, summary
+):
+    monkeypatch.setattr(target, *planted)
+    assert main(["verify", suite, "--max-n", str(max_n)]) == code
+    assert summary in capsys.readouterr().out
 
 
 def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):

@@ -1,4 +1,6 @@
-from permact.mahonian import ev_set, increasing_tree, siveh, theta, veh_prime
+import pytest
+
+from permact.mahonian import ev_set, increasing_tree, siveh, theta, theta_recursive, veh_prime
 from permact.trees import label_heights
 from permact.words import all_permutations, des, descent_set, maj
 
@@ -44,3 +46,23 @@ def test_joint_distribution_matches_descent_major():
         for w in all_permutations(n):
             assert veh_prime(theta(w)) == des(w)
             assert siveh(theta(w)) == maj(w)
+
+
+def test_iterative_theta_matches_the_recursion():
+    for n in range(8):
+        for w in all_permutations(n):
+            assert theta(w) == theta_recursive(w)
+
+
+def test_iterative_theta_matches_the_recursion_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # negative and gapped letters: theta only compares them
+    letters = st.integers(-10**6, 10**6).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(letters, unique=True, max_size=12).map(tuple))
+    def check(w):
+        assert theta(w) == theta_recursive(w)
+
+    check()

@@ -8,7 +8,9 @@ from permact.polynomials import (
     NoExpansionError,
     NotSymmetricError,
     gamma_expand,
+    GesselExpansion,
     gessel_expand,
+    gessel_expand_via_solve,
     latex_gamma_form,
     latex_poly,
     q_factorial,
@@ -148,6 +150,37 @@ def test_gessel_expand_no_expansion():
         gessel_expand(s, 2)
     with pytest.raises(ValueError):
         gessel_expand(T, 2)
+
+
+def test_gessel_peel_matches_the_solve_on_random_combinations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def combinations(draw):
+        n = draw(st.integers(1, 7))
+        pairs = [(k, j) for j in range((n - 1) // 2 + 1) for k in range(n - 2 * j)]
+        coeffs = {kj: draw(st.integers(-50, 50)) for kj in pairs}
+        return n, {kj: c for kj, c in coeffs.items() if c}
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(combinations(), st.data())
+    def check(combination, data):
+        n, coeffs = combination
+        F = GesselExpansion(n, coeffs).reconstruct()
+        peeled = gessel_expand(F, n)
+        assert peeled.coeffs == coeffs
+        assert peeled == gessel_expand_via_solve(F, n)
+        # every basis element is symmetric in s and t, so a lone term off
+        # the diagonal leaves a residual
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(0, n).filter(lambda b: b != a))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        perturbed = F + IntPolynomial(("s", "t"), {(a, b): c})
+        with pytest.raises(NoExpansionError):
+            gessel_expand(perturbed, n)
+
+    check()
 
 
 def test_q_factorial():

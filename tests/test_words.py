@@ -72,12 +72,19 @@ def test_inverse_and_compose():
 
 
 def test_involutions_counts_and_property():
-    counts = [len(list(involutions(n))) for n in range(1, 8)]
-    assert counts == [1, 2, 4, 10, 26, 76, 232]
-    for w in involutions(5):
-        assert perm_compose(w, w) == identity(5)
-    brute = {w for w in all_permutations(5) if perm_compose(w, w) == identity(5)}
-    assert set(involutions(5)) == brute
+    # the telephone numbers: T(m) = T(m-1) + (m-1) T(m-2)
+    telephone = [1, 1]
+    for m in range(2, 13):
+        telephone.append(telephone[-1] + (m - 1) * telephone[-2])
+    assert telephone[1:8] == [1, 2, 4, 10, 26, 76, 232]
+    for n in range(13):
+        invs = list(involutions(n))
+        assert len(invs) == len(set(invs)) == telephone[n]
+    for n in (0, -1, -5):
+        assert list(involutions(n)) == [()]
+    for n in range(7):
+        brute = [w for w in all_permutations(n) if perm_compose(w, w) == identity(n)]
+        assert sorted(involutions(n)) == brute
 
 
 def test_descent_statistics_fixture():
