@@ -13,12 +13,17 @@ double ascent or double descent, so peaks and valleys both stay put.  These
 involutions commute, and the group they generate cuts each symmetric group
 into orbits whose descent generating function is t^k (1+t)^(n-1-2k).
 
-``orbits`` is the one orbit enumerator: whatever walks a set of words orbit
-by orbit iterates it, and it holds the only set of words already seen.
+Under the TOP boundary each orbit of S_n holds exactly one word with no
+double descent, and only that word's double ascents move it; ``orbit_reps``
+yields those words, so the orbits of S_n are built one per representative
+with no set of words already seen.  ``orbits`` is the enumerator for any
+other set of seeds (linear extensions, and the small-n oracle walk of S_n):
+it holds the only such set.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -46,7 +51,7 @@ class LetterNotPresentError(ValueError):
     pass
 
 
-class NonIntegralBError(ValueError):
+class NonIntegralBError(ArithmeticError):
     """The 2-adic peak-count formula fails; the class is not action-invariant."""
 
 
@@ -144,6 +149,40 @@ def phi_prime_x_via_factorization(
     return w
 
 
+def hop_row(w: Word) -> list[Word]:
+    """[phi_prime_x(w, x) for x = 1..n] under TOP, for w on 1..n.
+
+    One decreasing-stack pass gives each position's previous-greater and
+    next-greater index, which bound the all-smaller blocks around it; a
+    double ascent moves left past its block, a double descent right past
+    its block, and every other letter leaves w as it is.
+
+    >>> hop_row((2, 3, 1))
+    [(2, 3, 1), (2, 3, 1), (2, 3, 1)]
+    >>> hop_row((1, 2, 3))[1:]
+    [(2, 1, 3), (3, 1, 2)]
+    """
+    n = len(w)
+    start = [0] * n  # one past the previous-greater index
+    stop = [n] * n  # the next-greater index
+    stack: list[int] = []
+    for k, x in enumerate(w):
+        while stack and w[stack[-1]] < x:
+            stop[stack.pop()] = k
+        if stack:
+            start[k] = stack[-1] + 1
+        stack.append(k)
+    row = [w] * n
+    for k, x in enumerate(w):
+        i, j = start[k], stop[k]
+        if i < k:
+            if j == k + 1:
+                row[x - 1] = w[:i] + (x,) + w[i:k] + w[j:]
+        elif j > k + 1:
+            row[x - 1] = w[:k] + w[k + 1 : j] + (x,) + w[j:]
+    return row
+
+
 def phi_prime_S(
     w: Word, letters: Iterable[int], boundary: Boundary = Boundary.TOP
 ) -> Word:
@@ -190,17 +229,21 @@ class OrbitReport:
         }
 
 
-def orbit_members(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
+def orbit_members(
+    seed: Word, hop: Callable[[Word, int], Word], letters: Iterable[int] | None = None
+) -> frozenset[Word]:
     """Orbit of seed under commuting involutions hop(., x), one per letter x.
 
     The orbit is {hop_S(seed) : S a set of letters that move seed}: a letter
     that fixes seed fixes every member, by commutation.  So each moving
     letter doubles the members found so far, which costs 2^k - 1 hops plus
     one probe per letter; the probe's image is the seed's new member.
+    ``letters`` (every letter of seed by default) are the letters probed; a
+    caller that knows which letters move seed passes just those.
     ``orbit_closure`` is the general route.
     """
     members = [seed]
-    for x in seed:
+    for x in seed if letters is None else letters:
         image = hop(seed, x)
         if image != seed:
             members += [image] + [hop(m, x) for m in members[1:]]
@@ -219,6 +262,39 @@ def orbits(seeds: Iterable[Word], hop: Callable[[Word, int], Word]) -> Iterator[
                 raise RuntimeError(f"orbits are not disjoint: the orbit of {w} meets an earlier one")
             seen |= members
             yield members
+
+
+def orbit_reps(n: int) -> Iterator[Word]:
+    """The words on 1..n with no double descent under TOP, in lex order: one
+    per orbit of S_n.  A prefix search: the first step must rise (the TOP
+    sentinel before w_1 is larger), and no two descents may follow each
+    other.  The last letter of each prefix of length n - 1 is forced, so
+    that level is the last one held.  For n < 1 the empty word is the one
+    representative.
+
+    >>> list(orbit_reps(3))
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    """
+    if n < 2:
+        return iter([tuple(range(1, n + 1))])
+    # (prefix, whether its last step fell, the letters left); the sentinel
+    # step into w_1 counts as a fall, and the last letter is the one left
+    level = [((a,), True, (*range(1, a), *range(a + 1, n + 1))) for a in range(1, n + 1)]
+    for _ in range(n - 2):
+        level = [(p + (b,), b < p[-1], rest[:i] + rest[i + 1 :])
+                 for p, fell, rest in level for i, b in enumerate(rest) if b > p[-1] or not fell]
+    return (p + rest for p, fell, rest in level if rest[0] > p[-1] or not fell)
+
+
+def double_ascent_letters(w: Word) -> list[int]:
+    """The letters of w between a smaller left and a larger right neighbor
+    under TOP (the last letter has the larger sentinel on its right).  For
+    a word with no double descent these are the letters whose hop moves it.
+
+    >>> double_ascent_letters((1, 3, 4, 2, 5))
+    [3, 5]
+    """
+    return [b for a, b, c in zip(w, w[1:], (*w[2:], math.inf)) if a < b < c]
 
 
 def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
@@ -245,12 +321,14 @@ def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial, tuple[i
     return claim, poly, tuple(poly.coeffs_list())
 
 
-def verified_orbit(members: frozenset[Word], d: int, boundary: Boundary) -> OrbitReport:
+def verified_orbit(
+    members: frozenset[Word], d: int, boundary: Boundary, seed: Word | None = None
+) -> OrbitReport:
     """The orbit report of members, checked to have exactly one member
-    without double descents (under boundary) and descent polynomial
-    t^k (1+t)^(d-2k), k the descent count of that member.  One ``shape``
-    pass per member gives its descent, peak and double-descent counts.
-    Raises RuntimeError otherwise."""
+    without double descents (under boundary), equal to seed when one is
+    given, and descent polynomial t^k (1+t)^(d-2k), k the descent count of
+    that member.  One ``shape`` pass per member gives its descent, peak and
+    double-descent counts.  Raises RuntimeError otherwise."""
     ordered = sorted(members)
     tally = [0] * max(len(ordered[0]), 1)
     peaks = []
@@ -268,6 +346,10 @@ def verified_orbit(members: frozenset[Word], d: int, boundary: Boundary) -> Orbi
     # k read by des, not by shape: a shape that miscounts descents then
     # fails the closed-form comparison
     rep = reps[0]
+    if seed is not None and rep != seed:
+        raise RuntimeError(
+            f"orbit of {ordered[0]}: its double-descent-free member {rep} is not the seed {seed}"
+        )
     k = des(rep)
     claim, poly, dense = _closed_form(d, k)
     counts = strip_zeros(tally)

@@ -177,26 +177,46 @@ def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], det
     failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
     value(u) != value(w).  The orbits are the classes of the group the hops
     generate, so this is the claim "no hop changes value" at one value per
-    word.  For n <= 6 the hop-by-hop sweep of every orbit is the oracle: no
-    hop leaves its orbit, and the two verdicts agree."""
+    word.  Each orbit is built from its representative, doubling over the
+    representative's double ascents; distinct representatives whose orbit
+    sizes sum to n! partition S_n.  For n <= 6 the walk of S_n with the
+    hop-by-hop sweep of every orbit is the oracle: no hop leaves its orbit,
+    the two verdicts agree, and the walk finds the same orbits."""
     hop = action.phi_prime_x
-    covered = 0
-    for members in action.orbits(words.all_permutations(n), hop):
-        covered += len(members)
+    walked = set()
+    for members in action.orbits(words.all_permutations(n), hop) if n <= 6 else ():
         changed = len({value(w) for w in members}) > 1
-        if not (changed or n <= 6):
-            continue
         # members are reached from the seed by hops, so a bad orbit has a move
         hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
         moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
-        if n <= 6 and (changed != bool(moves) or any(u not in members for _, _, u in hops)):
+        if changed != bool(moves) or any(u not in members for _, _, u in hops):
             return _fail(suite, n, "the hop-by-hop sweep disagrees with the orbit check",
                          {"orbit": members})
         if changed:
             w, x, u = moves[0]
             return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+        walked.add(members)
+    covered = 0
+    built = set()
+    previous: Word = ()
+    repeated = False
+    for rep in action.orbit_reps(n):
+        members = action.orbit_members(rep, hop, action.double_ascent_letters(rep))
+        covered += len(members)
+        repeated |= rep <= previous
+        previous = rep
+        if len({value(w) for w in members}) > 1:
+            w, x, u = next((w, x, u) for w in sorted(members) for x in range(1, n + 1)
+                           for u in [hop(w, x)] if value(u) != value(w))
+            return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+        if n <= 6:
+            built.add(members)
     if covered != factorial(n):
         return _fail(suite, n, f"orbit sizes sum to {covered}, not {factorial(n)}")
+    if repeated:
+        return _fail(suite, n, "orbit representatives repeat or leave lex order")
+    if built != walked:
+        return _fail(suite, n, "the orbits of the representatives differ from the walk of S_n")
     return None
 
 
@@ -204,25 +224,38 @@ def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], det
 
 
 def _run_orb(n: int) -> Instance:
-    norbits = covered = 0
-    for members in action.orbits(words.all_permutations(n), action.phi_prime_x):
-        if n <= 6 and members != action.orbit_closure(min(members), action.phi_prime_x):
+    hop = action.phi_prime_x
+    walked = set()
+    for members in action.orbits(words.all_permutations(n), hop) if n <= 6 else ():
+        if members != action.orbit_closure(min(members), hop):
             return _fail("orb", n, "orbit doubling differs from the search closure",
                          {"word": min(members)})
+        walked.add(members)
+    norbits = covered = 0
+    built = set()
+    previous: Word = ()
+    repeated = False
+    for seed in action.orbit_reps(n):
+        members = action.orbit_members(seed, hop, action.double_ascent_letters(seed))
         try:
-            rep = action.verified_orbit(members, n - 1, Boundary.TOP)
+            rep = action.verified_orbit(members, n - 1, Boundary.TOP, seed)
         except RuntimeError as exc:
             return _fail("orb", n, str(exc), {"word": min(members)})
-        for m, p in zip(rep.members, rep.peaks):
-            if p != rep.peak:
-                return _fail(
-                    "orb", n, "peak is not constant on an orbit",
-                    {"word": m, "expected_peak": rep.peak},
-                )
+        if rep.peaks.count(rep.peak) != len(members):
+            m = next(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
+            return _fail("orb", n, "peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
         covered += len(members)
         norbits += 1
+        repeated |= seed <= previous
+        previous = seed
+        if n <= 6:
+            built.add(members)
     if covered != factorial(n):
         return _fail("orb", n, f"orbits cover {covered} of {factorial(n)} words")
+    if repeated:
+        return _fail("orb", n, "orbit representatives repeat or leave lex order")
+    if built != walked:
+        return _fail("orb", n, "the orbits of the representatives differ from the walk of S_n")
     return _pass(
         "orb", n,
         f"{norbits} orbits partition all {covered} permutations; "
@@ -239,7 +272,9 @@ def _run_corre(n: int) -> Instance:
         regime = f"{len(ws)} sampled words"
     letters = range(1, n + 1)
     # the hop table of this instance: word -> (phi'_1(w), ..., phi'_n(w)),
-    # filled on first use; each image is the one copy of its word held here
+    # filled on first use; each image is the one copy of its word held here.
+    # For n <= 6 the per-letter hop fills it and the one-pass row is checked
+    # against it below; above, the one-pass row fills it.
     hop = action.phi_prime_x
     held = {w: w for w in ws}
     table: dict[Word, tuple[Word, ...]] = {}
@@ -247,7 +282,8 @@ def _run_corre(n: int) -> Instance:
     def row(w: Word) -> tuple[Word, ...]:
         r = table.get(w)
         if r is None:
-            r = table[w] = tuple([held.setdefault(h, h) for h in [hop(w, x) for x in letters]])
+            hops = [hop(w, x) for x in letters] if n <= 6 else action.hop_row(w)
+            r = table[w] = tuple([held.setdefault(h, h) for h in hops])
         return r
 
     checks = 0
@@ -258,7 +294,12 @@ def _run_corre(n: int) -> Instance:
                 if h != action.phi_prime_x_via_factorization(w, x):
                     return _fail("corre", n, "hop kernel differs from the factorization route",
                                  {"word": w, "x": x})
-        full = action.phi_prime_full(w)
+        if n <= _EXHAUSTIVE_LIMIT:  # every word of S_n is in the table
+            full = w
+            for x in letters:
+                full = row(full)[x - 1]
+        else:
+            full = action.phi_prime_full(w)
         if des(full) + des(w) != n - 1:
             return _fail("corre", n, "product of all hops does not complement des", {"word": w})
         checks += 1
@@ -272,6 +313,10 @@ def _run_corre(n: int) -> Instance:
                 if rows[y - 1][x - 1] != rows[x - 1][y - 1]:
                     return _fail("corre", n, "hop operators do not commute", {"word": w, "x": x, "y": y})
                 checks += 1
+    if n <= 6:
+        for w, r in table.items():
+            if tuple(action.hop_row(w)) != r:
+                return _fail("corre", n, "one-pass hop row differs from the per-letter hops", {"word": w})
     cp = action.class_polys(words.all_permutations(n))
     if cp.W != eulerian_poly(n):
         return _fail("corre", n, "Eulerian recurrence differs from the brute-force descent tally")
@@ -380,12 +425,13 @@ def _run_narayana(n: int) -> Instance:
 
 
 def _run_constant_patterns(n: int) -> Instance:
+    held: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each distinct pair
     stats: dict[Word, tuple[int, int]] = {}
     for w in words.all_permutations(n):
         pair = (patterns.count_13_2(w), patterns.count_2_31(w))
         if pair != (patterns.count_13_2_via_runs(w), patterns.count_2_31_via_runs(w)):
             return _fail("constant-patterns", n, "direct and run-based pattern counts disagree", {"word": w})
-        stats[w] = pair
+        stats[w] = held.setdefault(pair, pair)
     bad = _constant_on_orbits("constant-patterns", n, stats.__getitem__, "pattern counts changed under a hop")
     if bad is not None:
         return bad

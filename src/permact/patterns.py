@@ -29,15 +29,7 @@ from .polynomials import (
     try_divide,
     uni,
 )
-from .words import (
-    Boundary,
-    LetterClass,
-    Word,
-    all_permutations,
-    classify,
-    des,
-    peak,
-)
+from .words import Word, all_permutations, des, peak
 
 
 def count_2_31(w: Word) -> int:
@@ -74,27 +66,47 @@ def count_13_2(w: Word) -> int:
     return count_2_31(w[::-1])
 
 
-def _via_runs(w: Word, first: LetterClass, after: bool) -> int:
-    """Letters strictly between each `first` extremum and the next (opposite)
-    one, counted before the pair or after it; peaks and valleys alternate."""
-    cls = classify(w, Boundary.TOP)
-    ends = [k for k, x in enumerate(cls) if x in (LetterClass.PEAK, LetterClass.VALLEY)]
+def _via_runs(w: Word, after: bool) -> int:
+    """Letters strictly between the two ends of each pair of adjacent
+    extrema: every peak and the valley after it against the letters before
+    the peak (after=False), or every valley and the peak after it against
+    the letters after the peak (after=True).
+
+    One comparison pass finds the extrema under TOP: a letter is one where
+    the step into it and the step out of it differ in direction, the steps
+    from and to the sentinels counting as falling and rising.  So they
+    alternate, starting and ending with a valley.
+    """
+    if not w:
+        return 0
+    ends = []
+    rising = False
+    for k in range(len(w) - 1):
+        if rising is not (w[k] < w[k + 1]):
+            rising = not rising
+            ends.append(k)
+    if not rising:
+        ends.append(len(w) - 1)
     c = 0
-    for j, k in zip(ends, ends[1:]):
-        if cls[j] is first:
-            lo, hi = sorted((w[j], w[k]))
-            c += sum(1 for a in (w[k + 1 :] if after else w[:j]) if lo < a < hi)
+    if after:
+        for v, p in zip(ends[::2], ends[1::2]):
+            lo, hi = w[v], w[p]
+            c += len([a for a in w[p + 1 :] if lo < a < hi])
+    else:
+        for p, v in zip(ends[1::2], ends[2::2]):
+            lo, hi = w[v], w[p]
+            c += len([a for a in w[:p] if lo < a < hi])
     return c
 
 
 def count_2_31_via_runs(w: Word) -> int:
     """Independent route: peak-then-valley pairs against earlier letters."""
-    return _via_runs(w, LetterClass.PEAK, after=False)
+    return _via_runs(w, after=False)
 
 
 def count_13_2_via_runs(w: Word) -> int:
     """Independent route: valley-then-peak pairs against later letters."""
-    return _via_runs(w, LetterClass.VALLEY, after=True)
+    return _via_runs(w, after=True)
 
 
 def avoids_231(w: Word) -> bool:

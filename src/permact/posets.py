@@ -22,10 +22,8 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .action import OrbitReport, orbit_members, verified_orbit
 from .limits import check_enumeration_size
 from .polynomials import IntPolynomial, gamma_expand, peak_scale, strip_zeros
 from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
@@ -344,13 +342,6 @@ def orbit_degree(P: LabeledPoset) -> int:
     if not is_canonical(P):
         raise NotCanonicalError("poset orbits need a canonically labeled poset")
     return len(P) - sign_grading(P).r - 1
-
-
-def poset_orbit(P: LabeledPoset, pi: Word) -> OrbitReport:
-    """Orbit of a linear extension under all label hops, with the verified
-    descent polynomial t^k (1+t)^(p-r-1-2k)."""
-    d = orbit_degree(P)
-    return verified_orbit(orbit_members(pi, partial(psi_x_poset, P)), d, Boundary.ZERO)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,19 @@ def test_class_rsortable_gamma(capsys):
     assert code == 0
 
 
+def test_class_rsortable_gamma_on_a_broken_class_exits_1(capsys, monkeypatch):
+    # r-sortable classes are action-invariant by theorem, so a class missing
+    # one word is a broken identity, not bad input
+    from permact import stacksort
+
+    enumerate_r_sortable = stacksort.enumerate_r_sortable
+    monkeypatch.setattr(stacksort, "enumerate_r_sortable", lambda n, r: enumerate_r_sortable(n, r)[1:])
+    code, out, err = run_cli(capsys, "class", "rsortable", "--n", "4", "--r", "1", "--poly", "gamma")
+    assert code == 1
+    assert not out
+    assert "not action-invariant" in err
+
+
 def test_apq_latex(capsys):
     code, out, _ = run_cli(capsys, "apq", "--n", "3", "--out", "latex")
     assert code == 0

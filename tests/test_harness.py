@@ -9,7 +9,16 @@ from types import SimpleNamespace
 import pytest
 
 from permact import harness, patterns
-from permact.action import _closed_form, orbits, phi_prime_x, phi_x
+from permact.action import (
+    _closed_form,
+    double_ascent_letters,
+    hop_row,
+    orbit_members,
+    orbit_reps,
+    orbits,
+    phi_prime_x,
+    phi_x,
+)
 from permact.cli import main
 from permact.harness import (
     SUITES,
@@ -374,6 +383,42 @@ def involutions_repeating_one_word(n):
     return invs[:-1] + invs[:1]
 
 
+def orbit_reps_dropping_the_last(n):
+    """A planted defect: the last representative, and so its orbit, is lost."""
+    return list(orbit_reps(n))[:-1]
+
+
+def orbit_reps_repeating_the_first(n):
+    """A planted defect: the first representative comes out twice."""
+    reps = list(orbit_reps(n))
+    return reps[:1] + reps
+
+
+def orbit_reps_trading_the_last_for_a_twin(n):
+    """A planted defect: the last representative gives way to the first one
+    whose orbit has the same size, so the orbit sizes still sum to n!."""
+    reps = list(orbit_reps(n))
+    size = len(double_ascent_letters(reps[-1]))
+    return reps[:-1] + [next(w for w in reps if len(double_ascent_letters(w)) == size)]
+
+
+def orbit_members_building_a_twin_orbit(seed, hop, letters=None):
+    """A planted defect: given its moving letters, the last representative
+    gets the orbit of the first representative whose orbit has the same
+    size, so one orbit comes out twice and the sizes still sum to n!."""
+    if letters is not None:
+        reps = list(orbit_reps(len(seed)))
+        if seed == reps[-1]:
+            seed = next(w for w in reps if len(double_ascent_letters(w)) == len(letters))
+            letters = double_ascent_letters(seed)
+    return orbit_members(seed, hop, letters)
+
+
+def hop_row_skipping_the_last_letter(w):
+    """A planted defect: the hop at the largest letter is left out."""
+    return hop_row(w)[:-1] + [w]
+
+
 # the real kernels, for planted defects that wrap them while they are patched
 PATTERN_TABLES = patterns._pattern_tables
 BNI_POLYNOMIAL = patterns.bni_polynomial
@@ -445,6 +490,16 @@ def fresh_pattern_tables():
     ("brenti-logconcave", 4, harness, ("involution_descent_poly", involution_poly_leaning_left),
      "not symmetric"),
     ("gessel", 3, harness, ("gessel_expand", gessel_expand_dropping_the_last_coefficient), "Fraction solve"),
+    ("orb", 7, harness.action, ("orbit_reps", orbit_reps_dropping_the_last), "orbits cover"),
+    ("genbona", 4, harness.action, ("orbit_reps", orbit_reps_dropping_the_last), "orbit sizes sum"),
+    ("orb", 4, harness.action, ("orbit_reps", orbit_reps_repeating_the_first), "orbits cover"),
+    ("constant-patterns", 7, harness.action, ("orbit_reps", orbit_reps_repeating_the_first), "orbit sizes sum"),
+    ("orb", 7, harness.action, ("orbit_reps", orbit_reps_trading_the_last_for_a_twin), "repeat"),
+    ("stack-invariance", 7, harness.action, ("orbit_reps", orbit_reps_trading_the_last_for_a_twin), "repeat"),
+    ("corre", 4, harness.action, ("hop_row", hop_row_skipping_the_last_letter), "one-pass hop row"),
+    ("constant-patterns", 5, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit),
+     "differ from the walk"),
+    ("orb", 7, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit), "not the seed"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

@@ -10,9 +10,13 @@ from math import comb, inf
 import pytest
 
 from permact.action import (
+    double_ascent_letters,
+    hop_row,
     orbit,
     orbit_closure,
     orbit_members,
+    orbit_reps,
+    orbits,
     phi_prime_x,
     phi_prime_x_via_factorization,
     phi_x,
@@ -199,6 +203,54 @@ def test_hops_and_orbits_on_random_words():
         assert descent_poly(members).coeffs_list() == [0] * k + [comb(m, i) for i in range(m + 1)]
 
     check()
+
+
+ORBIT_COUNTS = [1, 1, 3, 9, 39, 189, 1107, 7281]  # n = 1..8
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_reps_are_the_double_descent_free_words(n):
+    reps = list(orbit_reps(n))
+    assert len(reps) == ORBIT_COUNTS[n - 1]
+    assert reps == sorted(set(reps))
+    for w in reps:
+        assert sorted(w) == list(range(1, n + 1))
+        assert double_descent(w) == 0
+    if n <= 7:
+        walked = list(orbits(all_permutations(n), phi_prime_x))
+        assert len(walked) == len(reps)
+        built = {orbit_members(w, phi_prime_x, double_ascent_letters(w)) for w in reps}
+        assert built == set(walked)
+
+
+def test_orbit_reps_below_two_letters():
+    assert list(orbit_reps(0)) == [()]
+    assert list(orbit_reps(1)) == [(1,)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_hop_row_matches_per_letter_hops(n):
+    for w in all_permutations(n):
+        assert hop_row(w) == [phi_prime_x(w, x) for x in range(1, n + 1)]
+
+
+def test_hop_row_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+    def check(w):
+        assert hop_row(w) == [phi_prime_x(w, x) for x in range(1, len(w) + 1)]
+
+    check()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_run_based_counts_match_the_scans(n):
+    for w in all_permutations(n):
+        assert count_13_2_via_runs(w) == count_13_2(w)
+        assert count_2_31_via_runs(w) == count_2_31(w)
 
 
 def brute_2_31(w):

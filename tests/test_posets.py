@@ -1,8 +1,10 @@
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
+from permact.action import orbit_members, verified_orbit
 from permact.polynomials import uni
 from permact.posets import (
     BrokenInvariantError,
@@ -17,12 +19,13 @@ from permact.posets import (
     is_canonical,
     is_linear_extension,
     linear_extensions,
-    poset_orbit,
+    orbit_degree,
     psi_x_poset,
     sampled_canonical_posets,
     sign_grading,
     wp_polynomial,
 )
+from permact.words import Boundary
 
 
 def v_poset():
@@ -129,6 +132,13 @@ def test_psi_x_poset_involution_and_commutation():
                     assert psi_x_poset(P, psi_x_poset(P, ext, x), y) == psi_x_poset(
                         P, psi_x_poset(P, ext, y), x
                     )
+
+
+def poset_orbit(P, pi):
+    """The orbit report of a linear extension, built as the wp suite and
+    `permact poset --orbits` build it."""
+    d = orbit_degree(P)
+    return verified_orbit(orbit_members(pi, partial(psi_x_poset, P)), d, Boundary.ZERO)
 
 
 def test_poset_orbit():
