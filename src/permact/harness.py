@@ -172,66 +172,32 @@ def involution_descent_poly(n: int) -> IntPolynomial:
     return descent_poly(words.involutions(n))
 
 
-def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str) -> Instance | None:
-    """None when value is constant on every orbit of S_n, else the suite's
-    failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
-    value(u) != value(w).  The orbits are the classes of the group the hops
-    generate, so this is the claim "no hop changes value" at one value per
-    word.  Each orbit is built from its representative, doubling over the
-    representative's double ascents; distinct representatives whose orbit
-    sizes sum to n! partition S_n.  For n <= 6 the walk of S_n with the
-    hop-by-hop sweep of every orbit is the oracle: no hop leaves its orbit,
-    the two verdicts agree, and the walk finds the same orbits."""
+def _check_orbits(
+    suite: str,
+    n: int,
+    walk_check: Callable[[frozenset[Word]], Instance | None],
+    orbit_check: Callable[[action.OrbitReport], Instance | None],
+    cover_detail: str,
+) -> Instance | None:
+    """None when the orbits of S_n under the hops pass every check, else the
+    suite's first failure.  Each orbit is built from its representative,
+    doubling over the representative's double ascents, and verified_orbit
+    requires its one double-descent-free member to be that representative.
+    Orbits are the classes of the group the hops generate, so two orbits
+    that meet are equal and share that member: distinct representatives
+    give disjoint orbits, and sizes that sum to n! partition S_n.
+    orbit_check runs on each verified orbit.  For n <= 6 the walk of S_n is
+    the oracle and runs first: walk_check runs on each walked orbit, and
+    the walk must find the same orbits.  cover_detail is formatted with
+    covered and total when the sizes do not sum to n!."""
     hop = action.phi_prime_x
     walked = set()
     for members in action.orbits(words.all_permutations(n), hop) if n <= 6 else ():
-        changed = len({value(w) for w in members}) > 1
-        # members are reached from the seed by hops, so a bad orbit has a move
-        hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
-        moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
-        if changed != bool(moves) or any(u not in members for _, _, u in hops):
-            return _fail(suite, n, "the hop-by-hop sweep disagrees with the orbit check",
-                         {"orbit": members})
-        if changed:
-            w, x, u = moves[0]
-            return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+        bad = walk_check(members)
+        if bad is not None:
+            return bad
         walked.add(members)
     covered = 0
-    built = set()
-    previous: Word = ()
-    repeated = False
-    for rep in action.orbit_reps(n):
-        members = action.orbit_members(rep, hop, action.double_ascent_letters(rep))
-        covered += len(members)
-        repeated |= rep <= previous
-        previous = rep
-        if len({value(w) for w in members}) > 1:
-            w, x, u = next((w, x, u) for w in sorted(members) for x in range(1, n + 1)
-                           for u in [hop(w, x)] if value(u) != value(w))
-            return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
-        if n <= 6:
-            built.add(members)
-    if covered != factorial(n):
-        return _fail(suite, n, f"orbit sizes sum to {covered}, not {factorial(n)}")
-    if repeated:
-        return _fail(suite, n, "orbit representatives repeat or leave lex order")
-    if built != walked:
-        return _fail(suite, n, "the orbits of the representatives differ from the walk of S_n")
-    return None
-
-
-# -- suite runners (module level so worker processes can pickle them) ---------
-
-
-def _run_orb(n: int) -> Instance:
-    hop = action.phi_prime_x
-    walked = set()
-    for members in action.orbits(words.all_permutations(n), hop) if n <= 6 else ():
-        if members != action.orbit_closure(min(members), hop):
-            return _fail("orb", n, "orbit doubling differs from the search closure",
-                         {"word": min(members)})
-        walked.add(members)
-    norbits = covered = 0
     built = set()
     previous: Word = ()
     repeated = False
@@ -240,25 +206,80 @@ def _run_orb(n: int) -> Instance:
         try:
             rep = action.verified_orbit(members, n - 1, Boundary.TOP, seed)
         except RuntimeError as exc:
-            return _fail("orb", n, str(exc), {"word": min(members)})
-        if rep.peaks.count(rep.peak) != len(members):
-            m = next(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
-            return _fail("orb", n, "peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
+            return _fail(suite, n, str(exc), {"word": min(members)})
+        bad = orbit_check(rep)
+        if bad is not None:
+            return bad
         covered += len(members)
-        norbits += 1
         repeated |= seed <= previous
         previous = seed
         if n <= 6:
             built.add(members)
     if covered != factorial(n):
-        return _fail("orb", n, f"orbits cover {covered} of {factorial(n)} words")
+        return _fail(suite, n, cover_detail.format(covered=covered, total=factorial(n)))
     if repeated:
-        return _fail("orb", n, "orbit representatives repeat or leave lex order")
+        return _fail(suite, n, "orbit representatives repeat or leave lex order")
     if built != walked:
-        return _fail("orb", n, "the orbits of the representatives differ from the walk of S_n")
+        return _fail(suite, n, "the orbits of the representatives differ from the walk of S_n")
+    return None
+
+
+def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str) -> Instance | None:
+    """None when value is constant on every orbit of S_n, else the suite's
+    failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
+    value(u) != value(w).  The orbits are the classes of the group the hops
+    generate, so this is the claim "no hop changes value" at one value per
+    word.  For n <= 6 the hop-by-hop sweep of every walked orbit is the
+    oracle: no hop leaves its orbit, and the two verdicts agree."""
+    hop = action.phi_prime_x
+
+    def first_move(ordered) -> Instance:
+        w, x, u = next((w, x, u) for w in ordered for x in range(1, n + 1)
+                       for u in [hop(w, x)] if value(u) != value(w))
+        return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+
+    def sweep(members: frozenset[Word]) -> Instance | None:
+        changed = len({value(w) for w in members}) > 1
+        # members are reached from the seed by hops, so a bad orbit has a move
+        hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
+        moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
+        if changed != bool(moves) or any(u not in members for _, _, u in hops):
+            return _fail(suite, n, "the hop-by-hop sweep disagrees with the orbit check",
+                         {"orbit": members})
+        return first_move(sorted(members)) if changed else None
+
+    def constant(rep: action.OrbitReport) -> Instance | None:
+        return first_move(rep.members) if len({value(w) for w in rep.members}) > 1 else None
+
+    return _check_orbits(suite, n, sweep, constant, "orbit sizes sum to {covered}, not {total}")
+
+
+# -- suite runners (module level so worker processes can pickle them) ---------
+
+
+def _run_orb(n: int) -> Instance:
+    hop = action.phi_prime_x
+    norbits = 0
+
+    def closure(members: frozenset[Word]) -> Instance | None:
+        if members != action.orbit_closure(min(members), hop):
+            return _fail("orb", n, "orbit doubling differs from the search closure", {"word": min(members)})
+        return None
+
+    def constant_peak(rep: action.OrbitReport) -> Instance | None:
+        nonlocal norbits
+        if rep.peaks.count(rep.peak) != len(rep.members):
+            m = next(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
+            return _fail("orb", n, "peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
+        norbits += 1
+        return None
+
+    bad = _check_orbits("orb", n, closure, constant_peak, "orbits cover {covered} of {total} words")
+    if bad is not None:
+        return bad
     return _pass(
         "orb", n,
-        f"{norbits} orbits partition all {covered} permutations; "
+        f"{norbits} orbits partition all {factorial(n)} permutations; "
         "each descent polynomial equals t^k (1+t)^(n-1-2k)",
     )
 

@@ -253,7 +253,7 @@ def shape(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[int, int, int]:
     """
     if not w:
         return 0, 0, 0
-    s = math.inf if boundary is Boundary.TOP else 0  # _SENTINEL without hashing the enum
+    s = _SENTINEL[boundary]
     descents = peaks = double_descents = 0
     b = w[0]
     rising = s < b

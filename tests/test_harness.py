@@ -414,6 +414,22 @@ def orbit_members_building_a_twin_orbit(seed, hop, letters=None):
     return orbit_members(seed, hop, letters)
 
 
+def orbit_members_trading_a_member(seed, hop, letters=None):
+    """A planted defect: given its moving letters, the last representative's
+    orbit trades its member of most descents for that of the first other
+    orbit of the same size.  The two have the same descent and peak counts
+    and both have a double descent, so each built orbit still has its seed
+    as its one double-descent-free member, and the sizes still sum to n!."""
+    members = orbit_members(seed, hop, letters)
+    if letters:
+        reps = list(orbit_reps(len(seed)))
+        if seed == reps[-1]:
+            twin = next(w for w in reps if w != seed and len(double_ascent_letters(w)) == len(letters))
+            other = orbit_members(twin, hop, double_ascent_letters(twin))
+            members = members - {max(members, key=des)} | {max(other, key=des)}
+    return members
+
+
 def hop_row_skipping_the_last_letter(w):
     """A planted defect: the hop at the largest letter is left out."""
     return hop_row(w)[:-1] + [w]
@@ -498,8 +514,11 @@ def fresh_pattern_tables():
     ("stack-invariance", 7, harness.action, ("orbit_reps", orbit_reps_trading_the_last_for_a_twin), "repeat"),
     ("corre", 4, harness.action, ("hop_row", hop_row_skipping_the_last_letter), "one-pass hop row"),
     ("constant-patterns", 5, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit),
-     "differ from the walk"),
+     "not the seed"),
     ("orb", 7, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit), "not the seed"),
+    ("constant-patterns", 7, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit),
+     "not the seed"),
+    ("orb", 6, harness.action, ("orbit_members", orbit_members_trading_a_member), "differ from the walk"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
