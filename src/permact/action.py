@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .polynomials import (
@@ -46,12 +47,18 @@ from .words import (
     shape,
 )
 
+_TOP = Boundary.TOP  # read once: each enum attribute read is a Python-level call
+
 
 class LetterNotPresentError(ValueError):
     pass
 
 
-class NonIntegralBError(ArithmeticError):
+class NotInvariantError(ArithmeticError):
+    """The b_i fail to expand the class; the class is not action-invariant."""
+
+
+class NonIntegralBError(NotInvariantError):
     """The 2-adic peak-count formula fails; the class is not action-invariant."""
 
 
@@ -116,8 +123,8 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
     Classification uses the given boundary sentinels; with TOP this moves
     double descents right and double ascents left while fixing peaks and
     valleys.  Only x's two neighbors are compared (an end compares as the
-    sentinel would: larger under TOP, 0 under ZERO); then the smaller
-    blocks on either side of x, one of them empty, trade places.
+    sentinel would: larger under TOP, 0 under ZERO); then x moves past the
+    all-smaller block on its smaller side, empty at the ZERO end.
 
     >>> phi_prime_x((5, 7, 3, 1, 4, 8, 9, 2, 6), 4)
     (5, 7, 4, 3, 1, 8, 9, 2, 6)
@@ -126,12 +133,25 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
         k = w.index(x)
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
-    end_smaller = boundary is Boundary.ZERO and x > 0
+    n = len(w)
+    end_smaller = boundary is not _TOP and x > 0  # the ZERO end is 0
     left_smaller = w[k - 1] < x if k else end_smaller
-    right_smaller = w[k + 1] < x if k + 1 < len(w) else end_smaller
-    if left_smaller == right_smaller:
+    right_smaller = w[k + 1] < x if k + 1 < n else end_smaller
+    if left_smaller == right_smaller or (not k if left_smaller else k + 1 == n):
         return w
-    return _swap_blocks(w, k)
+    v = list(w)
+    del v[k]
+    if left_smaller:
+        i = k - 1
+        while i and w[i - 1] < x:
+            i -= 1
+        v.insert(i, x)
+    else:
+        j = k + 2
+        while j < n and w[j] < x:
+            j += 1
+        v.insert(j - 1, x)
+    return tuple(v)
 
 
 def phi_prime_x_via_factorization(
@@ -175,11 +195,11 @@ def hop_row(w: Word) -> list[Word]:
     row = [w] * n
     for k, x in enumerate(w):
         i, j = start[k], stop[k]
-        if i < k:
-            if j == k + 1:
-                row[x - 1] = w[:i] + (x,) + w[i:k] + w[j:]
-        elif j > k + 1:
-            row[x - 1] = w[:k] + w[k + 1 : j] + (x,) + w[j:]
+        if (i < k) is not (j > k + 1):  # exactly one block is not empty
+            v = list(w)
+            del v[k]
+            v.insert(i if i < k else j - 1, x)
+            row[x - 1] = tuple(v)
     return row
 
 
@@ -403,25 +423,22 @@ class ClassPolys:
 def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPolys:
     """Compute W(T;t), the peak polynomial, and b_i = 2^(2i+1-n) #{peak = i}.
 
-    Raises NonIntegralBError when a b_i is not an integer and ValueError when
-    the b_i fail to reconstruct W; either one means T is not closed under the
-    involutions.
+    Raises NonIntegralBError when a b_i is not an integer and
+    NotInvariantError when the b_i fail to reconstruct W: T is not closed
+    under the involutions.  T is read once; ValueError means it is empty or
+    its words differ in length.
 
     >>> from .words import all_permutations
     >>> class_polys(all_permutations(3)).b
     (1, 2)
     """
-    shapes: Counter = Counter()
-    n = None
-    for v in T:
-        v = tuple(v)
-        if n is None:
-            n = len(v)
-        elif len(v) != n:
-            raise ValueError("class members must share one length")
-        shapes[shape(v, boundary)] += 1
-    if n is None:
+    lengths: set[int] = set()  # set.add returns None: the filter passes every word
+    shapes = Counter(map(shape, (v for v in T if not lengths.add(len(v))), repeat(boundary)))
+    if not lengths:
         raise ValueError("empty class")
+    if len(lengths) > 1:
+        raise ValueError("class members must share one length")
+    (n,) = lengths
     descent_counts: Counter = Counter()
     peak_counts: Counter = Counter()
     for (descents, peak_count, _), c in shapes.items():
@@ -434,7 +451,7 @@ def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPo
     except NonIntegralError as exc:
         raise NonIntegralBError(f"{exc}; class is not action-invariant") from None
     if GammaExpansion(n - 1, b).reconstruct() != W:
-        raise ValueError(
+        raise NotInvariantError(
             "descent polynomial does not match the scaled peak counts; "
             "class is not action-invariant"
         )

@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb, factorial
+from operator import getitem
 from typing import Callable, Mapping
 
 from . import action, mahonian, patterns, posets, stacksort, trees, words
@@ -285,17 +286,18 @@ def _run_orb(n: int) -> Instance:
 
 
 def _run_corre(n: int) -> Instance:
-    if n <= _EXHAUSTIVE_LIMIT:
+    exhaustive = n <= _EXHAUSTIVE_LIMIT
+    if exhaustive:
         ws: list[Word] = list(words.all_permutations(n))
         regime = "exhaustive"
     else:
         ws = _sample_words(n, _SAMPLE_WORDS, "corre")
         regime = f"{len(ws)} sampled words"
     letters = range(1, n + 1)
-    # the hop table of this instance: word -> (phi'_1(w), ..., phi'_n(w)),
-    # filled on first use; each image is the one copy of its word held here.
-    # For n <= 6 the per-letter hop fills it and the one-pass row is checked
-    # against it below; above, the one-pass row fills it.
+    # the hop table of this instance: word -> (phi'_1(w), ..., phi'_n(w));
+    # each image is the one copy of its word held here.  For n <= 6 the
+    # per-letter hop fills it and the one-pass row is checked against it
+    # below; above, the one-pass row fills it.
     hop = action.phi_prime_x
     held = {w: w for w in ws}
     table: dict[Word, tuple[Word, ...]] = {}
@@ -307,33 +309,43 @@ def _run_corre(n: int) -> Instance:
             r = table[w] = tuple([held.setdefault(h, h) for h in hops])
         return r
 
-    checks = 0
+    # fill the table before any check: all of S_n, or each sampled word and
+    # its images.  Unless a hop leaves S_n, every row the checks read is then
+    # in the table, and they read it directly
     for w in ws:
         hops = row(w)
+        for h in () if exhaustive else hops:
+            row(h)
+    read = table.__getitem__ if not exhaustive or len(held) == len(ws) else row
+    positions = range(n)
+    for w in ws:
+        hops = read(w)
         if n <= 5:
             for x, h in zip(letters, hops):
                 if h != action.phi_prime_x_via_factorization(w, x):
                     return _fail("corre", n, "hop kernel differs from the factorization route",
                                  {"word": w, "x": x})
-        if n <= _EXHAUSTIVE_LIMIT:  # every word of S_n is in the table
+        if exhaustive:  # every word of S_n is in the table
             full = w
             for x in letters:
-                full = row(full)[x - 1]
+                full = read(full)[x - 1]
         else:
             full = action.phi_prime_full(w)
         if des(full) + des(w) != n - 1:
             return _fail("corre", n, "product of all hops does not complement des", {"word": w})
-        checks += 1
-        rows = [row(h) for h in hops]
+        # the rows of w's images against [w] * n on the diagonal and against
+        # their transpose; letter by letter only to name a failure
+        rows = list(map(read, hops))
+        if list(map(getitem, rows, positions)) == [w] * n and rows == list(zip(*rows)):
+            continue
         for x in letters:
             if rows[x - 1][x - 1] != w:
                 return _fail("corre", n, "hop operator is not an involution", {"word": w, "x": x})
-            checks += 1
         for x in letters:
             for y in range(x + 1, n + 1):
                 if rows[y - 1][x - 1] != rows[x - 1][y - 1]:
                     return _fail("corre", n, "hop operators do not commute", {"word": w, "x": x, "y": y})
-                checks += 1
+    checks = len(ws) * (1 + n + n * (n - 1) // 2)
     if n <= 6:
         for w, r in table.items():
             if tuple(action.hop_row(w)) != r:
@@ -449,8 +461,8 @@ def _run_constant_patterns(n: int) -> Instance:
     held: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each distinct pair
     stats: dict[Word, tuple[int, int]] = {}
     for w in words.all_permutations(n):
-        pair = (patterns.count_13_2(w), patterns.count_2_31(w))
-        if pair != (patterns.count_13_2_via_runs(w), patterns.count_2_31_via_runs(w)):
+        pair = patterns.pattern_pair(w)
+        if pair != patterns.pattern_pair_via_runs(w):
             return _fail("constant-patterns", n, "direct and run-based pattern counts disagree", {"word": w})
         stats[w] = held.setdefault(pair, pair)
     bad = _constant_on_orbits("constant-patterns", n, stats.__getitem__, "pattern counts changed under a hop")
@@ -720,12 +732,12 @@ def _run_gessel(n: int) -> Instance:
         d = des(pi)
         classes[d] = classes.get(d, 0) | 1 << k
     full = (1 << len(perms)) - 1
-    by_des: dict[int, Counter] = {}
+    by_des: dict[int, dict[tuple[int, int], int]] = {}
     for tau in perms:
         F = words.sliced_tally([columns[(a - 1) * n + b - 1] for a, b in zip(tau, tau[1:])], classes, full)
-        if n <= 4 and F != Counter(
+        if n <= 4 and F != dict(Counter(
             (des(pi), des(words.perm_compose(words.perm_inverse(pi), tau))) for pi in perms
-        ):
+        )):
             return _fail("gessel", n, "bitmask pair tally differs from composing the permutations",
                          {"tau": tau})
         d = des(tau)

@@ -32,45 +32,46 @@ from .polynomials import (
 from .words import Word, all_permutations, des, peak
 
 
-def count_2_31(w: Word) -> int:
-    """Pairs i < j with w_(j+1) < w_i < w_j and (j, j+1) adjacent.
+def pattern_pair(w: Word) -> tuple[int, int]:
+    """((13-2), (2-31)) of w in the one bitmask pass pattern_tally makes per
+    word (see there).  Words not on 1..n are ranked first.
 
-    A left-to-right scan: at each descent a > b, count the letters seen so far
-    strictly between b and a in a bitmask.  Words not on 1..n are ranked first.
-
-    >>> count_2_31((-20, 30, -40))
-    1
+    >>> pattern_pair((1, 3, 2)), pattern_pair((-20, 30, -40))
+    ((1, 0), (0, 1))
     """
-    if not w or max(w) <= len(w):
-        seen = c = a = 0
-        try:
-            for b in w:
-                if b < a:
-                    c += (seen & ((1 << a) - (2 << b))).bit_count()
-                seen |= 1 << b
-                a = b
-            return c
-        except ValueError:  # a negative letter made a negative shift count
-            pass
-    rank = {a: r for r, a in enumerate(sorted(w), 1)}
-    return count_2_31(tuple(rank[a] for a in w))
+    if w and (max(w) > len(w) or min(w) < 1):
+        rank = {a: r for r, a in enumerate(sorted(w), 1)}
+        w = [rank[a] for a in w]
+    if not w:
+        return 0, 0
+    a = w[0]
+    seen = 1 << a
+    p = q = 0
+    for b in w[1:]:
+        if a < b:
+            p += b - a - 1 - (seen & ((1 << b) - (2 << a))).bit_count()
+        else:
+            q += (seen & ((1 << a) - (2 << b))).bit_count()
+        seen |= 1 << b
+        a = b
+    return p, q
 
 
 def count_13_2(w: Word) -> int:
-    """Pairs i < j with w_(i-1) < w_j < w_i and (i-1, i) adjacent: the (2-31)
-    pairs of the reversed word, so the same scan run right to left.
-
-    >>> count_13_2((1, 3, 2))
-    1
-    """
-    return count_2_31(w[::-1])
+    """Pairs i < j with w_(i-1) < w_j < w_i and (i-1, i) adjacent."""
+    return pattern_pair(w)[0]
 
 
-def _via_runs(w: Word, after: bool) -> int:
-    """Letters strictly between the two ends of each pair of adjacent
-    extrema: every peak and the valley after it against the letters before
-    the peak (after=False), or every valley and the peak after it against
-    the letters after the peak (after=True).
+def count_2_31(w: Word) -> int:
+    """Pairs i < j with w_(j+1) < w_i < w_j and (j, j+1) adjacent."""
+    return pattern_pair(w)[1]
+
+
+def pattern_pair_via_runs(w: Word) -> tuple[int, int]:
+    """Independent route to pattern_pair: the letters strictly between the
+    two ends of each pair of adjacent extrema, every valley and the peak
+    after it against the letters after the peak for (13-2), every peak and
+    the valley after it against the letters before the peak for (2-31).
 
     One comparison pass finds the extrema under TOP: a letter is one where
     the step into it and the step out of it differ in direction, the steps
@@ -78,7 +79,7 @@ def _via_runs(w: Word, after: bool) -> int:
     alternate, starting and ending with a valley.
     """
     if not w:
-        return 0
+        return 0, 0
     ends = []
     rising = False
     for k in range(len(w) - 1):
@@ -87,26 +88,23 @@ def _via_runs(w: Word, after: bool) -> int:
             ends.append(k)
     if not rising:
         ends.append(len(w) - 1)
-    c = 0
-    if after:
-        for v, p in zip(ends[::2], ends[1::2]):
-            lo, hi = w[v], w[p]
-            c += len([a for a in w[p + 1 :] if lo < a < hi])
-    else:
-        for p, v in zip(ends[1::2], ends[2::2]):
-            lo, hi = w[v], w[p]
-            c += len([a for a in w[:p] if lo < a < hi])
-    return c
-
-
-def count_2_31_via_runs(w: Word) -> int:
-    """Independent route: peak-then-valley pairs against earlier letters."""
-    return _via_runs(w, after=False)
+    p = q = 0
+    for before, top, after in zip(ends[::2], ends[1::2], ends[2::2]):
+        lo, hi = w[before], w[top]
+        p += len([a for a in w[top + 1 :] if lo < a < hi])
+        lo = w[after]
+        q += len([a for a in w[:top] if lo < a < hi])
+    return p, q
 
 
 def count_13_2_via_runs(w: Word) -> int:
     """Independent route: valley-then-peak pairs against later letters."""
-    return _via_runs(w, after=True)
+    return pattern_pair_via_runs(w)[0]
+
+
+def count_2_31_via_runs(w: Word) -> int:
+    """Independent route: peak-then-valley pairs against earlier letters."""
+    return pattern_pair_via_runs(w)[1]
 
 
 def avoids_231(w: Word) -> bool:

@@ -184,37 +184,6 @@ class IntPolynomial:
         d = self.degree()
         return [self.terms.get((i,), 0) for i in range(d + 1)]
 
-    def substitute(self, assignment: Mapping[str, "IntPolynomial"]) -> "IntPolynomial":
-        """Simultaneously replace every variable by a polynomial.
-
-        All images must share one variable tuple, which becomes the result's.
-
-        >>> p, q = (IntPolynomial.variable(v, ("p", "q")) for v in "pq")
-        >>> qq = IntPolynomial.variable("q")
-        >>> str((p + q).substitute({"p": qq, "q": qq}))
-        '2q'
-        """
-        missing = [v for v in self.vars if v not in assignment]
-        if missing:
-            raise ValueError(f"no image given for {missing}")
-        images = [assignment[v] for v in self.vars]
-        target = images[0].vars if images else ()
-        for img in images:
-            if img.vars != target:
-                raise ValueError("images must share a single variable tuple")
-        result = IntPolynomial.zero(target)
-        powers: dict[tuple[int, int], IntPolynomial] = {}
-        for exps, c in sorted(self.terms.items()):
-            term = IntPolynomial.constant(target, c)
-            for slot, e in enumerate(exps):
-                if e:
-                    key = (slot, e)
-                    if key not in powers:
-                        powers[key] = images[slot] ** e
-                    term = term * powers[key]
-            result = result + term
-        return result
-
     def swap_vars(self, a: str, b: str) -> "IntPolynomial":
         """Exchange two variables, keeping the variable tuple fixed."""
         i, j = self.vars.index(a), self.vars.index(b)

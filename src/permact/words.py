@@ -180,9 +180,9 @@ def maj(w: Word) -> int:
     return total
 
 
-# the end letter under each boundary (inf is above every int letter, however
-# large), and the class of a letter b between a and c, keyed by (a < b, b < c)
-_SENTINEL = {Boundary.TOP: math.inf, Boundary.ZERO: 0}
+# the end letter is inf under TOP (above every int letter, however large) and
+# 0 under ZERO, and the class of a letter b between a and c is keyed by (a < b, b < c)
+_TOP = Boundary.TOP  # read once: each enum attribute read or hash is a Python-level call
 _CLASSES = {
     (False, True): LetterClass.VALLEY,
     (True, False): LetterClass.PEAK,
@@ -197,14 +197,14 @@ def classify(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[LetterClass, .
     >>> [c.name[0] for c in classify((2, 3, 1))]
     ['V', 'P', 'V']
     """
-    s = _SENTINEL[boundary]
+    s = math.inf if boundary is _TOP else 0
     padded = (s, *w, s)
     return tuple([_CLASSES[a < b, b < c] for a, b, c in zip(padded, padded[1:], padded[2:])])
 
 
 def letter_class_at(w: Word, k: int, boundary: Boundary = Boundary.TOP) -> LetterClass:
     """Class of the letter at 0-based index k; avoids classifying the rest."""
-    s = _SENTINEL[boundary]
+    s = math.inf if boundary is _TOP else 0
     left = w[k - 1] if k > 0 else s
     right = w[k + 1] if k + 1 < len(w) else s
     return _CLASSES[left < w[k], w[k] < right]
@@ -216,7 +216,7 @@ def _count(w: Word, boundary: Boundary, up_in: bool, up_out: bool) -> int:
     classify tuple."""
     if not w:
         return 0
-    s = _SENTINEL[boundary]
+    s = math.inf if boundary is _TOP else 0
     count = 0
     rest = iter(w)
     a, b = s, next(rest)
@@ -253,7 +253,7 @@ def shape(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[int, int, int]:
     """
     if not w:
         return 0, 0, 0
-    s = _SENTINEL[boundary]
+    s = math.inf if boundary is _TOP else 0
     descents = peaks = double_descents = 0
     b = w[0]
     rising = s < b
@@ -327,9 +327,10 @@ def pair_columns(after: list[int], n: int) -> list[int]:
     return columns
 
 
-def sliced_tally(rows: list[int], classes: dict[int, int], full: int) -> Counter:
-    """Counter of (d, c): the permutations in class mask classes[d] whose bit
-    is set in exactly c of the rows.  The rows are summed bit by bit into
+def sliced_tally(rows: list[int], classes: dict[int, int], full: int) -> dict[tuple[int, int], int]:
+    """(d, c) -> the number of permutations in class mask classes[d] whose
+    bit is set in exactly c of the rows, positive counts only, as a plain
+    dict, so two tallies compare in C.  The rows are summed bit by bit into
     binary planes (plane j holds bit j of every permutation's count), and
     each count's mask is read off the planes."""
     planes: list[int] = []
@@ -344,7 +345,7 @@ def sliced_tally(rows: list[int], classes: dict[int, int], full: int) -> Counter
     levels = [full]  # levels[c]: the permutations counted c times
     for p in reversed(planes):
         levels = [m for lv in levels for m in (lv & ~p, lv & p)]
-    tally: Counter = Counter()
+    tally: dict[tuple[int, int], int] = {}
     for c, lv in enumerate(levels):
         if lv:
             for d, m in classes.items():

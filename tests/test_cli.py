@@ -112,6 +112,25 @@ def test_class_rsortable_gamma_on_a_broken_class_exits_1(capsys, monkeypatch):
     assert "not action-invariant" in err
 
 
+def test_class_rsortable_gamma_on_integral_but_broken_counts_exits_1(capsys, monkeypatch):
+    # without two peak-1 words the scaled peak counts stay integers but no
+    # longer rebuild the descent polynomial: a broken identity, not bad input
+    from permact import stacksort, words
+
+    enumerate_r_sortable = stacksort.enumerate_r_sortable
+
+    def dropping_two_peak_1_words(n, r):
+        members = enumerate_r_sortable(n, r)
+        dropped = [w for w in members if words.peak(w) == 1][:2]
+        return [w for w in members if w not in dropped]
+
+    monkeypatch.setattr(stacksort, "enumerate_r_sortable", dropping_two_peak_1_words)
+    code, out, err = run_cli(capsys, "class", "rsortable", "--n", "4", "--r", "1", "--poly", "gamma")
+    assert code == 1
+    assert not out
+    assert "does not match the scaled peak counts" in err
+
+
 def test_apq_latex(capsys):
     code, out, _ = run_cli(capsys, "apq", "--n", "3", "--out", "latex")
     assert code == 0

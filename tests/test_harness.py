@@ -39,9 +39,8 @@ from permact.patterns import (
     apq_polynomial,
     avoiding_permutations,
     count_2_31,
-    count_2_31_via_runs,
-    count_13_2,
-    count_13_2_via_runs,
+    pattern_pair,
+    pattern_pair_via_runs,
 )
 from permact.polynomials import GammaExpansion, GesselExpansion, IntPolynomial, gessel_expand, uni
 from permact.posets import psi_x_poset
@@ -264,14 +263,23 @@ def apq_polynomial_plus_p(n):
     return apq_polynomial(n) + IntPolynomial.variable("p", ("p", "q", "t"))
 
 
-# A planted defect both counting routes share, so they still agree: (13-2)
-# also counts the descents, which are not constant on orbits.
+def counting_descents(pair):
+    """A planted defect for a pair route: (13-2) also counts the descents,
+    which are not constant on orbits."""
+    return lambda w: (pair(w)[0] + des(w), pair(w)[1])
+
+
+# the defect above in both counting routes, so they still agree
 PATTERNS_COUNTING_DESCENTS = SimpleNamespace(
-    count_13_2=lambda w: count_13_2(w) + des(w),
-    count_13_2_via_runs=lambda w: count_13_2_via_runs(w) + des(w),
-    count_2_31=count_2_31,
-    count_2_31_via_runs=count_2_31_via_runs,
+    pattern_pair=counting_descents(pattern_pair),
+    pattern_pair_via_runs=counting_descents(pattern_pair_via_runs),
 )
+
+
+def pattern_pair_via_runs_off_by_one(w):
+    """A planted defect: the run route finds one (2-31) occurrence too many."""
+    p, q = pattern_pair_via_runs(w)
+    return p, q + 1
 
 
 def depths_by_descents(n):
@@ -435,6 +443,25 @@ def hop_row_skipping_the_last_letter(w):
     return hop_row(w)[:-1] + [w]
 
 
+def hop_row_stuck_in_front(w):
+    """A planted defect: the largest letter, once in front, never hops back."""
+    row = hop_row(w)
+    return row[:-1] + [w] if w[0] == len(w) else row
+
+
+def phi_prime_x_stopping_short(w, x, boundary=Boundary.TOP):
+    """A planted defect: a moving letter stops one place short of the far
+    end of its block, so a block of one letter does not move it at all."""
+    v = phi_prime_x(w, x, boundary)
+    k, j = v.index(x), w.index(x)
+    if k == j:
+        return w
+    u = list(v)
+    u.remove(x)
+    u.insert(k + (1 if k < j else -1), x)
+    return tuple(u)
+
+
 # the real kernels, for planted defects that wrap them while they are patched
 PATTERN_TABLES = patterns._pattern_tables
 BNI_POLYNOMIAL = patterns.bni_polynomial
@@ -519,6 +546,10 @@ def fresh_pattern_tables():
     ("constant-patterns", 7, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit),
      "not the seed"),
     ("orb", 6, harness.action, ("orbit_members", orbit_members_trading_a_member), "differ from the walk"),
+    ("constant-patterns", 4, harness.patterns, ("pattern_pair_via_runs", pattern_pair_via_runs_off_by_one),
+     "run-based"),
+    ("corre", 7, harness.action, ("hop_row", hop_row_stuck_in_front), "not an involution"),
+    ("orb", 5, harness.action, ("phi_prime_x", phi_prime_x_stopping_short), "search closure"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

@@ -54,12 +54,6 @@ def test_uni():
     assert str(uni([0])) == "0"
 
 
-def test_substitute():
-    q = IntPolynomial.variable("q")
-    p = IntPolynomial(("p", "q", "t"), {(1, 0, 1): 1, (0, 0, 0): 1})
-    assert p.substitute({"p": q**2, "q": q, "t": q}) == 1 + q**3
-
-
 def test_swap_vars():
     p = IntPolynomial(("p", "q"), {(2, 1): 5})
     assert p.swap_vars("p", "q") == IntPolynomial(("p", "q"), {(1, 2): 5})
