@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .polynomials import (
     GammaExpansion,
@@ -444,6 +444,12 @@ def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPo
     for (descents, peak_count, _), c in shapes.items():
         descent_counts[(descents,)] += c
         peak_counts[(peak_count,)] += c
+    return class_polys_from_counts(descent_counts, peak_counts, n)
+
+
+def class_polys_from_counts(descent_counts: Mapping, peak_counts: Mapping, n: int) -> ClassPolys:
+    """class_polys, with its errors, from a class's counts of words of length n
+    by descents and by peaks, keyed (i,)."""
     W = IntPolynomial.from_counts(("t",), descent_counts)
     Wbar = IntPolynomial.from_counts(("t",), peak_counts)
     try:

@@ -225,13 +225,15 @@ def _check_orbits(
     return None
 
 
-def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str) -> Instance | None:
+def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str,
+                        on_orbit: Callable[[action.OrbitReport], None] | None = None) -> Instance | None:
     """None when value is constant on every orbit of S_n, else the suite's
     failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
     value(u) != value(w).  The orbits are the classes of the group the hops
     generate, so this is the claim "no hop changes value" at one value per
     word.  For n <= 6 the hop-by-hop sweep of every walked orbit is the
-    oracle: no hop leaves its orbit, and the two verdicts agree."""
+    oracle: no hop leaves its orbit, and the two verdicts agree.  on_orbit
+    sees each verified orbit whose value is constant."""
     hop = action.phi_prime_x
 
     def first_move(ordered) -> Instance:
@@ -250,7 +252,11 @@ def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], det
         return first_move(sorted(members)) if changed else None
 
     def constant(rep: action.OrbitReport) -> Instance | None:
-        return first_move(rep.members) if len({value(w) for w in rep.members}) > 1 else None
+        if len({value(w) for w in rep.members}) > 1:
+            return first_move(rep.members)
+        if on_orbit is not None:
+            on_orbit(rep)
+        return None
 
     return _check_orbits(suite, n, sweep, constant, "orbit sizes sum to {covered}, not {total}")
 
@@ -404,15 +410,25 @@ def _run_slides(n: int) -> Instance:
 def _run_genbona(n: int) -> Instance:
     depths = stacksort.r_sortable_classes(n)
     # sort depth is preserved except that the identity (depth 0) may trade
-    # places with depth-1 words, which moves no set S_n^r, r >= 1
+    # places with depth-1 words, which moves no set S_n^r, r >= 1; the
+    # verified orbits give the descent and peak counts of each depth
+    by_depth = [(Counter(), Counter()) for _ in range(n + 1)]
+
+    def tally(rep: action.OrbitReport) -> None:
+        descents, peaks = by_depth[max(depths[rep.rep], 1)]
+        descents.update(rep.descent_poly.terms)
+        peaks.update([(p,) for p in rep.peaks])
+
     bad = _constant_on_orbits("genbona", n, lambda w: max(depths[w], 1),
-                              "sort depth changed by more than the 0/1 identity swap")
+                              "sort depth changed by more than the 0/1 identity swap", tally)
     if bad is not None:
         return bad
+    descents, peaks = Counter(), Counter()  # of S_n^r
     bs = {}
     for r in range(1, n):
-        T = [w for w, dep in depths.items() if dep <= r]
-        cp = action.class_polys(T)
+        descents.update(by_depth[r][0])
+        peaks.update(by_depth[r][1])
+        cp = action.class_polys_from_counts(descents, peaks, n)
         if any(b < 0 for b in cp.b):
             return _fail("genbona", n, f"negative b_i for r = {r}")
         bs[r] = list(cp.b)
@@ -478,8 +494,8 @@ def _run_constant_patterns(n: int) -> Instance:
 def _run_pq_symmetry(n: int) -> Instance:
     if n <= 5 and not (patterns.pattern_tally(n) == patterns.pattern_tally_per_word(n)
                        == patterns.pattern_tally_via_runs(n)):
-        return _fail("pq-symmetry", n, "one-pass (peak, 13-2, 2-31, des) tally, per-word scan tally and "
-                     "per-word run-based tally disagree")
+        return _fail("pq-symmetry", n, "letter-set transfer of (peak, 13-2, 2-31, des), per-word scan tally "
+                     "and per-word run-based tally disagree")
     if not patterns.check_pq_symmetry(n):
         return _fail("pq-symmetry", n, "A_n(p,q,t) != A_n(q,p,t)")
     bs = []
@@ -580,8 +596,8 @@ def _run_psiphi(n: int) -> Instance:
         odd, right = trees.edge_masks(w)
         if (odd != sum(1 << x for x in trees.odd_set(w))
                 or right != sum(1 << x for x in trees.redge_set(w))
-                or trees.swap_product(w, odd) != trees.psi(w)
-                or trees.swap_product(w, right) != trees.phi_cap(w)):
+                or trees.hop_product(w, odd, trees.phi_x) != trees.psi(w)
+                or trees.hop_product(w, right, trees.phi_x) != trees.phi_cap(w)):
             return _fail("psiphi", n, "edge masks or swap products differ from the set routes",
                          {"word": w})
     # the image table of this instance: per word of S_n (by lex rank), its
@@ -592,8 +608,8 @@ def _run_psiphi(n: int) -> Instance:
         odd, right = trees.edge_masks(w)
         odds.append(odd)
         rights.append(right)
-        psis.append(rank[trees.swap_product(w, odd)])
-        caps.append(rank[trees.swap_product(w, right)])
+        psis.append(rank[trees.hop_product(w, odd, trees.phi_x)])
+        caps.append(rank[trees.hop_product(w, right, trees.phi_x)])
     for k, w in enumerate(perms):
         v, c = psis[k], caps[k]
         if caps[v] != k or psis[c] != k:
@@ -610,10 +626,12 @@ def _run_psi_prime(n: int) -> Instance:
     hits = dict.fromkeys(depths, 0)
     broken = n  # the smallest r whose r-stack-sortable set an image leaves
     for w, dep in depths.items():
-        v = trees.psi_prime(w)
-        if n <= 5 and v != trees.psi_prime_recursive(w):
-            return _fail("psi-prime", n, "direct and recursive constructions disagree", {"word": w})
-        if des(v) != trees.veh(w):
+        odd, _ = trees.edge_masks(w)
+        v = trees.hop_product(w, odd, trees.phi_prime_x)
+        if n <= 5 and not (v == trees.psi_prime(w) == trees.psi_prime_recursive(w) and odd.bit_count() == trees.veh(w)):
+            return _fail("psi-prime", n, "direct and recursive constructions or the veh stack count disagree",
+                         {"word": w})
+        if des(v) != odd.bit_count():
             return _fail("psi-prime", n, "des of the image differs from veh", {"word": w})
         if v in hits:
             hits[v] += 1
@@ -658,10 +676,11 @@ def _run_kreweras(n: int) -> Instance:
 def _run_veh_altsum(n: int) -> Instance:
     k_max = max(1, n - 1)
     for w in patterns.avoiding_permutations(n):
-        ds = words.dec_subseq_counts(w, k_max)
-        total = sum((-2) ** (i - 1) * ds[i - 1] for i in range(1, k_max + 1))
-        if total != trees.veh(w):
-            return _fail("veh-altsum", n, "alternating sum differs from veh", {"word": w, "d": ds})
+        total = words.dec_subseq_altsum(w)
+        oracle_fails = n <= 5 and total != sum((-2) ** i * d for i, d in enumerate(words.dec_subseq_counts(w, k_max)))
+        if oracle_fails or total != trees.veh(w):
+            detail = "recurrence differs from the alternating sum" if oracle_fails else "alternating sum differs from veh"
+            return _fail("veh-altsum", n, detail, {"word": w, "d": words.dec_subseq_counts(w, k_max)})
     return _pass("veh-altsum", n, "veh = d_1 - 2 d_2 + 4 d_3 - ... on all 231-avoiders")
 
 
@@ -686,7 +705,7 @@ def _run_evt(n: int) -> Instance:
 def _run_euler_mahonian(n: int) -> Instance:
     lhs, rhs = mahonian.joint_distributions(n)
     if n <= 5 and (lhs, rhs) != mahonian.joint_distributions_via_sets(n):
-        return _fail("euler-mahonian", n, "one-pass scan differs from the ev_set, des and maj tallies")
+        return _fail("euler-mahonian", n, "letter-set transfer differs from the ev_set, des and maj tallies")
     if lhs != rhs:
         return _fail("euler-mahonian", n, "joint distributions differ")
     return _pass(

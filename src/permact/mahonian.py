@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .limits import check_enumeration_size
 from .trees import UnorderedTree
-from .words import Word, all_permutations, complement, des, maj
+from .words import Word, all_permutations, complement, des, maj, stat_bits, transfer
 
 
 def increasing_tree(w: Word) -> UnorderedTree:
@@ -109,37 +110,43 @@ def theta_recursive(w: Word) -> Word:
 
 def joint_distributions(n: int) -> tuple[Counter, Counter]:
     """Tallies of (veh', siveh) and of (des, maj) over all permutations of [n],
-    in one right-to-left pass per word.
-
-    The stack of ev_set holds, once b has popped the larger letters, exactly
-    the stacked letters below b, so as a bitmask it is cut to the bits below
-    b; position i counts toward EV when that cut leaves an odd number.
+    from one transfer over letter sets each: only the marginals are compared.
 
     >>> lhs, rhs = joint_distributions(3)
     >>> lhs == rhs
     True
     """
-    below = [(1 << b) - 1 for b in range(n + 1)]
-    lhs: Counter = Counter()
-    rhs: Counter = Counter()
-    for w in all_permutations(n):
-        stack = ev = sev = d = mj = 0
-        i = n
-        c = n + 1  # past the end: no descent at position n
-        for b in reversed(w):
-            if b > c:
-                d += 1
-                mj += i
-            stack &= below[b]
-            if stack.bit_count() & 1:
-                ev += 1
-                sev += i
-            stack |= 1 << b
-            c = b
-            i -= 1
-        lhs[ev, sev] += 1
-        rhs[d, mj] += 1
-    return lhs, rhs
+    check_enumeration_size(n)
+    return transfer((0, 0), n, _ev_step(n), 2), transfer((0, 0), n, _des_maj_step(n), 2)
+
+
+def _ev_step(n: int):
+    """(|EV|, EV sum) right to left over (seen letters, stack bitmask): ev_set's stack,
+    cut to the letters below b, has odd size iff b's position n - k is in EV."""
+    bits = stat_bits(n)
+    letters = [(1 << b, (1 << b) - 1) for b in range(1, n + 1)]
+
+    def step(state, k):
+        seen, stack = state
+        unit = 1 + ((n - k) << bits)
+        return [((seen | bit, stack & below | bit), unit if (stack & below).bit_count() & 1 else 0)
+                for bit, below in letters if not seen & bit]
+
+    return step
+
+
+def _des_maj_step(n: int):
+    """(des, maj) left to right over (seen letters, last letter a): a > b,
+    b at index k, is a descent at position k."""
+    bits = stat_bits(n)
+    letters = [(b, 1 << b) for b in range(1, n + 1)]
+
+    def step(state, k):
+        seen, a = state
+        unit = 1 + (k << bits)
+        return [((seen | bit, b), unit if a > b else 0) for b, bit in letters if not seen & bit]
+
+    return step
 
 
 def joint_distributions_via_sets(n: int) -> tuple[Counter, Counter]:

@@ -29,7 +29,7 @@ from .polynomials import (
     try_divide,
     uni,
 )
-from .words import Word, all_permutations, des, peak
+from .words import Word, all_permutations, des, peak, stat_bits, transfer
 
 
 def pattern_pair(w: Word) -> tuple[int, int]:
@@ -167,39 +167,35 @@ def avoiding_permutations(n: int) -> list[Word]:
 
 
 def pattern_tally(n: int) -> Counter:
-    """The joint distribution of (peak, 13-2, 2-31, des) over S_n, one
-    left-to-right bitmask pass per word: at a descent a > b the (2-31) count
-    gains the seen letters strictly between b and a, and at an ascent a < b
-    the (13-2) count gains the unseen ones strictly between a and b.
+    """The joint distribution of (peak, 13-2, 2-31, des) over S_n, from a
+    left-to-right transfer over (seen letters, last letter a, rising).  A
+    next letter b > a adds the unseen letters strictly between a and b to
+    (13-2); b < a adds the seen ones strictly between b and a to (2-31), one
+    to des, and one to peak when a was reached by a rise.
 
     >>> pattern_tally(3)[1, 1, 0, 1]
     1
     """
     check_enumeration_size(n)
-    if n < 1:
-        return Counter({(0, 0, 0, 0): 1})
-    # between[a][b]: the letters strictly between a and b, a < b
-    between = [[(1 << b) - (2 << a) for b in range(n + 1)] for a in range(n + 1)]
-    tally: Counter = Counter()
-    for w in all_permutations(n):
-        a = w[0]
-        seen = 1 << a
-        rising = False
-        peaks = p = q = d = 0
-        for b in w[1:]:
-            if a < b:
-                p += b - a - 1 - (seen & between[a][b]).bit_count()
-                rising = True
-            else:
-                q += (seen & between[b][a]).bit_count()
-                d += 1
-                if rising:
-                    peaks += 1
-                    rising = False
-            seen |= 1 << b
-            a = b
-        tally[peaks, p, q, d] += 1
-    return tally
+    return transfer((0, 0, False), n, _pattern_step(n), 4)
+
+
+def _pattern_step(n: int):
+    """pattern_tally's step; key fields peak, (13-2), (2-31), des."""
+    bits = stat_bits(n)
+    between = [[(1 << b) - (2 << a) for b in range(n + 1)] for a in range(n + 1)]  # a < b
+    letters = [(b, 1 << b) for b in range(1, n + 1)]
+    p_unit, q_unit, descent = 1 << bits, 1 << 2 * bits, 1 << 3 * bits
+
+    def step(state, k):
+        seen, a, rising = state
+        if not seen:
+            return [((bit, b, False), 0) for b, bit in letters]
+        return [((seen | bit, b, True), (b - a - 1 - (seen & between[a][b]).bit_count()) * p_unit) if a < b
+                else ((seen | bit, b, False), (seen & between[b][a]).bit_count() * q_unit + descent + rising)
+                for b, bit in letters if not seen & bit]
+
+    return step
 
 
 def pattern_tally_per_word(n: int) -> Counter:

@@ -160,19 +160,15 @@ def edge_masks(w: Word) -> tuple[int, int]:
     return odd, right
 
 
-def _hop_product(w: Word, letters: int, hop) -> Word:
-    """Apply hop(., x) at the letters x of a bitmask, smallest first."""
+def hop_product(w: Word, letters: int, hop) -> Word:
+    """Apply hop(., x) at the letters x of a bitmask, smallest first: with
+    phi_x, psi(w) for the odd-set mask and phi_cap(w) for the right-edge
+    mask; with phi_prime_x, psi_prime(w) for the odd-set mask."""
     while letters:
         low = letters & -letters
         w = hop(w, low.bit_length() - 1)
         letters ^= low
     return w
-
-
-def swap_product(w: Word, letters: int) -> Word:
-    """Block swaps at the letters of a bitmask, smallest first: psi(w) for
-    the odd-set mask and phi_cap(w) for the right-edge mask."""
-    return _hop_product(w, letters, phi_x)
 
 
 def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
@@ -299,7 +295,7 @@ def psi_prime(w: Word) -> Word:
     >>> psi_prime((3, 1, 2))
     (3, 2, 1)
     """
-    return _hop_product(w, edge_masks(w)[0], phi_prime_x)
+    return hop_product(w, edge_masks(w)[0], phi_prime_x)
 
 
 def psi_prime_recursive(w: Word) -> Word:

@@ -313,6 +313,64 @@ def dec_subseq_counts(w: Word, k_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def dec_subseq_altsum(w: Word) -> int:
+    """d_1 - 2 d_2 + 4 d_3 - ... of dec_subseq_counts in one pass: the sum over
+    the decreasing subsequences ending at j is h_j = sum of 1 - 2 h_i, i < j, w_i > w_j.
+
+    >>> dec_subseq_altsum((3, 2, 1))  # d_1 = 3, d_2 = 1
+    1
+    """
+    total = 0
+    weights: list[tuple[int, int]] = []  # (w_i, 1 - 2 h_i) of the letters so far
+    for b in w:
+        h = sum([g for a, g in weights if a > b])
+        total += h
+        weights.append((b, 1 - 2 * h))
+    return total
+
+
+def stat_bits(n: int) -> int:
+    """Bits per field of transfer's packed keys over S_n: every statistic so
+    packed is at most n(n+1)/2, so no field carries into the next."""
+    return (n * (n + 1) // 2).bit_length()
+
+
+def transfer(start, n: int, step, fields: int) -> Counter:
+    """Tally of `fields` statistics over the words a one-letter-at-a-time
+    pass builds, carried over the pass's states instead of its words.
+
+    Layer k maps each state reached after k letters to {packed key: count};
+    step(state, k) gives (next state, packed delta) for each next letter,
+    the statistics packed in fields of stat_bits(n) bits, lowest first.
+    Words that reach one state share its entry, and each state is popped as
+    it is consumed.  Here des over S_3, from (seen letters, last letter):
+
+    >>> step = lambda s, k: [((s[0] | 1 << b, b), int(s[1] > b)) for b in (1, 2, 3) if not s[0] >> b & 1]
+    >>> transfer((0, 0), 3, step, 1)
+    Counter({(1,): 4, (0,): 1, (2,): 1})
+    """
+    layer = {start: {0: 1}}
+    for k in range(n):
+        nxt: dict = {}
+        while layer:
+            state, keys = layer.popitem()
+            for to, delta in step(state, k):
+                into = nxt.get(to)
+                if into is None:
+                    nxt[to] = {key + delta: c for key, c in keys.items()}
+                    continue
+                for key, c in keys.items():
+                    key += delta
+                    into[key] = into.get(key, 0) + c
+        layer = nxt
+    tally: Counter = Counter()
+    for keys in layer.values():
+        tally.update(keys)
+    bits = stat_bits(n)
+    mask = (1 << bits) - 1
+    return Counter({tuple([key >> bits * f & mask for f in range(fields)]): c for key, c in tally.items()})
+
+
 def pair_columns(after: list[int], n: int) -> list[int]:
     """Per-permutation masks over the ordered pairs of letters, bit (a-1)n +
     (b-1) set iff a comes after b, transposed: bit k of column (a-1)n + (b-1)

@@ -225,6 +225,14 @@ def test_mahonian(capsys):
     assert data["equal"] is True
 
 
+def test_mahonian_above_the_enumeration_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("PERMACT_MAX_N", raising=False)
+    code, out, err = run_cli(capsys, "mahonian", "--n", "11")
+    assert code == 2
+    assert not out
+    assert "enumeration cap" in err
+
+
 def _write_poset(tmp_path):
     payload = {
         "elements": ["a", "b", "c"],

@@ -56,6 +56,7 @@ from permact.words import (
     letter_class_at,
     maj,
     shape,
+    stat_bits,
 )
 
 
@@ -464,8 +465,41 @@ def phi_prime_x_stopping_short(w, x, boundary=Boundary.TOP):
 
 # the real kernels, for planted defects that wrap them while they are patched
 PATTERN_TABLES = patterns._pattern_tables
+PATTERN_STEP = patterns._pattern_step
+DES_MAJ_STEP = harness.mahonian._des_maj_step
+EDGE_MASKS = harness.trees.edge_masks
 BNI_POLYNOMIAL = patterns.bni_polynomial
 INVOLUTION_DESCENT_POLY = involution_descent_poly
+
+
+def pattern_step_without_peaks(n):
+    """A planted defect: the pattern transfer never adds to peak, the
+    lowest field of its keys."""
+    step, bits = PATTERN_STEP(n), stat_bits(n)
+    return lambda state, k: [(to, delta >> bits << bits) for to, delta in step(state, k)]
+
+
+def des_maj_step_one_place_late(n):
+    """A planted defect: the (des, maj) transfer puts each descent one
+    position to the right."""
+    step = DES_MAJ_STEP(n)
+    return lambda state, k: step(state, k + 1)
+
+
+def altsum_with_plus_two(w):
+    """A planted defect: the recurrence adds 2 h_i where it should subtract."""
+    total, weights = 0, []
+    for b in w:
+        h = sum([g for a, g in weights if a > b])
+        total += h
+        weights.append((b, 1 + 2 * h))
+    return total
+
+
+def edge_masks_dropping_the_smallest_odd_letter(w):
+    """A planted defect: the odd mask loses its smallest letter."""
+    odd, right = EDGE_MASKS(w)
+    return odd & (odd - 1), right
 
 
 def pattern_tables_with_a_wrong_entry(n):
@@ -522,7 +556,7 @@ def fresh_pattern_tables():
     ("psiphi", 4, harness.trees, ("phi_x", phi_x_fixing_double_descents), "factorization route"),
     ("narayana", 4, harness.patterns, ("avoiding_permutations", avoiders_repeating_the_first), "recursive split"),
     ("euler-mahonian", 4, harness.mahonian, ("joint_distributions", joint_distributions_skipping_last_position),
-     "one-pass scan"),
+     "letter-set transfer"),
     ("veh-altsum", 4, harness.words, ("dec_subseq_counts", dec_subseq_counts_off_at_d2), "alternating sum"),
     ("evt", 4, harness.mahonian, ("theta", theta_skipping_the_complement), "recursion"),
     ("psi-prime", 4, harness.trees, ("psi_prime", psi_prime_dropping_the_largest_odd_letter),
@@ -550,6 +584,12 @@ def fresh_pattern_tables():
      "run-based"),
     ("corre", 7, harness.action, ("hop_row", hop_row_stuck_in_front), "not an involution"),
     ("orb", 5, harness.action, ("phi_prime_x", phi_prime_x_stopping_short), "search closure"),
+    ("pq-symmetry", 4, harness.patterns, ("_pattern_step", pattern_step_without_peaks), "letter-set transfer"),
+    ("euler-mahonian", 4, harness.mahonian, ("_des_maj_step", des_maj_step_one_place_late),
+     "letter-set transfer"),
+    ("veh-altsum", 4, harness.words, ("dec_subseq_altsum", altsum_with_plus_two), "recurrence"),
+    ("psi-prime", 4, harness.trees, ("edge_masks", edge_masks_dropping_the_smallest_odd_letter),
+     "veh stack count"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

@@ -54,6 +54,7 @@ from permact.trees import (
     dyck_path,
     dyck_path_via_tree,
     edge_masks,
+    hop_product,
     label_heights,
     odd_set,
     phi_cap,
@@ -62,7 +63,6 @@ from permact.trees import (
     redge_set,
     right_edge_depths,
     right_edges_via_tree,
-    swap_product,
     unordered_tree,
     veh,
     word_of,
@@ -72,6 +72,7 @@ from permact.words import (
     LetterClass,
     all_permutations,
     classify,
+    dec_subseq_altsum,
     dec_subseq_counts,
     des,
     descent_poly,
@@ -82,8 +83,11 @@ from permact.words import (
     peak,
     shape,
     sliced_tally,
+    stat_bits,
+    transfer,
     valley,
 )
+from permact.limits import DEFAULT_MAX_N, enumeration_bound
 
 
 def recursive_stack_sort(w):
@@ -160,6 +164,13 @@ def classes_from_padded_word(w, boundary):
 
 
 HUGE = 10**18
+LETTER_FAMILIES = [
+    lambda n: range(1, n + 1),
+    lambda n: range(-n, 0),
+    mixed_sign_letters,
+    lambda n: range(5, 7 * n + 5, 7),
+]
+LETTER_FAMILY_IDS = ["permutations", "negative", "mixed-sign", "gapped"]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -287,12 +298,7 @@ def assert_pattern_routes_agree(w):
 
 
 @pytest.mark.parametrize("n", range(8))
-@pytest.mark.parametrize("letters", [
-    lambda n: range(1, n + 1),
-    lambda n: range(-n, 0),
-    mixed_sign_letters,
-    lambda n: range(5, 7 * n + 5, 7),
-], ids=["permutations", "negative", "mixed-sign", "gapped"])
+@pytest.mark.parametrize("letters", LETTER_FAMILIES, ids=LETTER_FAMILY_IDS)
 def test_pattern_scans_match_brute_force_and_runs(n, letters):
     for w in itertools.permutations(letters(n)):
         assert_pattern_routes_agree(w)
@@ -447,6 +453,32 @@ def test_one_pass_euler_mahonian_scan_matches_ev_set_des_maj(n):
     assert joint_distributions(n) == joint_distributions_via_sets(n) == (lhs, rhs)
 
 
+def inv_des_step(n):
+    """A (seen letters, last letter) step for (inv, des): the next letter b
+    adds the seen letters above it to inv."""
+    bits = stat_bits(n)
+    return lambda state, k: [((state[0] | 1 << b, b), (state[0] >> b + 1).bit_count() + ((state[1] > b) << bits))
+                             for b in range(1, n + 1) if not state[0] >> b & 1]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_transfer_matches_a_per_word_tally(n):
+    per_word = Counter(
+        (sum(a > b for a, b in itertools.combinations(w, 2)), des(w)) for w in all_permutations(n)
+    )
+    assert transfer((0, 0), n, inv_des_step(n), 2) == per_word
+
+
+@pytest.mark.parametrize("n", range(max(DEFAULT_MAX_N, enumeration_bound()) + 1))
+def test_packed_key_fields_cannot_overflow(n):
+    # every packed statistic (peak, des, maj, |EV|, EV sum, the two pattern
+    # counts, inv) counts or sums positions, or counts pairs of positions
+    assert max(n * (n + 1) // 2, comb(n, 2)) < 1 << stat_bits(n)
+    if n <= 7:
+        tallies = [pattern_tally(n), *joint_distributions(n), transfer((0, 0), n, inv_des_step(n), 2)]
+        assert max(max(key) for tally in tallies for key in tally) <= n * (n + 1) // 2
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bit_sliced_gessel_tally_matches_per_permutation_popcounts(n):
     perms = list(all_permutations(n))
@@ -481,8 +513,8 @@ def test_edge_masks_and_swap_products_match_sets_psi_and_phi_cap(n):
         odd, right = edge_masks(w)
         assert odd == sum(1 << x for x in odd_set(w))
         assert right == sum(1 << x for x in redge_set(w))
-        assert swap_product(w, odd) == psi(w)
-        assert swap_product(w, right) == phi_cap(w)
+        assert hop_product(w, odd, phi_x) == psi(w)
+        assert hop_product(w, right, phi_x) == phi_cap(w)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -494,6 +526,30 @@ def test_dec_subseq_counts_match_brute_force(n):
             for i in range(1, k_max + 1)
         )
         assert dec_subseq_counts(w, k_max) == brute
+
+
+def alternating_sum(w):
+    return sum((-2) ** i * d for i, d in enumerate(dec_subseq_counts(w, max(1, len(w) - 1))))
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("letters", LETTER_FAMILIES, ids=LETTER_FAMILY_IDS)
+def test_dec_subseq_recurrence_matches_the_alternating_sum(n, letters):
+    for w in itertools.permutations(letters(n)):
+        assert dec_subseq_altsum(w) == alternating_sum(w)
+
+
+def test_dec_subseq_recurrence_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.integers(-10**12, 10**12).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(letters, unique=True, max_size=12).map(tuple))
+    def check(w):
+        assert dec_subseq_altsum(w) == alternating_sum(w)
+
+    check()
 
 
 @pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
