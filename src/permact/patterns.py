@@ -33,8 +33,11 @@ from .words import Word, all_permutations, des, peak, stat_bits, transfer
 
 
 def pattern_pair(w: Word) -> tuple[int, int]:
-    """((13-2), (2-31)) of w in the one bitmask pass pattern_tally makes per
-    word (see there).  Words not on 1..n are ranked first.
+    """((13-2), (2-31)) of w in one left-to-right bitmask pass: at an ascent
+    a < b the unseen letters strictly between a and b add to (13-2), at a
+    descent the seen ones strictly between b and a add to (2-31), the rule
+    pattern_tally's transfer applies to its states.  Words not on 1..n are
+    ranked first.
 
     >>> pattern_pair((1, 3, 2)), pattern_pair((-20, 30, -40))
     ((1, 0), (0, 1))
@@ -258,7 +261,7 @@ def bni_polynomial(n: int, i: int) -> IntPolynomial:
 
 def bni_via_scans(n: int) -> list[IntPolynomial]:
     """Every b_(n,i)(p, q), i = 0..(n-1)//2, scaled from pattern_tally_per_word:
-    the route that _pattern_tables' one-pass tally replaces."""
+    the route that _pattern_tables' transfer tally replaces."""
     by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
     for (i, a, b, _), cnt in pattern_tally_per_word(n).items():
         by_peak[i][a, b] += cnt
