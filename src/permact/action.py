@@ -27,7 +27,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import combinations, repeat
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .polynomials import (
@@ -85,19 +86,6 @@ def x_factorization(w: Word, x: int) -> tuple[Word, Word, int, Word, Word]:
     return w[:i], w[i:k], x, w[k + 1 : j], w[j:]
 
 
-def _swap_blocks(w: Word, k: int) -> Word:
-    """w with the two all-smaller blocks adjacent to x = w[k] traded."""
-    x = w[k]
-    i = k
-    while i and w[i - 1] < x:
-        i -= 1
-    j = k + 1
-    n = len(w)
-    while j < n and w[j] < x:
-        j += 1
-    return w[:i] + w[k + 1 : j] + (x,) + w[i:k] + w[j:]
-
-
 def phi_x(w: Word, x: int) -> Word:
     """Swap the two all-smaller blocks adjacent to x.  An involution.
 
@@ -108,7 +96,14 @@ def phi_x(w: Word, x: int) -> Word:
         k = w.index(x)
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
-    return _swap_blocks(w, k)
+    i = k
+    while i and w[i - 1] < x:
+        i -= 1
+    j = k + 1
+    n = len(w)
+    while j < n and w[j] < x:
+        j += 1
+    return w[:i] + w[k + 1 : j] + (x,) + w[i:k] + w[j:]
 
 
 def phi_x_via_factorization(w: Word, x: int) -> Word:
@@ -169,40 +164,6 @@ def phi_prime_x_via_factorization(
     return w
 
 
-def hop_row(w: Word) -> list[Word]:
-    """[phi_prime_x(w, x) for x = 1..n] under TOP, for w on 1..n.
-
-    One decreasing-stack pass gives each position's previous-greater and
-    next-greater index, which bound the all-smaller blocks around it; a
-    double ascent moves left past its block, a double descent right past
-    its block, and every other letter leaves w as it is.
-
-    >>> hop_row((2, 3, 1))
-    [(2, 3, 1), (2, 3, 1), (2, 3, 1)]
-    >>> hop_row((1, 2, 3))[1:]
-    [(2, 1, 3), (3, 1, 2)]
-    """
-    n = len(w)
-    start = [0] * n  # one past the previous-greater index
-    stop = [n] * n  # the next-greater index
-    stack: list[int] = []
-    for k, x in enumerate(w):
-        while stack and w[stack[-1]] < x:
-            stop[stack.pop()] = k
-        if stack:
-            start[k] = stack[-1] + 1
-        stack.append(k)
-    row = [w] * n
-    for k, x in enumerate(w):
-        i, j = start[k], stop[k]
-        if (i < k) is not (j > k + 1):  # exactly one block is not empty
-            v = list(w)
-            del v[k]
-            v.insert(i if i < k else j - 1, x)
-            row[x - 1] = tuple(v)
-    return row
-
-
 def phi_prime_S(
     w: Word, letters: Iterable[int], boundary: Boundary = Boundary.TOP
 ) -> Word:
@@ -220,6 +181,51 @@ def phi_prime_full(w: Word, boundary: Boundary = Boundary.TOP) -> Word:
     """Apply phi_prime_x at every letter; complements the descent count:
     des(phi_prime_full(w)) + des(w) = len(w) - 1 under TOP."""
     return phi_prime_S(w, w, boundary)
+
+
+class HopTable(dict):
+    """word -> (hop(w, x) for x in letters), each row computed on its first
+    read and kept.  Each image is interned against the seeds, so an image
+    equal to a word already held is that word's one copy.
+
+    >>> table = HopTable([(1, 2, 3)], (1, 2, 3), phi_prime_x)
+    >>> table[(1, 2, 3)][1:]
+    ((2, 1, 3), (3, 1, 2))
+    >>> table.first_failure((1, 2, 3)) is None
+    True
+    """
+
+    def __init__(
+        self, seeds: Iterable[Word], letters: Iterable[int], hop: Callable[[Word, int], Word]
+    ) -> None:
+        super().__init__()
+        self.held = {w: w for w in seeds}
+        self.letters = tuple(letters)
+        self.hop = hop
+
+    def __missing__(self, w: Word) -> tuple[Word, ...]:
+        held, hop = self.held, self.hop
+        row = self[w] = tuple([held.setdefault(h, h) for h in [hop(w, x) for x in self.letters]])
+        return row
+
+    def first_failure(self, w: Word) -> dict | None:
+        """None when at w every hop is an involution and every two hops
+        commute; else {"x": x} for the first letter x whose hop does not
+        return to w, or {"x": x, "y": y} for the first pair x < y with
+        hop_x(hop_y(w)) != hop_y(hop_x(w)).  The diagonal of the image rows
+        is compared with [w] * n and the rows with their transpose; the
+        letters are walked only to name a failure."""
+        rows = list(map(self.__getitem__, self[w]))
+        n = len(rows)
+        if list(map(getitem, rows, range(n))) == [w] * n and rows == list(zip(*rows)):
+            return None
+        letters = self.letters
+        for i, x in enumerate(letters):
+            if rows[i][i] != w:
+                return {"x": x}
+        for (i, x), (j, y) in combinations(enumerate(letters), 2):
+            if rows[j][i] != rows[i][j]:
+                return {"x": x, "y": y}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import random
@@ -23,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb, factorial
-from operator import getitem
 from typing import Callable, Mapping
 
 from . import action, mahonian, patterns, posets, stacksort, trees, words
@@ -300,62 +298,30 @@ def _run_corre(n: int) -> Instance:
         ws = _sample_words(n, _SAMPLE_WORDS, "corre")
         regime = f"{len(ws)} sampled words"
     letters = range(1, n + 1)
-    # the hop table of this instance: word -> (phi'_1(w), ..., phi'_n(w));
-    # each image is the one copy of its word held here.  For n <= 6 the
-    # per-letter hop fills it and the one-pass row is checked against it
-    # below; above, the one-pass row fills it.
-    hop = action.phi_prime_x
-    held = {w: w for w in ws}
-    table: dict[Word, tuple[Word, ...]] = {}
-
-    def row(w: Word) -> tuple[Word, ...]:
-        r = table.get(w)
-        if r is None:
-            hops = [hop(w, x) for x in letters] if n <= 6 else action.hop_row(w)
-            r = table[w] = tuple([held.setdefault(h, h) for h in hops])
-        return r
-
-    # fill the table before any check: all of S_n, or each sampled word and
-    # its images.  Unless a hop leaves S_n, every row the checks read is then
-    # in the table, and they read it directly
+    # the hop table of this instance: word -> (phi'_1(w), ..., phi'_n(w)),
+    # each row computed on its first read, each image the one copy of its
+    # word held here
+    table = action.HopTable(ws, letters, action.phi_prime_x)
     for w in ws:
-        hops = row(w)
-        for h in () if exhaustive else hops:
-            row(h)
-    read = table.__getitem__ if not exhaustive or len(held) == len(ws) else row
-    positions = range(n)
-    for w in ws:
-        hops = read(w)
+        hops = table[w]
         if n <= 5:
             for x, h in zip(letters, hops):
                 if h != action.phi_prime_x_via_factorization(w, x):
                     return _fail("corre", n, "hop kernel differs from the factorization route",
                                  {"word": w, "x": x})
-        if exhaustive:  # every word of S_n is in the table
+        if exhaustive:  # the product of all hops, read from the table
             full = w
             for x in letters:
-                full = read(full)[x - 1]
+                full = table[full][x - 1]
         else:
             full = action.phi_prime_full(w)
         if des(full) + des(w) != n - 1:
             return _fail("corre", n, "product of all hops does not complement des", {"word": w})
-        # the rows of w's images against [w] * n on the diagonal and against
-        # their transpose; letter by letter only to name a failure
-        rows = list(map(read, hops))
-        if list(map(getitem, rows, positions)) == [w] * n and rows == list(zip(*rows)):
-            continue
-        for x in letters:
-            if rows[x - 1][x - 1] != w:
-                return _fail("corre", n, "hop operator is not an involution", {"word": w, "x": x})
-        for x in letters:
-            for y in range(x + 1, n + 1):
-                if rows[y - 1][x - 1] != rows[x - 1][y - 1]:
-                    return _fail("corre", n, "hop operators do not commute", {"word": w, "x": x, "y": y})
+        bad = table.first_failure(w)
+        if bad is not None:
+            what = "hop operator is not an involution" if len(bad) == 1 else "hop operators do not commute"
+            return _fail("corre", n, what, {"word": w, **bad})
     checks = len(ws) * (1 + n + n * (n - 1) // 2)
-    if n <= 6:
-        for w, r in table.items():
-            if tuple(action.hop_row(w)) != r:
-                return _fail("corre", n, "one-pass hop row differs from the per-letter hops", {"word": w})
     cp = action.class_polys(words.all_permutations(n))
     if cp.W != eulerian_poly(n):
         return _fail("corre", n, "Eulerian recurrence differs from the brute-force descent tally")
@@ -529,33 +495,16 @@ def _run_wp(n: int) -> Instance:
         exts = posets.linear_extensions(P)
         wpp = posets.wp_polynomial(P)
         labels = P.sorted_labels
-        if len(P) <= 6:
-            # the hop table of this poset: pi -> (psi_x(pi) for x in labels),
-            # filled on first use; the checks fill it for every extension,
-            # so the orbits read it too
-            table: dict[Word, tuple[Word, ...]] = {}
-
-            def row(pi: Word) -> tuple[Word, ...]:
-                r = table.get(pi)
-                if r is None:
-                    r = table[pi] = tuple([posets.psi_x_poset(P, pi, x) for x in labels])
-                return r
-
-            pairs = list(itertools.combinations(range(len(labels)), 2))
-            for pi in exts:
-                rows = [row(h) for h in row(pi)]
-                for i, x in enumerate(labels):
-                    if rows[i][i] != pi:
-                        return _fail("wp", n, "poset hop is not an involution", {"poset": P.to_json_dict(), "pi": pi, "x": x})
-                for i, j in pairs:
-                    # psi_x(psi_y(pi)) against psi_y(psi_x(pi)), x < y
-                    if rows[j][i] != rows[i][j]:
-                        return _fail("wp", n, "poset hops do not commute",
-                                     {"poset": P.to_json_dict(), "pi": pi, "x": labels[i], "y": labels[j]})
-            column = {x: i for i, x in enumerate(labels)}
-            hop = lambda pi, x: row(pi)[column[x]]
-        else:
-            hop = partial(posets.psi_x_poset, P)
+        # the hop table of this poset: pi -> (psi_x(pi) for x in labels); the
+        # checks fill it for every extension, so the orbits read it too
+        table = action.HopTable(exts, labels, partial(posets.psi_x_poset, P))
+        for pi in exts:
+            bad = table.first_failure(pi)
+            if bad is not None:
+                what = "poset hop is not an involution" if len(bad) == 1 else "poset hops do not commute"
+                return _fail("wp", n, what, {"poset": P.to_json_dict(), "pi": pi, **bad})
+        column = {x: i for i, x in enumerate(labels)}
+        hop = lambda pi, x: table[pi][column[x]]
         covered = 0
         total = IntPolynomial.zero(("t",))
         for members in action.orbits(exts, hop):
@@ -845,7 +794,6 @@ class Suite:
     statement: str
     default_max_n: int
     runner: Callable[[int], Instance]
-    min_n: int = 1
 
 
 SUITES: dict[str, Suite] = {
@@ -930,7 +878,7 @@ def _run_instance_job(args: tuple[str, int]) -> Instance:
 
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> Report:
-    """Run one suite for every n from its minimum up to max_n (clamped by
+    """Run one suite for every n from 1 up to max_n (clamped by
     the PERMACT_MAX_N safety rail).
 
     At most min(jobs, number of sizes, CPU count) worker processes run.
@@ -946,11 +894,10 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> Report:
     requested = suite.default_max_n if max_n is None else max_n
     cap = enumeration_bound()
     top = min(requested, cap)
-    ns = list(range(suite.min_n, top + 1))
+    ns = list(range(1, top + 1))
     if not ns:
-        why = (f"max_n = {requested}" if requested < suite.min_n
-               else f"the enumeration cap PERMACT_MAX_N = {cap}")
-        raise ValueError(f"{name} has no size to run: {why} is below its smallest n, {suite.min_n}")
+        why = f"max_n = {requested}" if requested < 1 else f"the enumeration cap PERMACT_MAX_N = {cap}"
+        raise ValueError(f"{name} has no size to run: {why} is below its smallest n, 1")
     workers = min(jobs, len(ns), os.cpu_count() or 1)
     if workers > 1:
         # largest n first, so the slowest sizes start at once; the report

@@ -1,8 +1,11 @@
+import itertools
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from permact.action import (
+    HopTable,
     LetterNotPresentError,
     NonIntegralBError,
     class_polys,
@@ -143,6 +146,62 @@ def test_orbits_that_overlap_raise():
     assert next(parts) == {(1, 2)}
     with pytest.raises(RuntimeError, match="not disjoint"):
         next(parts)
+
+
+BITS = list(itertools.product((0, 1), repeat=3))
+
+
+def flip(w, x):
+    """Commuting involutions on bit words: hop x flips bit x."""
+    return w[: x - 1] + (1 - w[x - 1],) + w[x:]
+
+
+def counting(hop):
+    calls = Counter()
+
+    def counted(w, x):
+        calls[w, x] += 1
+        return hop(w, x)
+
+    return counted, calls
+
+
+def test_hop_table_passes_commuting_involutions_and_hops_each_pair_once():
+    hop, calls = counting(flip)
+    table = HopTable(BITS, (1, 2, 3), hop)
+    assert all(table.first_failure(w) is None for w in BITS)
+    assert table[(0, 1, 1)] == ((1, 1, 1), (0, 0, 1), (0, 1, 0))
+    assert sorted(calls) == sorted(itertools.product(BITS, (1, 2, 3)))
+    assert set(calls.values()) == {1}
+
+
+def test_hop_table_names_the_first_letter_that_is_not_an_involution():
+    # hops 2 and 3 set their bit instead of flipping it
+    table = HopTable(BITS, (1, 2, 3), lambda w, x: flip(w, x) if x == 1 else w[: x - 1] + (1,) + w[x:])
+    assert table.first_failure((0, 0, 0)) == {"x": 2}
+    assert table.first_failure((0, 1, 0)) == {"x": 3}
+    assert table.first_failure((0, 1, 1)) is None
+
+
+def test_hop_table_names_the_first_pair_that_does_not_commute():
+    # hop 1 fixes every word; hops 2 and 3 are the transpositions of
+    # positions (1, 2) and (2, 3), involutions that do not commute
+    def hop(w, x):
+        i = x - 2
+        return w if x == 1 else w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+    table = HopTable(all_permutations(3), (1, 2, 3), hop)
+    assert table.first_failure((1, 2, 3)) == {"x": 2, "y": 3}
+
+
+def test_hop_table_fills_the_row_of_an_image_outside_the_seeds():
+    seed = (0, 0, 0)
+    table = HopTable([seed], (1, 2, 3), flip)
+    assert table.first_failure(seed) is None
+    assert set(table) == {seed, (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert table[(1, 1, 1)][0] == (0, 1, 1)
+    # every image equal to the seed is the seed's one copy
+    assert all(table[h][i] is seed for i, h in enumerate(table[seed]))
 
 
 def test_class_polys_full_symmetric_group():

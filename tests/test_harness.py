@@ -12,7 +12,6 @@ from permact import harness, patterns
 from permact.action import (
     _closed_form,
     double_ascent_letters,
-    hop_row,
     orbit_members,
     orbit_reps,
     orbits,
@@ -66,7 +65,7 @@ def test_suite_registry():
         assert suite.name == name
         assert suite.kind in {"theorem", "conjecture"}
         assert suite.statement
-        assert suite.default_max_n >= suite.min_n
+        assert suite.default_max_n >= 1
 
 
 def test_run_suite_unknown():
@@ -439,15 +438,9 @@ def orbit_members_trading_a_member(seed, hop, letters=None):
     return members
 
 
-def hop_row_skipping_the_last_letter(w):
-    """A planted defect: the hop at the largest letter is left out."""
-    return hop_row(w)[:-1] + [w]
-
-
-def hop_row_stuck_in_front(w):
-    """A planted defect: the largest letter, once in front, never hops back."""
-    row = hop_row(w)
-    return row[:-1] + [w] if w[0] == len(w) else row
+def phi_prime_full_doing_nothing(w, boundary=Boundary.TOP):
+    """A planted defect: the product of all hops leaves every word as it is."""
+    return w
 
 
 def phi_prime_x_stopping_short(w, x, boundary=Boundary.TOP):
@@ -573,7 +566,7 @@ def fresh_pattern_tables():
     ("constant-patterns", 7, harness.action, ("orbit_reps", orbit_reps_repeating_the_first), "orbit sizes sum"),
     ("orb", 7, harness.action, ("orbit_reps", orbit_reps_trading_the_last_for_a_twin), "repeat"),
     ("stack-invariance", 7, harness.action, ("orbit_reps", orbit_reps_trading_the_last_for_a_twin), "repeat"),
-    ("corre", 4, harness.action, ("hop_row", hop_row_skipping_the_last_letter), "one-pass hop row"),
+    ("corre", 8, harness.action, ("phi_prime_full", phi_prime_full_doing_nothing), "does not complement des"),
     ("constant-patterns", 5, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit),
      "not the seed"),
     ("orb", 7, harness.action, ("orbit_members", orbit_members_building_a_twin_orbit), "not the seed"),
@@ -582,7 +575,7 @@ def fresh_pattern_tables():
     ("orb", 6, harness.action, ("orbit_members", orbit_members_trading_a_member), "differ from the walk"),
     ("constant-patterns", 4, harness.patterns, ("pattern_pair_via_runs", pattern_pair_via_runs_off_by_one),
      "run-based"),
-    ("corre", 7, harness.action, ("hop_row", hop_row_stuck_in_front), "not an involution"),
+    ("corre", 7, harness.action, ("phi_prime_x", phi_prime_x_stuck_in_front), "not an involution"),
     ("orb", 5, harness.action, ("phi_prime_x", phi_prime_x_stopping_short), "search closure"),
     ("pq-symmetry", 4, harness.patterns, ("_pattern_step", pattern_step_without_peaks), "letter-set transfer"),
     ("euler-mahonian", 4, harness.mahonian, ("_des_maj_step", des_maj_step_one_place_late),
@@ -590,6 +583,7 @@ def fresh_pattern_tables():
     ("veh-altsum", 4, harness.words, ("dec_subseq_altsum", altsum_with_plus_two), "recurrence"),
     ("psi-prime", 4, harness.trees, ("edge_masks", edge_masks_dropping_the_smallest_odd_letter),
      "veh stack count"),
+    ("wp", 7, harness.posets, ("psi_x_poset", psi_x_poset_only_forward), "not an involution"),
 ])
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage

@@ -11,7 +11,6 @@ import pytest
 
 from permact.action import (
     double_ascent_letters,
-    hop_row,
     orbit,
     orbit_closure,
     orbit_members,
@@ -239,24 +238,6 @@ def test_orbit_reps_are_the_double_descent_free_words(n):
 def test_orbit_reps_below_two_letters():
     assert list(orbit_reps(0)) == [()]
     assert list(orbit_reps(1)) == [(1,)]
-
-
-@pytest.mark.parametrize("n", range(8))
-def test_hop_row_matches_per_letter_hops(n):
-    for w in all_permutations(n):
-        assert hop_row(w) == [phi_prime_x(w, x) for x in range(1, n + 1)]
-
-
-def test_hop_row_on_random_words():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
-    def check(w):
-        assert hop_row(w) == [phi_prime_x(w, x) for x in range(1, len(w) + 1)]
-
-    check()
 
 
 @pytest.mark.parametrize("n", range(9))
