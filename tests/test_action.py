@@ -156,18 +156,13 @@ def flip(w, x):
     return w[: x - 1] + (1 - w[x - 1],) + w[x:]
 
 
-def counting(hop):
+def test_hop_table_passes_commuting_involutions_and_hops_each_pair_once():
     calls = Counter()
 
-    def counted(w, x):
+    def hop(w, x):
         calls[w, x] += 1
-        return hop(w, x)
+        return flip(w, x)
 
-    return counted, calls
-
-
-def test_hop_table_passes_commuting_involutions_and_hops_each_pair_once():
-    hop, calls = counting(flip)
     table = HopTable(BITS, (1, 2, 3), hop)
     assert all(table.first_failure(w) is None for w in BITS)
     assert table[(0, 1, 1)] == ((1, 1, 1), (0, 0, 1), (0, 1, 0))
