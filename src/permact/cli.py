@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 from . import action, harness, mahonian, patterns, posets, stacksort, trees, words
 from .polynomials import IntPolynomial, latex_gamma_form
@@ -229,7 +229,10 @@ def cmd_verify(args) -> int:
     return report.exit_code()
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The permact argument parser, built once per process: parsing leaves
+    it unchanged and returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="permact",
         description="Exact verification of hop-action identities on permutations, "

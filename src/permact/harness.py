@@ -6,7 +6,9 @@ Conjecture suites report consistency only; a genuine counterexample would be
 a discovery, reported with exit code 3.  Every suite enumerates exhaustively
 except two, which sample with fixed seeds: corre samples words above n = 7
 and wp samples posets above n = 5.  So reports are byte-identical across runs
-and across worker counts.
+and across worker counts: with ``jobs`` above 1, ``run_suite`` forks worker
+processes that each run a share of the sizes and send their instances back
+through a pipe.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import csv
 import io
 import json
 import os
+import pickle
 import random
+import signal
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 from . import action, mahonian, patterns, posets, stacksort, trees, words
 from .limits import enumeration_bound
@@ -873,15 +876,74 @@ def _run_instance(name: str, n: int) -> Instance:
     return replace(inst, seconds=time.perf_counter() - start)
 
 
-def _run_instance_job(args: tuple[str, int]) -> Instance:
-    return _run_instance(*args)
+def _worker(name: str, share: list[int], write_end: int) -> NoReturn:
+    """The body of a forked child: run its share of sizes, pickle the
+    instances down the pipe and leave by ``os._exit``, nonzero on any error,
+    so that no cleanup of the parent (atexit hooks, buffered output) runs
+    twice."""
+    code = 1
+    try:
+        payload = pickle.dumps([_run_instance(name, n) for n in share])
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _forked_instances(name: str, ns: list[int], workers: int) -> tuple[Instance, ...]:
+    """Run the sizes ns of one suite in ``workers`` forked children.
+
+    The sizes are dealt largest n first, round-robin, so the slowest sizes
+    start at once; the instances come back in ascending n.  The parent runs
+    no instance: it reads each child's pipe to EOF, then reaps the child.
+    Children inherit the parent's modules as they are, patches included;
+    permact starts no threads, so forking is safe.  A child that fails
+    raises RuntimeError naming the suite, and no child outlives the call.
+    """
+    pipes = []  # the read ends, as files
+    running: dict[int, tuple] = {}  # unreaped child pid -> (its pipe, its share)
+    instances: list[Instance] = []
+    try:
+        for share in (ns[::-1][k::workers] for k in range(workers)):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(name, share, write_end)
+            finally:
+                # a later child must not inherit this write end, or the
+                # pipe never reaches EOF
+                os.close(write_end)
+            running[pid] = pipes[-1], share
+        for pid, (pipe, share) in list(running.items()):
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del running[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not payload:
+                raise RuntimeError(f"{name}: the worker running n = {sorted(share)} exited with status {code}")
+            instances += pickle.loads(payload)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return tuple(sorted(instances, key=lambda inst: inst.n))
 
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> Report:
     """Run one suite for every n from 1 up to max_n (clamped by
     the PERMACT_MAX_N safety rail).
 
-    At most min(jobs, number of sizes, CPU count) worker processes run.
+    At most min(jobs, number of sizes, CPU count) worker processes are
+    forked; where the platform has no ``os.fork``, the sizes run serially.
     Raises ValueError when jobs < 1 or when no size is left to run.
     """
     if name not in SUITES:
@@ -899,11 +961,8 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> Report:
         why = f"max_n = {requested}" if requested < 1 else f"the enumeration cap PERMACT_MAX_N = {cap}"
         raise ValueError(f"{name} has no size to run: {why} is below its smallest n, 1")
     workers = min(jobs, len(ns), os.cpu_count() or 1)
-    if workers > 1:
-        # largest n first, so the slowest sizes start at once; the report
-        # keeps ascending n
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            instances = tuple(pool.map(_run_instance_job, [(name, n) for n in reversed(ns)]))[::-1]
+    if workers > 1 and hasattr(os, "fork"):
+        instances = _forked_instances(name, ns, workers)
     else:
         instances = tuple(_run_instance(name, n) for n in ns)
     return Report(name, suite.kind, suite.statement, top, instances)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permact
 from permact.cli import MAX_TREE_DEPTH, main
 
 
@@ -306,6 +311,28 @@ def test_verify_empty_range_is_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "orb")
     assert code == 2
     assert "PERMACT_MAX_N" in err
+
+
+def test_verify_timing_does_not_carry_over_to_the_next_call(capsys):
+    code, out, _ = run_cli(capsys, "verify", "narayana", "--max-n", "3", "--timing")
+    assert code == 0
+    assert all("seconds" in inst for inst in json.loads(out)["instances"])
+    code, out, _ = run_cli(capsys, "verify", "narayana", "--max-n", "3")
+    assert code == 0
+    assert "seconds" not in out
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(permact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, permact.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'logging')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_verify_nonpositive_jobs_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 from collections import Counter
 from types import SimpleNamespace
 
@@ -173,35 +174,64 @@ def test_run_suite_rejects_empty_range(monkeypatch):
         run_suite("orb")
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_bounded_by_sizes_and_cpus(monkeypatch):
-    started = []
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    def forked(max_n, jobs):
+        forks.clear()
+        assert run_suite("narayana", max_n, jobs=jobs).passed
+        _assert_no_child_left()
+        return len(forks)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    assert run_suite("narayana", 3, jobs=5000).passed
-    assert run_suite("narayana", 8, jobs=5000).passed
-    assert run_suite("narayana", 8, jobs=2).passed
-    assert run_suite("narayana", 1, jobs=5000).passed
+    started = [forked(3, 5000), forked(8, 5000), forked(8, 2)]
     assert started == [3, 4, 2]
+    assert forked(1, 5000) == 0
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    assert run_suite("narayana", 3, jobs=5000).passed
-    assert started == [3, 4, 2]
+    assert forked(3, 5000) == 0
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             run_suite("narayana", 3, jobs=jobs)
+
+
+def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch, capsys):
+    real_run_instance = harness._run_instance
+
+    def dies_at_the_top_n(name, n):
+        if n == 4:
+            os._exit(3)
+        return real_run_instance(name, n)
+
+    monkeypatch.setattr(harness, "_run_instance", dies_at_the_top_n)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="narayana.*status 3"):
+        run_suite("narayana", 4, jobs=2)
+    _assert_no_child_left()
+    assert main(["verify", "narayana", "--max-n", "4", "--jobs", "2"]) == 1
+    assert "narayana" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_jobs_run_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = run_suite("orb", 5, jobs=1)
+    monkeypatch.delattr(os, "fork")
+    parallel = run_suite("orb", 5, jobs=2)
+    for fmt in ("json", "csv", "latex"):
+        assert report_emit(parallel, fmt) == report_emit(serial, fmt)
 
 
 # sha256 of report_emit(run_suite(name, 5), "json") for every suite.  Report
