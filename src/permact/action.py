@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, repeat
+from functools import lru_cache
+from itertools import combinations
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .polynomials import (
     GammaExpansion,
@@ -47,8 +46,6 @@ from .words import (
     peak,
     shape,
 )
-
-_TOP = Boundary.TOP  # read once: each enum attribute read is a Python-level call
 
 
 class LetterNotPresentError(ValueError):
@@ -112,14 +109,14 @@ def phi_x_via_factorization(w: Word, x: int) -> Word:
     return w1 + w4 + (x,) + w2 + w5
 
 
-def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
+def phi_prime_x(w: Word, x: int) -> Word:
     """Block swap at x if x is a double ascent or double descent, else w.
 
-    Classification uses the given boundary sentinels; with TOP this moves
-    double descents right and double ascents left while fixing peaks and
-    valleys.  Only x's two neighbors are compared (an end compares as the
-    sentinel would: larger under TOP, 0 under ZERO); then x moves past the
-    all-smaller block on its smaller side, empty at the ZERO end.
+    Classification uses the TOP sentinels, so double descents move right
+    and double ascents left while peaks and valleys stay.  Only x's two
+    neighbors are compared (an end compares as larger); then x moves past
+    the all-smaller block on its smaller side.  For a word of negative
+    letters the ZERO sentinels compare the same way.
 
     >>> phi_prime_x((5, 7, 3, 1, 4, 8, 9, 2, 6), 4)
     (5, 7, 4, 3, 1, 8, 9, 2, 6)
@@ -129,10 +126,9 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
     n = len(w)
-    end_smaller = boundary is not _TOP and x > 0  # the ZERO end is 0
-    left_smaller = w[k - 1] < x if k else end_smaller
-    right_smaller = w[k + 1] < x if k + 1 < n else end_smaller
-    if left_smaller == right_smaller or (not k if left_smaller else k + 1 == n):
+    left_smaller = k > 0 and w[k - 1] < x
+    right_smaller = k + 1 < n and w[k + 1] < x
+    if left_smaller == right_smaller:
         return w
     v = list(w)
     del v[k]
@@ -149,38 +145,26 @@ def phi_prime_x(w: Word, x: int, boundary: Boundary = Boundary.TOP) -> Word:
     return tuple(v)
 
 
-def phi_prime_x_via_factorization(
-    w: Word, x: int, boundary: Boundary = Boundary.TOP
-) -> Word:
+def phi_prime_x_via_factorization(w: Word, x: int) -> Word:
     """Independent route to phi_prime_x: classify x with letter_class_at,
     then swap through x_factorization."""
     try:
         k = w.index(x)
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
-    cls = letter_class_at(w, k, boundary)
+    cls = letter_class_at(w, k)
     if cls in (LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT):
         return phi_x_via_factorization(w, x)
     return w
 
 
-def phi_prime_S(
-    w: Word, letters: Iterable[int], boundary: Boundary = Boundary.TOP
-) -> Word:
-    """Apply phi_prime_x for every x in the set, in increasing letter order.
-
-    The factors commute, so the order is immaterial; increasing order makes
-    the computation reproducible.
-    """
-    for x in sorted(set(letters)):
-        w = phi_prime_x(w, x, boundary)
+def phi_prime_full(w: Word) -> Word:
+    """Apply phi_prime_x at every letter, in increasing letter order (the
+    factors commute, so the order only makes the computation reproducible);
+    complements the descent count: des(phi_prime_full(w)) + des(w) = len(w) - 1."""
+    for x in sorted(set(w)):
+        w = phi_prime_x(w, x)
     return w
-
-
-def phi_prime_full(w: Word, boundary: Boundary = Boundary.TOP) -> Word:
-    """Apply phi_prime_x at every letter; complements the descent count:
-    des(phi_prime_full(w)) + des(w) = len(w) - 1 under TOP."""
-    return phi_prime_S(w, w, boundary)
 
 
 class HopTable(dict):
@@ -228,8 +212,7 @@ class HopTable(dict):
                 return {"x": x, "y": y}
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """One orbit of the commuting involutions, with its verified invariants.
 
     ``peak`` is the descent count of the canonical representative (the unique
@@ -391,7 +374,8 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
     """Orbit of w with its descent polynomial and the verified closed form.
 
     Under the ZERO boundary the theorem needs every letter below the 0
-    sentinel, so a positive letter is rejected with ValueError.
+    sentinel, so a positive letter is rejected with ValueError; for the
+    words left the hops compare as under TOP.
 
     >>> orbit((2, 1)).descent_poly.coeffs_list()
     [1, 1]
@@ -403,31 +387,22 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
             "the zero boundary needs every letter negative (below the 0 sentinel); "
             f"{w} has a positive letter"
         )
-    report = verified_orbit(orbit_members(w, partial(phi_prime_x, boundary=boundary)), len(w) - 1, boundary)
+    report = verified_orbit(orbit_members(w, phi_prime_x), len(w) - 1, boundary)
     if peak(w, boundary) != report.peak:
         raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
     return report
 
 
-@dataclass(frozen=True)
-class ClassPolys:
-    """Descent and peak polynomials of an action-invariant class, with the
-    2-adically scaled peak counts b_i linking them."""
+class ClassPolys(NamedTuple):
+    """The descent polynomial of an action-invariant class, with the
+    2-adically scaled peak counts b_i that expand it."""
 
     W: IntPolynomial
-    Wbar: IntPolynomial
     b: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "W": self.W.to_json_dict(),
-            "Wbar": self.Wbar.to_json_dict(),
-            "b": list(self.b),
-        }
 
-
-def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPolys:
-    """Compute W(T;t), the peak polynomial, and b_i = 2^(2i+1-n) #{peak = i}.
+def class_polys(T: Iterable[Word]) -> ClassPolys:
+    """Compute W(T;t) and b_i = 2^(2i+1-n) #{peak = i}.
 
     Raises NonIntegralBError when a b_i is not an integer and
     NotInvariantError when the b_i fail to reconstruct W: T is not closed
@@ -439,7 +414,7 @@ def class_polys(T: Iterable[Word], boundary: Boundary = Boundary.TOP) -> ClassPo
     (1, 2)
     """
     lengths: set[int] = set()  # set.add returns None: the filter passes every word
-    shapes = Counter(map(shape, (v for v in T if not lengths.add(len(v))), repeat(boundary)))
+    shapes = Counter(map(shape, (v for v in T if not lengths.add(len(v)))))
     if not lengths:
         raise ValueError("empty class")
     if len(lengths) > 1:
@@ -457,7 +432,6 @@ def class_polys_from_counts(descent_counts: Mapping, peak_counts: Mapping, n: in
     """class_polys, with its errors, from a class's counts of words of length n
     by descents and by peaks, keyed (i,)."""
     W = IntPolynomial.from_counts(("t",), descent_counts)
-    Wbar = IntPolynomial.from_counts(("t",), peak_counts)
     try:
         b = strip_zeros([peak_scale(peak_counts[(i,)], i, n) for i in range((n - 1) // 2 + 1)])
     except NonIntegralError as exc:
@@ -467,4 +441,4 @@ def class_polys_from_counts(descent_counts: Mapping, peak_counts: Mapping, n: in
             "descent polynomial does not match the scaled peak counts; "
             "class is not action-invariant"
         )
-    return ClassPolys(W, Wbar, b)
+    return ClassPolys(W, b)

@@ -35,6 +35,7 @@ def _size(command: str, n: int, least: int) -> int:
 
 def cmd_stats(args) -> int:
     w = words.parse_word(args.word)
+    count_13_2, count_2_31 = patterns.pattern_pair(w)
     stats = {
         "word": list(w),
         "n": len(w),
@@ -45,8 +46,8 @@ def cmd_stats(args) -> int:
         "valley": words.valley(w),
         "double_ascent": words.double_ascent(w),
         "double_descent": words.double_descent(w),
-        "count_2_31": patterns.count_2_31(w),
-        "count_13_2": patterns.count_13_2(w),
+        "count_2_31": count_2_31,
+        "count_13_2": count_13_2,
         "avoids_231": patterns.avoids_231(w),
         "veh": trees.veh(w),
         "odd": sorted(trees.odd_set(w)),

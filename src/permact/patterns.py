@@ -1,10 +1,10 @@
 """Vincular pattern counts, the (p,q,t)-refined descent polynomial, and the
 Narayana polynomial of 231-avoiding permutations.
 
-count_2_31 counts occurrences where the "31" is an adjacent descent and the
-"2" sits anywhere earlier; count_13_2 mirrors it for an adjacent ascent with
-the middle value appearing later.  Both statistics are constant on the orbits
-of the modified involutions, which is what makes the refinement
+pattern_pair counts (13-2), occurrences where the "13" is an adjacent ascent
+and the "2" sits anywhere later, and (2-31), where the "31" is an adjacent
+descent and the "2" sits anywhere earlier.  Both statistics are constant on
+the orbits of the modified involutions, which is what makes the refinement
 
     A_n(p, q, t) = sum over S_n of p^(13-2) q^(2-31) t^des
 
@@ -60,16 +60,6 @@ def pattern_pair(w: Word) -> tuple[int, int]:
     return p, q
 
 
-def count_13_2(w: Word) -> int:
-    """Pairs i < j with w_(i-1) < w_j < w_i and (i-1, i) adjacent."""
-    return pattern_pair(w)[0]
-
-
-def count_2_31(w: Word) -> int:
-    """Pairs i < j with w_(j+1) < w_i < w_j and (j, j+1) adjacent."""
-    return pattern_pair(w)[1]
-
-
 def pattern_pair_via_runs(w: Word) -> tuple[int, int]:
     """Independent route to pattern_pair: the letters strictly between the
     two ends of each pair of adjacent extrema, every valley and the peak
@@ -98,16 +88,6 @@ def pattern_pair_via_runs(w: Word) -> tuple[int, int]:
         lo = w[after]
         q += len([a for a in w[:top] if lo < a < hi])
     return p, q
-
-
-def count_13_2_via_runs(w: Word) -> int:
-    """Independent route: valley-then-peak pairs against later letters."""
-    return pattern_pair_via_runs(w)[0]
-
-
-def count_2_31_via_runs(w: Word) -> int:
-    """Independent route: peak-then-valley pairs against earlier letters."""
-    return pattern_pair_via_runs(w)[1]
 
 
 def avoids_231(w: Word) -> bool:
@@ -201,17 +181,10 @@ def _pattern_step(n: int):
     return step
 
 
-def pattern_tally_per_word(n: int) -> Counter:
-    """The same distribution from `peak`, `count_13_2`, `count_2_31` and
-    `des` word by word: the route pattern_tally replaces."""
-    return Counter((peak(w), count_13_2(w), count_2_31(w), des(w)) for w in all_permutations(n))
-
-
 def pattern_tally_via_runs(n: int) -> Counter:
-    """The same distribution with both patterns counted from the runs."""
-    return Counter(
-        (peak(w), count_13_2_via_runs(w), count_2_31_via_runs(w), des(w)) for w in all_permutations(n)
-    )
+    """The same distribution word by word, from `peak`, `pattern_pair_via_runs`
+    and `des`: the route pattern_tally replaces."""
+    return Counter((peak(w), *pattern_pair_via_runs(w), des(w)) for w in all_permutations(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,10 +233,10 @@ def bni_polynomial(n: int, i: int) -> IntPolynomial:
 
 
 def bni_via_scans(n: int) -> list[IntPolynomial]:
-    """Every b_(n,i)(p, q), i = 0..(n-1)//2, scaled from pattern_tally_per_word:
+    """Every b_(n,i)(p, q), i = 0..(n-1)//2, scaled from pattern_tally_via_runs:
     the route that _pattern_tables' transfer tally replaces."""
     by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
-    for (i, a, b, _), cnt in pattern_tally_per_word(n).items():
+    for (i, a, b, _), cnt in pattern_tally_via_runs(n).items():
         by_peak[i][a, b] += cnt
     return [IntPolynomial(("p", "q"), {ab: peak_scale(cnt, i, n) for ab, cnt in counts.items()})
             for i, counts in enumerate(by_peak)]

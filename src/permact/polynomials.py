@@ -86,7 +86,8 @@ class IntPolynomial:
     def from_counts(
         cls, variables: Iterable[str], counts: Mapping[tuple[int, ...], int]
     ) -> "IntPolynomial":
-        """Wrap an accumulated {exponents: count} dict without copying per-term."""
+        """The polynomial of an accumulated {exponents: count} tally; the
+        constructor checks and copies every term, as for any mapping."""
         return cls(variables, counts)
 
     # -- ring operations ----------------------------------------------
@@ -341,12 +342,6 @@ class GesselExpansion:
 
     def negative_entries(self) -> list[tuple[int, int, int]]:
         return [(k, j, c) for (k, j), c in sorted(self.coeffs.items()) if c < 0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "coeffs": [{"k": k, "j": j, "c": c} for (k, j), c in sorted(self.coeffs.items())],
-        }
 
 
 def _gessel_pairs(n: int) -> list[tuple[int, int]]:

@@ -14,14 +14,13 @@ from permact.action import (
     orbit_members,
     orbits,
     phi_prime_full,
-    phi_prime_S,
     phi_prime_x,
     phi_x,
     x_factorization,
 )
 from permact.polynomials import uni
 from permact.posets import all_canonical_posets, linear_extensions, psi_x_poset
-from permact.words import LetterClass, all_permutations, classify, des
+from permact.words import Boundary, LetterClass, all_permutations, classify, des
 
 W0 = (5, 7, 3, 1, 4, 8, 9, 2, 6)
 
@@ -74,8 +73,11 @@ def test_phi_prime_matches_phi_off_peaks():
 
 
 def test_subset_maps_compose():
-    assert phi_prime_S(W0, (3, 4)) == phi_prime_x(phi_prime_x(W0, 3), 4)
-    assert phi_prime_full(W0) == phi_prime_S(W0, range(1, 10))
+    for letters in (range(1, 10), range(9, 0, -1)):
+        full = W0
+        for x in letters:
+            full = phi_prime_x(full, x)
+        assert phi_prime_full(W0) == full
 
 
 def test_orbit_small():
@@ -85,6 +87,12 @@ def test_orbit_small():
     assert rep.peak == 0
     assert rep.descent_poly == uni([1, 1])
     assert rep.gamma_claim.gamma == (1,)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zero_boundary_orbits_of_negative_words_match_top(n):
+    for w in itertools.permutations(range(-n, 0)):
+        assert orbit(w, Boundary.ZERO) == orbit(w)
 
 
 def test_orbit_fixture_word():

@@ -38,13 +38,12 @@ from permact.mahonian import ev_set
 from permact.patterns import (
     apq_polynomial,
     avoiding_permutations,
-    count_2_31,
     pattern_pair,
     pattern_pair_via_runs,
 )
 from permact.polynomials import GammaExpansion, GesselExpansion, IntPolynomial, gessel_expand, uni
 from permact.posets import psi_x_poset
-from permact.trees import dyck_path, odd_set
+from permact.trees import dyck_path
 from permact.words import (
     Boundary,
     LetterClass,
@@ -277,15 +276,10 @@ def orbit_members_skipping_last_mover(seed, hop):
     return frozenset(members)
 
 
-def phi_prime_x_swapping_peaks(w, x, boundary=Boundary.TOP):
+def phi_prime_x_swapping_peaks(w, x):
     """A planted defect: the hop also swaps the two blocks of a peak."""
-    cls = letter_class_at(w, w.index(x), boundary)
+    cls = letter_class_at(w, w.index(x))
     return w if cls is LetterClass.VALLEY else phi_x(w, x)
-
-
-def count_2_31_off_by_one(w):
-    """A planted defect: one (2-31) occurrence too many."""
-    return count_2_31(w) + 1
 
 
 def apq_polynomial_plus_p(n):
@@ -317,19 +311,19 @@ def depths_by_descents(n):
     return {w: des(w) for w in all_permutations(n)}
 
 
-def phi_prime_x_stuck_in_front(w, x, boundary=Boundary.TOP):
+def phi_prime_x_stuck_in_front(w, x):
     """A planted defect: the largest letter, once in front, never hops back."""
     if x == len(w) and w[0] == x:
         return w
-    return phi_prime_x(w, x, boundary)
+    return phi_prime_x(w, x)
 
 
-def phi_prime_x_trading_two_words(w, x, boundary=Boundary.TOP):
+def phi_prime_x_trading_two_words(w, x):
     """A planted defect: letter 1, a valley the true hops fix, trades
     (n 1 2 ... n-1) with (1 n 2 ... n-1).  Every hop is still an involution
     and the identity's product of hops is unchanged."""
     if x != 1:
-        return phi_prime_x(w, x, boundary)
+        return phi_prime_x(w, x)
     n = len(w)
     a, b = (n, *range(1, n)), (1, n, *range(2, n))
     return b if w == a else a if w == b else w
@@ -407,13 +401,6 @@ def theta_skipping_the_complement(w):
     return w
 
 
-def psi_prime_dropping_the_largest_odd_letter(w):
-    """A planted defect: the hop at the largest odd-set letter is left out."""
-    for x in sorted(odd_set(w))[:-1]:
-        w = phi_prime_x(w, x)
-    return w
-
-
 def involutions_repeating_one_word(n):
     """A planted defect: the last involution is replaced by a second copy of
     the first, so the count stays the telephone number."""
@@ -468,15 +455,15 @@ def orbit_members_trading_a_member(seed, hop, letters=None):
     return members
 
 
-def phi_prime_full_doing_nothing(w, boundary=Boundary.TOP):
+def phi_prime_full_doing_nothing(w):
     """A planted defect: the product of all hops leaves every word as it is."""
     return w
 
 
-def phi_prime_x_stopping_short(w, x, boundary=Boundary.TOP):
+def phi_prime_x_stopping_short(w, x):
     """A planted defect: a moving letter stops one place short of the far
     end of its block, so a block of one letter does not move it at all."""
-    v = phi_prime_x(w, x, boundary)
+    v = phi_prime_x(w, x)
     k, j = v.index(x), w.index(x)
     if k == j:
         return w
@@ -491,6 +478,7 @@ PATTERN_TABLES = patterns._pattern_tables
 PATTERN_STEP = patterns._pattern_step
 DES_MAJ_STEP = harness.mahonian._des_maj_step
 EDGE_MASKS = harness.trees.edge_masks
+HOP_PRODUCT = harness.trees.hop_product
 BNI_POLYNOMIAL = patterns.bni_polynomial
 INVOLUTION_DESCENT_POLY = involution_descent_poly
 
@@ -525,6 +513,17 @@ def edge_masks_dropping_the_smallest_odd_letter(w):
     return odd & (odd - 1), right
 
 
+def edge_masks_without_right_children(w):
+    """A planted defect: the right-edge mask is always empty."""
+    return EDGE_MASKS(w)[0], 0
+
+
+def hop_product_dropping_the_largest_letter(w, letters, hop):
+    """A planted defect: the hop at the largest letter of the mask is left
+    out, so psi' skips its largest odd-set letter."""
+    return HOP_PRODUCT(w, letters ^ (1 << letters.bit_length() >> 1), hop)
+
+
 def pattern_tables_with_a_wrong_entry(n):
     """A planted defect: b_(n,0) gains a term p, which (p+q)^0 still divides."""
     apq, table = PATTERN_TABLES(n)
@@ -557,12 +556,12 @@ def fresh_pattern_tables():
 
 @pytest.mark.parametrize("suite, n, target, broken, stage", [
     ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
-    ("psiphi", 4, harness.trees, ("redge_set", lambda w: frozenset()), "stack scans"),
+    ("psiphi", 4, harness.trees, ("edge_masks", edge_masks_without_right_children), "stack scans"),
     ("evt", 3, harness.mahonian, ("ev_set", lambda w: frozenset()), "stack scan"),
     ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort", lambda w: w), "post-order"),
     ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
     ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
-    ("pq-symmetry", 4, harness.patterns, ("count_2_31", count_2_31_off_by_one), "run-based"),
+    ("pq-symmetry", 4, harness.patterns, ("pattern_pair_via_runs", pattern_pair_via_runs_off_by_one), "run-based"),
     ("mahonian-s1s2", 3, harness.patterns, ("apq_polynomial", apq_polynomial_plus_p), "exponent-sum"),
     ("stack-invariance", 7, harness.stacksort, ("stack_sort", lambda w: w), "stack sort changed under a hop"),
     ("genbona", 4, harness.stacksort, ("r_sortable_classes", depths_by_descents), "sort depth changed"),
@@ -582,7 +581,7 @@ def fresh_pattern_tables():
      "letter-set transfer"),
     ("veh-altsum", 4, harness.words, ("dec_subseq_counts", dec_subseq_counts_off_at_d2), "alternating sum"),
     ("evt", 4, harness.mahonian, ("theta", theta_skipping_the_complement), "recursion"),
-    ("psi-prime", 4, harness.trees, ("psi_prime", psi_prime_dropping_the_largest_odd_letter),
+    ("psi-prime", 4, harness.trees, ("hop_product", hop_product_dropping_the_largest_letter),
      "direct and recursive"),
     ("guo-zeng", 4, harness.words, ("involutions", involutions_repeating_one_word), "S_n filter"),
     ("divisibility", 4, harness.patterns, ("_pattern_tables", pattern_tables_with_a_wrong_entry),

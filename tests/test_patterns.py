@@ -9,11 +9,9 @@ from permact.patterns import (
     check_divisibility,
     check_mahonian,
     check_pq_symmetry,
-    count_13_2,
-    count_13_2_via_runs,
-    count_2_31,
-    count_2_31_via_runs,
     narayana,
+    pattern_pair,
+    pattern_pair_via_runs,
 )
 from permact.polynomials import IntPolynomial
 from permact.words import all_permutations
@@ -44,19 +42,15 @@ def brute_13_2(w):
 
 
 def test_pattern_count_fixtures():
-    assert count_2_31((2, 3, 1)) == 1
-    assert count_13_2((1, 3, 2)) == 1
-    assert count_2_31(W0) == 6
-    assert count_13_2(W0) == 3
+    assert pattern_pair((2, 3, 1)) == (0, 1)
+    assert pattern_pair((1, 3, 2)) == (1, 0)
+    assert pattern_pair(W0) == (3, 6)
 
 
 def test_pattern_counts_match_brute_force():
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert count_2_31(w) == brute_2_31(w)
-            assert count_13_2(w) == brute_13_2(w)
-            assert count_2_31_via_runs(w) == count_2_31(w)
-            assert count_13_2_via_runs(w) == count_13_2(w)
+            assert pattern_pair(w) == pattern_pair_via_runs(w) == (brute_13_2(w), brute_2_31(w))
 
 
 def test_avoids_231():
