@@ -561,7 +561,8 @@ def fresh_pattern_tables():
     ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort", lambda w: w), "post-order"),
     ("orb", 4, harness.action, ("orbit_members", orbit_members_skipping_last_mover), "doubling"),
     ("corre", 3, harness.action, ("phi_prime_x", phi_prime_x_swapping_peaks), "factorization"),
-    ("pq-symmetry", 4, harness.patterns, ("pattern_pair_via_runs", pattern_pair_via_runs_off_by_one), "run-based"),
+    ("pq-symmetry", 4, harness.patterns, ("pattern_pair_via_runs", pattern_pair_via_runs_off_by_one),
+     "run-based"),
     ("mahonian-s1s2", 3, harness.patterns, ("apq_polynomial", apq_polynomial_plus_p), "exponent-sum"),
     ("stack-invariance", 7, harness.stacksort, ("stack_sort", lambda w: w), "stack sort changed under a hop"),
     ("genbona", 4, harness.stacksort, ("r_sortable_classes", depths_by_descents), "sort depth changed"),

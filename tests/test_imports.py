@@ -18,7 +18,8 @@ def unused_imports(path: Path) -> list[str]:
     imported = [
         alias.asname or alias.name.split(".")[0]
         for node in tree.body
-        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
         for alias in node.names
     ]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
