@@ -12,8 +12,10 @@ and the CPU count.  Each ``--instance SUITE:N`` also records, per side, the
 untraced seconds of that one instance as ``permact verify SUITE --max-n N
 --timing`` reports them, over ``PAIRS`` alternating runs.  A gain counts
 only when the change wins at least nine pairs in ten and the medians differ
-by more than the parent's quartile spread.  Both checkouts must hold the
-same ``perfbench/`` and ``BENCHMARK.json``.
+by more than the parent's quartile spread.  Before any run the script
+refuses, with exit status 2, a pair whose resolved paths differ in length
+(``peak_rss_mb`` moves with the path length, by up to 0.4 MiB) or whose
+``perfbench/`` files and ``BENCHMARK.json`` differ in any byte.
 """
 
 from __future__ import annotations
@@ -53,6 +55,26 @@ def instance_seconds(checkout: Path, suite: str, n: int) -> float:
     return last["seconds"]
 
 
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """BENCHMARK.json and every file under perfbench/ except bytecode
+    caches, by path relative to the checkout."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {str(p.relative_to(checkout)): p.read_bytes()
+            for p in paths if p.is_file() and "__pycache__" not in p.parts}
+
+
+def refusal(parent: Path, change: Path) -> str | None:
+    """Why the two checkouts cannot be benchmarked against each other, or None."""
+    if len(str(parent)) != len(str(change)):
+        return (f"the checkout paths differ in length ({parent}: {len(str(parent))}, "
+                f"{change}: {len(str(change))}), and peak_rss_mb moves with it")
+    ours, theirs = benchmark_files(parent), benchmark_files(change)
+    differing = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+    if differing:
+        return f"the checkouts differ in the benchmark's own files: {', '.join(differing)}"
+    return None
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
@@ -67,6 +89,9 @@ def main() -> int:
     args = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    why = refusal(sides["parent"], sides["change"])
+    if why:
+        parser.error(why)
     runs, summary, traced = [], {}, {}
     for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
         for k in range(PAIRS):

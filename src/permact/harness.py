@@ -13,7 +13,6 @@ through a pipe.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -22,10 +21,9 @@ import random
 import signal
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from . import action, mahonian, patterns, posets, stacksort, trees, words
 from .limits import enumeration_bound
@@ -52,8 +50,7 @@ _EXHAUSTIVE_LIMIT = 7
 _SAMPLE_WORDS = 1500
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """Result of one suite at one size."""
 
     suite: str
@@ -80,8 +77,7 @@ class Instance:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     suite: str
     kind: str
     statement: str
@@ -782,13 +778,12 @@ def _run_brenti(n: int) -> Instance:
     )
 
 
-@dataclass(frozen=True)
 class Suite:
-    name: str
-    kind: str
-    statement: str
-    default_max_n: int
-    runner: Callable[[int], Instance]
+    # a plain class, not a NamedTuple: perfbench's tracer patches vars(suite)["runner"]
+    def __init__(self, name: str, kind: str, statement: str, default_max_n: int,
+                 runner: Callable[[int], Instance]):
+        self.name, self.kind, self.statement = name, kind, statement
+        self.default_max_n, self.runner = default_max_n, runner
 
 
 SUITES: dict[str, Suite] = {
@@ -865,7 +860,7 @@ def _run_instance(name: str, n: int) -> Instance:
         inst = suite.runner(n)
     except Exception as exc:
         inst = Instance(name, n, False, True, f"error: {exc!r}")
-    return replace(inst, seconds=time.perf_counter() - start)
+    return inst._replace(seconds=time.perf_counter() - start)
 
 
 def _worker(name: str, share: list[int], write_end: int) -> NoReturn:
@@ -975,6 +970,8 @@ def report_emit(report: Report, fmt: str, include_timing: bool = False) -> bytes
         text = json.dumps(report.to_json_dict(include_timing), indent=2, sort_keys=True)
         return (text + "\n").encode()
     if fmt == "csv":
+        import csv  # on first use, so that json and latex runs never load it
+
         buf = io.StringIO()
         fields = ["suite", "kind", "n", "ok", "hard_failure", "detail", "counterexample", "data"]
         if include_timing:
@@ -1041,6 +1038,8 @@ def emit_table(header: list[str], rows: list[list[str]], fmt: str) -> bytes:
         data = [dict(zip(header, row)) for row in rows]
         return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
     if fmt == "csv":
+        import csv  # on first use, as in report_emit
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

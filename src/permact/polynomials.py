@@ -8,11 +8,9 @@ All arithmetic is exact; there are no floats anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class NotSymmetricError(ValueError):
@@ -245,8 +243,7 @@ def _add_gamma_term(coeffs: list[int], g: int, i: int, e: int) -> None:
         coeffs[i + j] += g * comb(e, j)
 
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(NamedTuple):
     """p(t) = sum_i gamma_i t^i (1+t)^(d-2i), for a palindrome of center d/2."""
 
     d: int
@@ -327,8 +324,7 @@ def peak_scale(cnt: int, i: int, n: int) -> int:
 # -- bivariate (s+t)^k (st)^j (1+st)^(n-k-1-2j) expansion -----------------
 
 
-@dataclass(frozen=True)
-class GesselExpansion:
+class GesselExpansion(NamedTuple):
     """F(s,t) = sum c[(k,j)] (s+t)^k (st)^j (1+st)^(n-k-1-2j)."""
 
     n: int
@@ -407,6 +403,8 @@ def gessel_expand_via_solve(F: IntPolynomial, n: int) -> GesselExpansion:
     the basis were dependent) and NonIntegralError if a coefficient is not an
     integer.  Zero coefficients are dropped.
     """
+    from fractions import Fraction  # on first use: only this oracle needs it
+
     if F.vars != ("s", "t"):
         raise ValueError("expected a polynomial in vars ('s', 't')")
     pairs = _gessel_pairs(n)

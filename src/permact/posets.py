@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .limits import check_enumeration_size
-from .polynomials import IntPolynomial, gamma_expand, peak_scale, strip_zeros
+from .polynomials import IntPolynomial, NotSymmetricError, gamma_expand, peak_scale, strip_zeros
 from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
 
 Element = Hashable
@@ -182,8 +181,7 @@ class LabeledPoset:
         return f"LabeledPoset({self.elements!r}, {self.covers!r}, {self.labels!r})"
 
 
-@dataclass(frozen=True)
-class SignGrading:
+class SignGrading(NamedTuple):
     """Edge signs, the common maximal-chain sum r, and the rank of each element."""
 
     epsilon: dict[tuple[Element, Element], int]
@@ -344,8 +342,7 @@ def orbit_degree(P: LabeledPoset) -> int:
     return len(P) - sign_grading(P).r - 1
 
 
-@dataclass(frozen=True)
-class WpPolynomials:
+class WpPolynomials(NamedTuple):
     """Descent polynomial of the linear extensions with its expansion
     a_i in the t^i (1+t)^(d-2i) basis, d = p - r - 1."""
 
@@ -378,7 +375,11 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
     p = len(P)
     W = descent_poly(exts)
     d = p - g.r - 1
-    gamma = gamma_expand(W, d).gamma
+    try:
+        gamma = gamma_expand(W, d).gamma
+    except NotSymmetricError as exc:
+        # the theorem makes W(P;t) symmetric: this is a broken identity, not bad input
+        raise BrokenInvariantError(f"W(P;t) breaks the orbit symmetry: {exc}") from exc
     if g.r == 0:
         n, shift, source = p, 0, exts
     else:

@@ -20,7 +20,6 @@ tree in pre-order gives the classical bijection to Dyck paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .action import phi_prime_full, phi_prime_x, phi_x
@@ -39,11 +38,12 @@ class MalformedPathError(ValueError):
 # -- decreasing binary tree -------------------------------------------------
 
 
-@dataclass
 class BinaryTreeNode:
-    label: int
-    left: "BinaryTreeNode | None" = None
-    right: "BinaryTreeNode | None" = None
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label: int, left: BinaryTreeNode | None = None,
+                 right: BinaryTreeNode | None = None):
+        self.label, self.left, self.right = label, left, right
 
 
 def binary_tree(w: Word) -> BinaryTreeNode | None:
@@ -191,12 +191,14 @@ def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
 # -- unordered decreasing tree ----------------------------------------------
 
 
-@dataclass
 class UnorderedTree:
     """Rooted tree with integer labels; the virtual root is labeled None."""
 
-    label: int | None
-    children: list["UnorderedTree"] = field(default_factory=list)
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: int | None, children: list[UnorderedTree] | None = None):
+        self.label = label
+        self.children = [] if children is None else children
 
     def signature(self) -> tuple:
         """Canonical nested form, invariant under reordering children."""

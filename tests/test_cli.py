@@ -271,6 +271,32 @@ def test_poset_orbits(capsys, tmp_path):
     assert len(data["orbits"]) == 1
 
 
+def test_poset_poly_with_a_broken_wp_identity_exits_1(capsys, tmp_path, monkeypatch):
+    # W(P;t) of a canonically labeled poset is symmetric by theorem, so an
+    # asymmetric one is a broken identity, not bad input
+    from permact import posets
+    from permact.polynomials import uni
+
+    monkeypatch.setattr(posets, "descent_poly", lambda exts: uni([1, 2]))
+    code, out, err = run_cli(capsys, "poset", _write_poset(tmp_path), "--poly")
+    assert code == 1
+    assert not out
+    assert "not palindromic" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"elements": [], "covers": [], "labels": {}},
+    {"elements": ["a", "b"], "covers": [["a", "b"]], "labels": {"a": 1, "b": -1}},
+], ids=["empty", "not-canonical"])
+def test_poset_poly_on_bad_input_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "poset", str(path), "--poly")
+    assert code == 2
+    assert not out
+    assert err
+
+
 def test_table(capsys):
     code, out, _ = run_cli(capsys, "table", "narayana", "--n", "5")
     assert code == 0
@@ -322,17 +348,39 @@ def test_verify_timing_does_not_carry_over_to_the_next_call(capsys):
     assert "seconds" not in out
 
 
-def test_import_loads_no_process_pool():
+def _fresh_interpreter(code):
+    """The stdout of code run by a new interpreter that imports permact from
+    this checkout."""
     src = str(Path(permact.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_loads_no_process_pool():
+    out = _fresh_interpreter(
         "import sys, permact.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'logging')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_import_loads_no_dataclasses_csv_or_fractions():
+    # csv and fractions load on first use; the two uses still work afterwards
+    out = _fresh_interpreter(
+        "import sys, permact.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'fractions', 'decimal', 'csv')\n"
+        "       if m in sys.modules])\n"
+        "from permact.polynomials import IntPolynomial, gessel_expand_via_solve\n"
+        "s, t = (IntPolynomial.variable(v, ('s', 't')) for v in 'st')\n"
+        "print(gessel_expand_via_solve((s + t) * (1 + s * t), 3).coeffs)\n"
+        "sys.exit(permact.cli.main(['verify', 'narayana', '--max-n', '4', '--format', 'csv']))"
+    )
+    lines = out.splitlines()
+    assert lines[:2] == ["[]", "{(1, 0): 1}"]
+    assert lines[2].startswith("suite,kind,n,ok,")
+    assert [row.split(",")[2:4] for row in lines[3:]] == [[str(n), "True"] for n in range(1, 5)]
 
 
 def test_verify_nonpositive_jobs_is_usage_error(capsys):

@@ -1,20 +1,25 @@
 import pytest
 
+from permact.stacksort import stack_sort
 from permact.trees import (
     MalformedPathError,
     Not231AvoidingError,
+    UnorderedTree,
     all_dyck_paths,
     binary_tree,
     dyck_path,
+    edge_masks,
     kreweras_stats,
     label_heights,
     odd_set,
     phi_cap,
+    postorder,
     psi,
     psi_prime,
     psi_prime_recursive,
     redge_set,
     right_edge_depths,
+    right_edges_via_tree,
     unordered_tree,
     veh,
     word_of,
@@ -125,3 +130,46 @@ def test_path_statistics_equidistributed():
             dist_even[even_up] = dist_even.get(even_up, 0) + 1
             dist_double[double_up] = dist_double.get(double_up, 0) + 1
         assert dist_even == dist_double
+
+
+def test_unordered_tree_nodes_get_their_own_children():
+    a, b = UnorderedTree(1), UnorderedTree(2)
+    assert a.children is not b.children
+    a.children.append(b)
+    assert UnorderedTree(3).children == []
+
+
+def _on_permutations(check):
+    """Run check on hypothesis-drawn permutations of 1..n for n <= 10."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    words = st.integers(0, 10).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+    hypothesis.settings(max_examples=200, deadline=None, database=None)(
+        hypothesis.given(words)(check)
+    )()
+
+
+def test_binary_tree_readouts_on_random_permutations():
+    def check(w):
+        root = binary_tree(w)
+        assert word_of(root) == w
+        assert postorder(root) == stack_sort(w)
+
+    _on_permutations(check)
+
+
+def test_edge_masks_match_the_tree_on_random_permutations():
+    def check(w):
+        depths, right = right_edges_via_tree(w)
+        odd = sum(1 << x for x, r in depths.items() if r % 2)
+        assert edge_masks(w) == (odd, sum(1 << x for x in right))
+
+    _on_permutations(check)
+
+
+def test_veh_counts_even_heights_on_random_permutations():
+    def check(w):
+        heights = label_heights(unordered_tree(w))
+        assert veh(w) == sum(h % 2 == 0 for h in heights.values())
+
+    _on_permutations(check)
