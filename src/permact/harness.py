@@ -98,14 +98,15 @@ class Report(NamedTuple):
         return 3
 
     def summary_line(self) -> str:
-        if self.kind == "theorem":
-            if self.passed:
-                return f"{self.suite}: PASS for n <= {self.max_n}"
-            bad = next(inst for inst in self.instances if not inst.ok)
-            return f"{self.suite}: FAIL at n = {bad.n}: {bad.detail}"
         if self.passed:
+            if self.kind == "theorem":
+                return f"{self.suite}: PASS for n <= {self.max_n}"
             return f"{self.suite}: consistent up to n = {self.max_n} (conjecture, not a proof)"
-        bad = next(inst for inst in self.instances if not inst.ok)
+        # the failure that sets exit_code: the first hard one, if any
+        failed = [inst for inst in self.instances if not inst.ok]
+        bad = next((inst for inst in failed if inst.hard_failure), failed[0])
+        if self.kind == "theorem":
+            return f"{self.suite}: FAIL at n = {bad.n}: {bad.detail}"
         if bad.hard_failure:
             return f"{self.suite}: FAIL at n = {bad.n} (proven part violated): {bad.detail}"
         return f"{self.suite}: COUNTEREXAMPLE at n = {bad.n}: {bad.detail}"
@@ -146,12 +147,14 @@ def _sample_words(n: int, count: int, tag: str) -> list[Word]:
     return out
 
 
-def _fail(suite: str, n: int, detail: str, witness: dict | None = None, hard: bool = True) -> Instance:
-    return Instance(suite, n, False, hard, detail, witness)
+class Failure(Exception):
+    """A runner's failed check at its n, raised for ``_run_instance`` to
+    report.  hard=False marks a counterexample to a conjecture.  Not a
+    RuntimeError or ValueError, which ``cli.main`` maps to exit codes."""
 
-
-def _pass(suite: str, n: int, detail: str, data: dict | None = None) -> Instance:
-    return Instance(suite, n, True, False, detail, None, data)
+    def __init__(self, detail: str, witness: dict | None = None, hard: bool = True):
+        super().__init__(detail)
+        self.detail, self.witness, self.hard = detail, witness, hard
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +174,13 @@ def involution_descent_poly(n: int) -> IntPolynomial:
 
 
 def _check_orbits(
-    suite: str,
     n: int,
-    walk_check: Callable[[frozenset[Word]], Instance | None],
-    orbit_check: Callable[[action.OrbitReport], Instance | None],
+    walk_check: Callable[[frozenset[Word]], None],
+    orbit_check: Callable[[action.OrbitReport], None],
     cover_detail: str,
-) -> Instance | None:
-    """None when the orbits of S_n under the hops pass every check, else the
-    suite's first failure.  Each orbit is built from its representative,
+) -> None:
+    """Check the orbits of S_n under the hops, raising Failure at the first
+    check that fails.  Each orbit is built from its representative,
     doubling over the representative's double ascents, and verified_orbit
     requires its one double-descent-free member to be that representative.
     Orbits are the classes of the group the hops generate, so two orbits
@@ -186,14 +188,13 @@ def _check_orbits(
     give disjoint orbits, and sizes that sum to n! partition S_n.
     orbit_check runs on each verified orbit.  For n <= 6 the walk of S_n is
     the oracle and runs first: walk_check runs on each walked orbit, and
-    the walk must find the same orbits.  cover_detail is formatted with
-    covered and total when the sizes do not sum to n!."""
+    the walk must find the same orbits.  Both checks raise Failure.
+    cover_detail is formatted with covered and total when the sizes do not
+    sum to n!."""
     hop = action.phi_prime_x
     walked = set()
     for members in action.orbits(words.all_permutations(n), hop) if n <= 6 else ():
-        bad = walk_check(members)
-        if bad is not None:
-            return bad
+        walk_check(members)
         walked.add(members)
     covered = 0
     built = set()
@@ -204,28 +205,25 @@ def _check_orbits(
         try:
             rep = action.verified_orbit(members, n - 1, Boundary.TOP, seed)
         except RuntimeError as exc:
-            return _fail(suite, n, str(exc), {"word": min(members)})
-        bad = orbit_check(rep)
-        if bad is not None:
-            return bad
+            raise Failure(str(exc), {"word": min(members)})
+        orbit_check(rep)
         covered += len(members)
         repeated |= seed <= previous
         previous = seed
         if n <= 6:
             built.add(members)
     if covered != factorial(n):
-        return _fail(suite, n, cover_detail.format(covered=covered, total=factorial(n)))
+        raise Failure(cover_detail.format(covered=covered, total=factorial(n)))
     if repeated:
-        return _fail(suite, n, "orbit representatives repeat or leave lex order")
+        raise Failure("orbit representatives repeat or leave lex order")
     if built != walked:
-        return _fail(suite, n, "the orbits of the representatives differ from the walk of S_n")
-    return None
+        raise Failure("the orbits of the representatives differ from the walk of S_n")
 
 
-def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], detail: str,
-                        on_orbit: Callable[[action.OrbitReport], None] | None = None) -> Instance | None:
-    """None when value is constant on every orbit of S_n, else the suite's
-    failure at the first hop u = phi_prime_x(w, x) of a bad orbit with
+def _constant_on_orbits(n: int, value: Callable[[Word], object], detail: str,
+                        on_orbit: Callable[[action.OrbitReport], None] | None = None) -> None:
+    """Check that value is constant on every orbit of S_n, raising Failure
+    with detail at the first hop u = phi_prime_x(w, x) of a bad orbit with
     value(u) != value(w).  The orbits are the classes of the group the hops
     generate, so this is the claim "no hop changes value" at one value per
     word.  For n <= 6 the hop-by-hop sweep of every walked orbit is the
@@ -233,62 +231,59 @@ def _constant_on_orbits(suite: str, n: int, value: Callable[[Word], object], det
     sees each verified orbit whose value is constant."""
     hop = action.phi_prime_x
 
-    def first_move(ordered) -> Instance:
+    def first_move(ordered) -> NoReturn:
         w, x, u = next((w, x, u) for w in ordered for x in range(1, n + 1)
                        for u in [hop(w, x)] if value(u) != value(w))
-        return _fail(suite, n, detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
+        raise Failure(detail, {"word": w, "x": x, "value": value(w), "image_value": value(u)})
 
-    def sweep(members: frozenset[Word]) -> Instance | None:
+    def sweep(members: frozenset[Word]) -> None:
         changed = len({value(w) for w in members}) > 1
         # members are reached from the seed by hops, so a bad orbit has a move
         hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
         moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
         if changed != bool(moves) or any(u not in members for _, _, u in hops):
-            return _fail(suite, n, "the hop-by-hop sweep disagrees with the orbit check",
-                         {"orbit": members})
-        return first_move(sorted(members)) if changed else None
+            raise Failure("the hop-by-hop sweep disagrees with the orbit check", {"orbit": members})
+        if changed:
+            first_move(sorted(members))
 
-    def constant(rep: action.OrbitReport) -> Instance | None:
+    def constant(rep: action.OrbitReport) -> None:
         if len({value(w) for w in rep.members}) > 1:
-            return first_move(rep.members)
+            first_move(rep.members)
         if on_orbit is not None:
             on_orbit(rep)
-        return None
 
-    return _check_orbits(suite, n, sweep, constant, "orbit sizes sum to {covered}, not {total}")
-
-
-# -- suite runners (module level so worker processes can pickle them) ---------
+    _check_orbits(n, sweep, constant, "orbit sizes sum to {covered}, not {total}")
 
 
-def _run_orb(n: int) -> Instance:
+# -- suite runners --------------------------------------------------------------
+# Each runner checks one n: it returns (detail, data) or raises Failure.  They
+# stay module-level `_run_*` functions, one call per n, because perfbench's
+# tracer wraps those names.
+
+
+def _run_orb(n: int) -> tuple[str, dict | None]:
     hop = action.phi_prime_x
     norbits = 0
 
-    def closure(members: frozenset[Word]) -> Instance | None:
+    def closure(members: frozenset[Word]) -> None:
         if members != action.orbit_closure(min(members), hop):
-            return _fail("orb", n, "orbit doubling differs from the search closure", {"word": min(members)})
-        return None
+            raise Failure("orbit doubling differs from the search closure", {"word": min(members)})
 
-    def constant_peak(rep: action.OrbitReport) -> Instance | None:
+    def constant_peak(rep: action.OrbitReport) -> None:
         nonlocal norbits
         if rep.peaks.count(rep.peak) != len(rep.members):
             m = next(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
-            return _fail("orb", n, "peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
+            raise Failure("peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
         norbits += 1
-        return None
 
-    bad = _check_orbits("orb", n, closure, constant_peak, "orbits cover {covered} of {total} words")
-    if bad is not None:
-        return bad
-    return _pass(
-        "orb", n,
+    _check_orbits(n, closure, constant_peak, "orbits cover {covered} of {total} words")
+    return (
         f"{norbits} orbits partition all {factorial(n)} permutations; "
-        "each descent polynomial equals t^k (1+t)^(n-1-2k)",
-    )
+        "each descent polynomial equals t^k (1+t)^(n-1-2k)"
+    ), None
 
 
-def _run_corre(n: int) -> Instance:
+def _run_corre(n: int) -> tuple[str, dict | None]:
     exhaustive = n <= _EXHAUSTIVE_LIMIT
     if exhaustive:
         ws: list[Word] = list(words.all_permutations(n))
@@ -306,8 +301,7 @@ def _run_corre(n: int) -> Instance:
         if n <= 5:
             for x, h in zip(letters, hops):
                 if h != action.phi_prime_x_via_factorization(w, x):
-                    return _fail("corre", n, "hop kernel differs from the factorization route",
-                                 {"word": w, "x": x})
+                    raise Failure("hop kernel differs from the factorization route", {"word": w, "x": x})
         if exhaustive:  # the product of all hops, read from the table
             full = w
             for x in letters:
@@ -315,35 +309,31 @@ def _run_corre(n: int) -> Instance:
         else:
             full = action.phi_prime_full(w)
         if des(full) + des(w) != n - 1:
-            return _fail("corre", n, "product of all hops does not complement des", {"word": w})
+            raise Failure("product of all hops does not complement des", {"word": w})
         bad = table.first_failure(w)
         if bad is not None:
             what = "hop operator is not an involution" if len(bad) == 1 else "hop operators do not commute"
-            return _fail("corre", n, what, {"word": w, **bad})
+            raise Failure(what, {"word": w, **bad})
     checks = len(ws) * (1 + n + n * (n - 1) // 2)
     cp = action.class_polys(words.all_permutations(n))
     if cp.W != eulerian_poly(n):
-        return _fail("corre", n, "Eulerian recurrence differs from the brute-force descent tally")
+        raise Failure("Eulerian recurrence differs from the brute-force descent tally")
     gam = gamma_expand(eulerian_poly(n), n - 1).gamma
     if cp.b != gam:
-        return _fail("corre", n, f"class coefficients {cp.b} != Eulerian gamma {gam}")
-    return _pass(
-        "corre", n,
+        raise Failure(f"class coefficients {cp.b} != Eulerian gamma {gam}")
+    return (
         f"involution and commutation verified ({regime}, {checks} checks); "
-        f"b_i of the full symmetric group match the Eulerian gamma vector {gam}",
-        {"b": list(cp.b)},
-    )
+        f"b_i of the full symmetric group match the Eulerian gamma vector {gam}"
+    ), {"b": list(cp.b)}
 
 
-def _run_stack_invariance(n: int) -> Instance:
+def _run_stack_invariance(n: int) -> tuple[str, dict | None]:
     held: dict[Word, Word] = {}  # one copy of each distinct sort (326 at n = 7)
     sorts: dict[Word, Word] = {}
     for w in words.all_permutations(n):
         s = stacksort.stack_sort(w)
         sorts[w] = held.setdefault(s, s)
-    bad = _constant_on_orbits("stack-invariance", n, sorts.__getitem__, "stack sort changed under a hop")
-    if bad is not None:
-        return bad
+    _constant_on_orbits(n, sorts.__getitem__, "stack sort changed under a hop")
     count = n * len(sorts)
     for w, s in sorts.items():
         # the unmodified block swap also fixes S whenever one block is
@@ -351,28 +341,21 @@ def _run_stack_invariance(n: int) -> Instance:
         for x, cls in zip(w, words.classify(w)):
             if cls is not words.LetterClass.PEAK:
                 if sorts[action.phi_x(w, x)] != s:
-                    return _fail("stack-invariance", n, "stack sort changed under a non-peak block swap", {"word": w, "x": x})
+                    raise Failure("stack sort changed under a non-peak block swap", {"word": w, "x": x})
                 count += 1
-    return _pass(
-        "stack-invariance", n,
-        f"S is constant under every hop and every non-peak block swap ({count} pairs)",
-    )
+    return f"S is constant under every hop and every non-peak block swap ({count} pairs)", None
 
 
-def _run_slides(n: int) -> Instance:
+def _run_slides(n: int) -> tuple[str, dict | None]:
     for w in words.all_permutations(n):
         if n <= 5 and stacksort.stack_sort(w) != trees.postorder(trees.binary_tree(w)):
-            return _fail("slides-equal-recursive", n, "stack pass differs from the binary-tree post-order",
-                         {"word": w})
+            raise Failure("stack pass differs from the binary-tree post-order", {"word": w})
         if stacksort.stack_sort_via_slides(w) != stacksort.stack_sort(w):
-            return _fail("slides-equal-recursive", n, "slide composition differs from recursive sort", {"word": w})
-    return _pass(
-        "slides-equal-recursive", n,
-        f"slide composition equals the recursive operator on all {factorial(n)} words",
-    )
+            raise Failure("slide composition differs from recursive sort", {"word": w})
+    return f"slide composition equals the recursive operator on all {factorial(n)} words", None
 
 
-def _run_genbona(n: int) -> Instance:
+def _run_genbona(n: int) -> tuple[str, dict | None]:
     depths = stacksort.r_sortable_classes(n)
     # sort depth is preserved except that the identity (depth 0) may trade
     # places with depth-1 words, which moves no set S_n^r, r >= 1; the
@@ -384,10 +367,8 @@ def _run_genbona(n: int) -> Instance:
         descents.update(rep.descent_poly.terms)
         peaks.update([(p,) for p in rep.peaks])
 
-    bad = _constant_on_orbits("genbona", n, lambda w: max(depths[w], 1),
-                              "sort depth changed by more than the 0/1 identity swap", tally)
-    if bad is not None:
-        return bad
+    _constant_on_orbits(n, lambda w: max(depths[w], 1),
+                        "sort depth changed by more than the 0/1 identity swap", tally)
     descents, peaks = Counter(), Counter()  # of S_n^r
     bs = {}
     for r in range(1, n):
@@ -395,94 +376,81 @@ def _run_genbona(n: int) -> Instance:
         peaks.update(by_depth[r][1])
         cp = action.class_polys_from_counts(descents, peaks, n)
         if any(b < 0 for b in cp.b):
-            return _fail("genbona", n, f"negative b_i for r = {r}")
+            raise Failure(f"negative b_i for r = {r}")
         bs[r] = list(cp.b)
         if r == 1:
             _, gam = patterns.narayana(n)
             if cp.b != gam.gamma:
-                return _fail("genbona", n, f"b_i of 1-sortable words {cp.b} != Narayana gamma {gam.gamma}")
+                raise Failure(f"b_i of 1-sortable words {cp.b} != Narayana gamma {gam.gamma}")
         if r == n - 1:
             gam_e = gamma_expand(eulerian_poly(n), n - 1).gamma
             if cp.b != gam_e:
-                return _fail("genbona", n, f"b_i of all words {cp.b} != Eulerian gamma {gam_e}")
-    return _pass(
-        "genbona", n,
+                raise Failure(f"b_i of all words {cp.b} != Eulerian gamma {gam_e}")
+    return (
         f"r-stack-sortable sets closed under the action for r >= 1; "
-        f"nonnegative integer b_i for every r in 1..{max(1, n - 1)}",
-        {"b_by_r": bs},
-    )
+        f"nonnegative integer b_i for every r in 1..{max(1, n - 1)}"
+    ), {"b_by_r": bs}
 
 
-def _run_narayana(n: int) -> Instance:
+def _run_narayana(n: int) -> tuple[str, dict | None]:
     poly, gam = patterns.narayana(n)
     avs = patterns.avoiding_permutations(n)
     if n <= 5 and avs != list(patterns.avoiders(range(1, n + 1))):
-        return _fail("narayana", n, "size-built avoiders differ from the recursive split")
+        raise Failure("size-built avoiders differ from the recursive split")
     catalan = comb(2 * n, n) // (n + 1)
     if len(avs) != catalan:
-        return _fail("narayana", n, f"{len(avs)} avoiders != Catalan number {catalan}")
+        raise Failure(f"{len(avs)} avoiders != Catalan number {catalan}")
     if descent_poly(avs) != poly:
-        return _fail("narayana", n, "descent polynomial of avoiders differs from the closed form")
+        raise Failure("descent polynomial of avoiders differs from the closed form")
     peaks = Counter(map(peak, avs))
     for k in range(0, (n - 1) // 2 + 1):
         g = gam.gamma[k] if k < len(gam.gamma) else 0
         if peaks[k] != g << (n - 1 - 2 * k):
-            return _fail(
-                "narayana", n,
-                f"peak count at k = {k} is {peaks[k]}, formula gives {g << (n - 1 - 2 * k)}",
-            )
-    return _pass(
-        "narayana", n,
-        f"both closed forms match over {len(avs)} avoiders; gamma = {gam.gamma}",
-        {"gamma": list(gam.gamma)},
-    )
+            raise Failure(f"peak count at k = {k} is {peaks[k]}, formula gives {g << (n - 1 - 2 * k)}")
+    return (f"both closed forms match over {len(avs)} avoiders; gamma = {gam.gamma}",
+            {"gamma": list(gam.gamma)})
 
 
-def _run_constant_patterns(n: int) -> Instance:
+def _run_constant_patterns(n: int) -> tuple[str, dict | None]:
     held: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each distinct pair
     stats: dict[Word, tuple[int, int]] = {}
     for w in words.all_permutations(n):
         pair = patterns.pattern_pair(w)
         if pair != patterns.pattern_pair_via_runs(w):
-            return _fail("constant-patterns", n, "direct and run-based pattern counts disagree", {"word": w})
+            raise Failure("direct and run-based pattern counts disagree", {"word": w})
         stats[w] = held.setdefault(pair, pair)
-    bad = _constant_on_orbits("constant-patterns", n, stats.__getitem__, "pattern counts changed under a hop")
-    if bad is not None:
-        return bad
-    return _pass(
-        "constant-patterns", n,
+    _constant_on_orbits(n, stats.__getitem__, "pattern counts changed under a hop")
+    return (
         f"(13-2) and (2-31) constant on all orbits ({len(stats) * n} hops checked), "
-        "and both counting routes agree",
-    )
+        "and both counting routes agree"
+    ), None
 
 
-def _run_pq_symmetry(n: int) -> Instance:
+def _run_pq_symmetry(n: int) -> tuple[str, dict | None]:
     if n <= 5 and patterns.pattern_tally(n) != patterns.pattern_tally_via_runs(n):
-        return _fail("pq-symmetry", n, "letter-set transfer of (peak, 13-2, 2-31, des) and per-word "
-                     "run-based tally disagree")
+        raise Failure("letter-set transfer of (peak, 13-2, 2-31, des) and per-word "
+                      "run-based tally disagree")
     if not patterns.check_pq_symmetry(n):
-        return _fail("pq-symmetry", n, "A_n(p,q,t) != A_n(q,p,t)")
+        raise Failure("A_n(p,q,t) != A_n(q,p,t)")
     bs = []
     for i in range(0, (n - 1) // 2 + 1):
         b = patterns.bni_polynomial(n, i)
         if any(c < 0 for c in b.terms.values()):
-            return _fail("pq-symmetry", n, f"b_(n,{i}) has a negative coefficient")
+            raise Failure(f"b_(n,{i}) has a negative coefficient")
         bs.append(b)
-    return _pass(
-        "pq-symmetry", n,
+    return (
         "A_n(p,q,t) is symmetric in p and q; all b_(n,i)(p,q) are integral with "
-        "nonnegative coefficients",
-        {"b": [b.to_json_dict() for b in bs]},
-    )
+        "nonnegative coefficients"
+    ), {"b": [b.to_json_dict() for b in bs]}
 
 
-def _run_mahonian_s1s2(n: int) -> Instance:
+def _run_mahonian_s1s2(n: int) -> tuple[str, dict | None]:
     if not patterns.check_mahonian(n):
-        return _fail("mahonian-s1s2", n, "an exponent-sum tally of A_n differs from the q-factorial")
-    return _pass("mahonian-s1s2", n, "A_n(q,q^2,q) = A_n(q^2,q,q) = [n]_q!")
+        raise Failure("an exponent-sum tally of A_n differs from the q-factorial")
+    return "A_n(q,q^2,q) = A_n(q^2,q,q) = [n]_q!", None
 
 
-def _run_wp(n: int) -> Instance:
+def _run_wp(n: int) -> tuple[str, dict | None]:
     if n <= 5:
         corpus = [P for P in posets.all_canonical_posets(n) if len(P) == n]
         regime = "exhaustive"
@@ -500,7 +468,7 @@ def _run_wp(n: int) -> Instance:
             bad = table.first_failure(pi)
             if bad is not None:
                 what = "poset hop is not an involution" if len(bad) == 1 else "poset hops do not commute"
-                return _fail("wp", n, what, {"poset": P.to_json_dict(), "pi": pi, **bad})
+                raise Failure(what, {"poset": P.to_json_dict(), "pi": pi, **bad})
         column = {x: i for i, x in enumerate(labels)}
         hop = lambda pi, x: table[pi][column[x]]
         covered = 0
@@ -510,21 +478,20 @@ def _run_wp(n: int) -> Instance:
             if wpp.r == 0:
                 for v, p in zip(rep.members, rep.peaks):
                     if p != rep.peak:
-                        return _fail("wp", n, "rank-0 peak not constant on an orbit", {"poset": P.to_json_dict(), "pi": v})
+                        raise Failure("rank-0 peak not constant on an orbit", {"poset": P.to_json_dict(), "pi": v})
             covered += len(members)
             total = total + rep.descent_poly
         if covered != len(exts):
-            return _fail("wp", n, "orbits do not partition the linear extensions", {"poset": P.to_json_dict()})
+            raise Failure("orbits do not partition the linear extensions", {"poset": P.to_json_dict()})
         if total != wpp.W:
-            return _fail("wp", n, "orbit polynomials do not sum to W(P;t)", {"poset": P.to_json_dict()})
-    return _pass(
-        "wp", n,
+            raise Failure("orbit polynomials do not sum to W(P;t)", {"poset": P.to_json_dict()})
+    return (
         f"{len(corpus)} canonically labeled posets of size {n} ({regime}): orbit "
-        "decomposition, dual-route a_i, and hop involution/commutation all verified",
-    )
+        "decomposition, dual-route a_i, and hop involution/commutation all verified"
+    ), None
 
 
-def _run_psiphi(n: int) -> Instance:
+def _run_psiphi(n: int) -> tuple[str, dict | None]:
     perms = list(words.all_permutations(n))
     # for n <= 5 the kernels meet their oracles on every word first, so a
     # broken kernel fails here before the table below composes it
@@ -534,12 +501,11 @@ def _run_psiphi(n: int) -> Instance:
         odd = sum(1 << x for x, r in depths.items() if r & 1)
         if (trees.edge_masks(w) != (odd, sum(1 << x for x in right))
                 or trees.veh(w) != sum(1 for h in heights.values() if h % 2 == 0)):
-            return _fail("psiphi", n, "stack scans differ from the tree walks", {"word": w})
+            raise Failure("stack scans differ from the tree walks", {"word": w})
         for x in w:
             # the block swap that the products of hops apply
             if trees.phi_x(w, x) != action.phi_x_via_factorization(w, x):
-                return _fail("psiphi", n, "block swap differs from the factorization route",
-                             {"word": w, "x": x})
+                raise Failure("block swap differs from the factorization route", {"word": w, "x": x})
     # the image table of this instance: per word of S_n (by lex rank), its
     # odd-set and right-edge masks and the ranks of psi(w) and phi_cap(w)
     rank = {w: k for k, w in enumerate(perms)}
@@ -553,15 +519,15 @@ def _run_psiphi(n: int) -> Instance:
     for k, w in enumerate(perms):
         v, c = psis[k], caps[k]
         if caps[v] != k or psis[c] != k:
-            return _fail("psiphi", n, "the two products of hops are not mutually inverse", {"word": w})
+            raise Failure("the two products of hops are not mutually inverse", {"word": w})
         if odds[k] != rights[v]:
-            return _fail("psiphi", n, "odd right-depth letters do not map to right children", {"word": w})
+            raise Failure("odd right-depth letters do not map to right children", {"word": w})
         if rights[k] != odds[c]:
-            return _fail("psiphi", n, "right children do not map back to odd right-depth letters", {"word": w})
-    return _pass("psiphi", n, f"inverse pair and the odd/right-edge exchange hold on all {factorial(n)} words")
+            raise Failure("right children do not map back to odd right-depth letters", {"word": w})
+    return f"inverse pair and the odd/right-edge exchange hold on all {factorial(n)} words", None
 
 
-def _run_psi_prime(n: int) -> Instance:
+def _run_psi_prime(n: int) -> tuple[str, dict | None]:
     depths = stacksort.r_sortable_classes(n)
     hits = dict.fromkeys(depths, 0)
     broken = n  # the smallest r whose r-stack-sortable set an image leaves
@@ -569,10 +535,9 @@ def _run_psi_prime(n: int) -> Instance:
         odd, _ = trees.edge_masks(w)
         v = trees.hop_product(w, odd, trees.phi_prime_x)
         if n <= 5 and not (v == trees.psi_prime_recursive(w) and odd.bit_count() == trees.veh(w)):
-            return _fail("psi-prime", n, "direct and recursive constructions or the veh stack count disagree",
-                         {"word": w})
+            raise Failure("direct and recursive constructions or the veh stack count disagree", {"word": w})
         if des(v) != odd.bit_count():
-            return _fail("psi-prime", n, "des of the image differs from veh", {"word": w})
+            raise Failure("des of the image differs from veh", {"word": w})
         if v in hits:
             hits[v] += 1
         # w lies in every set with r >= max(dep, 1), and v in all of them
@@ -582,97 +547,85 @@ def _run_psi_prime(n: int) -> Instance:
     # n! images that hit every word of S_n once make a bijection, and a
     # bijection preserves a finite set once it maps the set into itself
     if any(c != 1 for c in hits.values()):
-        return _fail("psi-prime", n, "the map is not a bijection")
+        raise Failure("the map is not a bijection")
     if broken < n:
-        return _fail("psi-prime", n, f"the {broken}-stack-sortable words are not preserved")
-    return _pass(
-        "psi-prime", n,
-        "bijection with des(image) = veh(word), preserving every r-stack-sortable set",
-    )
+        raise Failure(f"the {broken}-stack-sortable words are not preserved")
+    return "bijection with des(image) = veh(word), preserving every r-stack-sortable set", None
 
 
-def _run_kreweras(n: int) -> Instance:
+def _run_kreweras(n: int) -> tuple[str, dict | None]:
     image = []
     for w in patterns.avoiding_permutations(n):
         p = trees.dyck_path(w)
         if n <= 5 and p != trees.dyck_path_via_tree(w):
-            return _fail("kreweras", n, "the height scan differs from the tree walk", {"word": w, "path": p})
+            raise Failure("the height scan differs from the tree walk", {"word": w, "path": p})
         even_up, double_up = trees.kreweras_stats(p)
         if even_up != trees.veh(w) or double_up != des(w):
-            return _fail("kreweras", n, "(veh, des) does not translate to the path statistics", {"word": w, "path": p})
+            raise Failure("(veh, des) does not translate to the path statistics", {"word": w, "path": p})
         image.append(p)
     all_paths = list(trees.all_dyck_paths(n))
     if sorted(image) != sorted(all_paths):
-        return _fail("kreweras", n, "pre-order reading is not a bijection onto Dyck paths")
+        raise Failure("pre-order reading is not a bijection onto Dyck paths")
     stats = [trees.kreweras_stats(p) for p in all_paths]
     if Counter(even for even, _ in stats) != Counter(double for _, double in stats):
-        return _fail("kreweras", n, "even-height up-steps and double up-steps are not equidistributed")
-    return _pass(
-        "kreweras", n,
-        f"bijection onto all {len(all_paths)} Dyck paths; statistics translate and are equidistributed",
-    )
+        raise Failure("even-height up-steps and double up-steps are not equidistributed")
+    return (f"bijection onto all {len(all_paths)} Dyck paths; "
+            "statistics translate and are equidistributed"), None
 
 
-def _run_veh_altsum(n: int) -> Instance:
+def _run_veh_altsum(n: int) -> tuple[str, dict | None]:
     k_max = max(1, n - 1)
     for w in patterns.avoiding_permutations(n):
         total = words.dec_subseq_altsum(w)
         oracle_fails = n <= 5 and total != sum((-2) ** i * d for i, d in enumerate(words.dec_subseq_counts(w, k_max)))
         if oracle_fails or total != trees.veh(w):
             detail = "recurrence differs from the alternating sum" if oracle_fails else "alternating sum differs from veh"
-            return _fail("veh-altsum", n, detail, {"word": w, "d": words.dec_subseq_counts(w, k_max)})
-    return _pass("veh-altsum", n, "veh = d_1 - 2 d_2 + 4 d_3 - ... on all 231-avoiders")
+            raise Failure(detail, {"word": w, "d": words.dec_subseq_counts(w, k_max)})
+    return "veh = d_1 - 2 d_2 + 4 d_3 - ... on all 231-avoiders", None
 
 
-def _run_evt(n: int) -> Instance:
+def _run_evt(n: int) -> tuple[str, dict | None]:
     images: set[Word] = set()
     for w in words.all_permutations(n):
         if n <= 5:
             heights = trees.label_heights(mahonian.increasing_tree(w))
             if mahonian.ev_set(w) != {i + 1 for i, a in enumerate(w) if heights[a] % 2 == 0}:
-                return _fail("evt", n, "stack scan differs from the increasing-tree heights", {"word": w})
+                raise Failure("stack scan differs from the increasing-tree heights", {"word": w})
         v = mahonian.theta(w)
         if n <= 5 and v != mahonian.theta_recursive(w):
-            return _fail("evt", n, "the iterative theta differs from the recursion", {"word": w, "image": v})
+            raise Failure("the iterative theta differs from the recursion", {"word": w, "image": v})
         if set(mahonian.ev_set(v)) != words.descent_set(w):
-            return _fail("evt", n, "even-height positions of the image differ from the descent set", {"word": w, "image": v})
+            raise Failure("even-height positions of the image differ from the descent set", {"word": w, "image": v})
         images.add(v)
     if len(images) != factorial(n):
-        return _fail("evt", n, "the transformation is not a bijection")
-    return _pass("evt", n, f"EV(theta(w)) = Des(w) for all {factorial(n)} words; theta is a bijection")
+        raise Failure("the transformation is not a bijection")
+    return f"EV(theta(w)) = Des(w) for all {factorial(n)} words; theta is a bijection", None
 
 
-def _run_euler_mahonian(n: int) -> Instance:
+def _run_euler_mahonian(n: int) -> tuple[str, dict | None]:
     lhs, rhs = mahonian.joint_distributions(n)
     if n <= 5 and (lhs, rhs) != mahonian.joint_distributions_via_sets(n):
-        return _fail("euler-mahonian", n, "letter-set transfer differs from the ev_set, des and maj tallies")
+        raise Failure("letter-set transfer differs from the ev_set, des and maj tallies")
     if lhs != rhs:
-        return _fail("euler-mahonian", n, "joint distributions differ")
-    return _pass(
-        "euler-mahonian", n,
-        "(veh', siveh) is jointly equidistributed with (des, maj) "
-        f"over all {factorial(n)} words",
-    )
+        raise Failure("joint distributions differ")
+    return f"(veh', siveh) is jointly equidistributed with (des, maj) over all {factorial(n)} words", None
 
 
-def _run_guo_zeng(n: int) -> Instance:
+def _run_guo_zeng(n: int) -> tuple[str, dict | None]:
     if n <= 6:
         ident = words.identity(n)
         if sorted(words.involutions(n)) != [
             w for w in words.all_permutations(n) if words.perm_compose(w, w) == ident
         ]:
-            return _fail("guo-zeng", n, "size-built involutions differ from the S_n filter w(w(i)) = i")
+            raise Failure("size-built involutions differ from the S_n filter w(w(i)) = i")
     poly = involution_descent_poly(n)
     try:
         ge = gamma_expand(poly, n - 1)
     except NotSymmetricError:
-        return _fail("guo-zeng", n, "involution descent polynomial is not symmetric")
+        raise Failure("involution descent polynomial is not symmetric")
     if any(g < 0 for g in ge.gamma):
-        return _fail(
-            "guo-zeng", n, f"negative gamma entry in {ge.gamma}",
-            {"gamma": list(ge.gamma)}, hard=False,
-        )
-    return _pass("guo-zeng", n, f"gamma vector {ge.gamma} is nonnegative", {"gamma": list(ge.gamma)})
+        raise Failure(f"negative gamma entry in {ge.gamma}", {"gamma": list(ge.gamma)}, hard=False)
+    return f"gamma vector {ge.gamma} is nonnegative", {"gamma": list(ge.gamma)}
 
 
 def _after_masks(perms: list[Word], n: int) -> list[int]:
@@ -681,7 +634,7 @@ def _after_masks(perms: list[Word], n: int) -> list[int]:
             for pi in perms]
 
 
-def _run_gessel(n: int) -> Instance:
+def _run_gessel(n: int) -> tuple[str, dict | None]:
     # des(pi^-1 tau) is the number of tau's adjacent pairs (a, b) whose
     # column holds pi's bit; classes[d] holds the bits of the pi with des d
     perms = list(words.all_permutations(n))
@@ -697,16 +650,11 @@ def _run_gessel(n: int) -> Instance:
         if n <= 4 and F != dict(Counter(
             (des(pi), des(words.perm_compose(words.perm_inverse(pi), tau))) for pi in perms
         )):
-            return _fail("gessel", n, "bitmask pair tally differs from composing the permutations",
-                         {"tau": tau})
+            raise Failure("bitmask pair tally differs from composing the permutations", {"tau": tau})
         d = des(tau)
         if d in by_des:
             if by_des[d] != F:
-                return _fail(
-                    "gessel", n,
-                    "joint distribution depends on more than the descent number",
-                    {"tau": tau},
-                )
+                raise Failure("joint distribution depends on more than the descent number", {"tau": tau})
         else:
             by_des[d] = F
     table = {}
@@ -714,74 +662,56 @@ def _run_gessel(n: int) -> Instance:
         F = IntPolynomial.from_counts(("s", "t"), by_des[d])
         ge = gessel_expand(F, n)
         if n <= 4 and ge != gessel_expand_via_solve(F, n):
-            return _fail("gessel", n, "integer peel differs from the Fraction solve", {"des": d})
+            raise Failure("integer peel differs from the Fraction solve", {"des": d})
         negs = ge.negative_entries()
         if negs:
-            return _fail(
-                "gessel", n, f"negative coefficients for descent class {d}",
-                {"des": d, "negative": negs}, hard=False,
-            )
+            raise Failure(f"negative coefficients for descent class {d}", {"des": d, "negative": negs}, hard=False)
         table[str(d)] = [[k, j, c] for (k, j), c in sorted(ge.coeffs.items())]
-    return _pass(
-        "gessel", n,
+    return (
         f"all c(k,j) are nonnegative integers for the {len(by_des)} descent classes, "
-        "with exact reconstruction",
-        {"c_by_descent_class": table},
-    )
+        "with exact reconstruction"
+    ), {"c_by_descent_class": table}
 
 
-def _run_divisibility(n: int) -> Instance:
+def _run_divisibility(n: int) -> tuple[str, dict | None]:
     if n <= 5 and patterns.bni_via_scans(n) != [
         patterns.bni_polynomial(n, i) for i in range((n - 1) // 2 + 1)
     ]:
-        return _fail("divisibility", n, "the b_(n,i) table differs from the per-word scan route")
+        raise Failure("the b_(n,i) table differs from the per-word scan route")
     results = patterns.check_divisibility(n)
     failed = sorted(i for i, ok in results.items() if not ok)
     if failed:
-        return _fail(
-            "divisibility", n, f"(p+q)^i does not divide b_(n,i) for i in {failed}",
-            {"failed_i": failed}, hard=False,
-        )
-    return _pass(
-        "divisibility", n,
-        f"(p+q)^i divides b_(n,i) exactly for every i in 0..{max(results)}",
-    )
+        raise Failure(f"(p+q)^i does not divide b_(n,i) for i in {failed}", {"failed_i": failed},
+                      hard=False)
+    return f"(p+q)^i divides b_(n,i) exactly for every i in 0..{max(results)}", None
 
 
-def _run_brenti(n: int) -> Instance:
+def _run_brenti(n: int) -> tuple[str, dict | None]:
     coeffs = involution_descent_poly(n).coeffs_list()
     coeffs += [0] * (n - len(coeffs))
     if coeffs != coeffs[::-1]:
-        return _fail("brenti-logconcave", n, f"coefficients {coeffs} are not symmetric")
+        raise Failure(f"coefficients {coeffs} are not symmetric")
     rises = all(coeffs[i] <= coeffs[i + 1] for i in range((n - 1) // 2))
     falls = all(coeffs[i] >= coeffs[i + 1] for i in range((n - 1) // 2, n - 1))
     if not (rises and falls):
-        return _fail("brenti-logconcave", n, f"coefficients {coeffs} are not unimodal")
+        raise Failure(f"coefficients {coeffs} are not unimodal")
     nz = [i for i, c in enumerate(coeffs) if c]
     if nz and any(coeffs[i] == 0 for i in range(nz[0], nz[-1] + 1)):
-        return _fail(
-            "brenti-logconcave", n, f"internal zero in {coeffs}",
-            {"coeffs": coeffs}, hard=False,
-        )
+        raise Failure(f"internal zero in {coeffs}", {"coeffs": coeffs}, hard=False)
     for i in range(1, n - 1):
         if coeffs[i] ** 2 < coeffs[i - 1] * coeffs[i + 1]:
-            return _fail(
-                "brenti-logconcave", n,
-                f"log-concavity fails at position {i} of {coeffs}",
-                {"coeffs": coeffs, "i": i}, hard=False,
-            )
-    return _pass(
-        "brenti-logconcave", n,
+            raise Failure(f"log-concavity fails at position {i} of {coeffs}", {"coeffs": coeffs, "i": i},
+                          hard=False)
+    return (
         "involution descent counts are symmetric, unimodal, and log-concave "
-        "with no internal zeros",
-        {"coeffs": coeffs},
-    )
+        "with no internal zeros"
+    ), {"coeffs": coeffs}
 
 
 class Suite:
     # a plain class, not a NamedTuple: perfbench's tracer patches vars(suite)["runner"]
     def __init__(self, name: str, kind: str, statement: str, default_max_n: int,
-                 runner: Callable[[int], Instance]):
+                 runner: Callable[[int], tuple[str, dict | None]]):
         self.name, self.kind, self.statement = name, kind, statement
         self.default_max_n, self.runner = default_max_n, runner
 
@@ -854,10 +784,14 @@ SUITES: dict[str, Suite] = {
 
 
 def _run_instance(name: str, n: int) -> Instance:
-    suite = SUITES[name]
+    """Run one suite at one n and report it: a runner's return passes, its
+    Failure fails, and any other exception is a hard failure named error."""
     start = time.perf_counter()
     try:
-        inst = suite.runner(n)
+        detail, data = SUITES[name].runner(n)
+        inst = Instance(name, n, True, False, detail, None, data)
+    except Failure as f:
+        inst = Instance(name, n, False, f.hard, f.detail, f.witness)
     except Exception as exc:
         inst = Instance(name, n, False, True, f"error: {exc!r}")
     return inst._replace(seconds=time.perf_counter() - start)

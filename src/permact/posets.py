@@ -56,10 +56,6 @@ class CannotCanonicalizeError(ValueError):
     pass
 
 
-class RankOutOfRangeError(ValueError):
-    pass
-
-
 class LabeledPoset:
     """Finite poset given by cover relations, plus an injective nonzero labeling."""
 
@@ -368,9 +364,7 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
         raise ValueError("empty poset")
     if not is_canonical(P):
         raise NotCanonicalError("wp_polynomial needs a canonically labeled poset")
-    g = sign_grading(P)
-    if g.r not in (0, 1):
-        raise RankOutOfRangeError(f"rank {g.r} is outside {{0, 1}}")
+    g = sign_grading(P)  # canonical, so its rank r is 0 or 1
     exts = linear_extensions(P)
     p = len(P)
     W = descent_poly(exts)

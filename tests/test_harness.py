@@ -501,6 +501,7 @@ EDGE_MASKS = harness.trees.edge_masks
 HOP_PRODUCT = harness.trees.hop_product
 BNI_POLYNOMIAL = patterns.bni_polynomial
 INVOLUTION_DESCENT_POLY = involution_descent_poly
+INVOLUTIONS = involutions
 
 
 def pattern_step_without_peaks(n):
@@ -563,18 +564,21 @@ def involution_poly_leaning_left(n):
     return uni([2] + [1] * (n - 1))
 
 
+def _clear_pattern_caches():
+    PATTERN_TABLES.cache_clear()
+    INVOLUTION_DESCENT_POLY.cache_clear()
+
+
 @pytest.fixture
 def fresh_pattern_tables():
     """Keep tables built from a planted kernel out of the shared caches."""
-    caches = (PATTERN_TABLES, INVOLUTION_DESCENT_POLY)
-    for cache in caches:
-        cache.cache_clear()
+    _clear_pattern_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    _clear_pattern_caches()
 
 
-@pytest.mark.parametrize("suite, n, target, broken, stage", [
+# (suite, n, module, (name, planted kernel), a phrase of the failure's detail)
+BROKEN_KERNELS = [
     ("gessel", 3, harness, ("_after_masks", lambda perms, n: [0] * len(perms)), "bitmask"),
     ("psiphi", 4, harness.trees, ("edge_masks", edge_masks_without_right_children), "stack scans"),
     ("evt", 3, harness.mahonian, ("ev_set", lambda w: frozenset()), "stack scan"),
@@ -634,14 +638,30 @@ def fresh_pattern_tables():
     ("psi-prime", 4, harness.trees, ("edge_masks", edge_masks_dropping_the_smallest_odd_letter),
      "veh stack count"),
     ("wp", 7, harness.posets, ("psi_x_poset", psi_x_poset_only_forward), "not an involution"),
-])
+]
+
+
+@pytest.mark.parametrize("suite, n, target, broken, stage", BROKEN_KERNELS)
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
 ):
     monkeypatch.setattr(target, *broken)
-    inst = SUITES[suite].runner(n)
+    inst = harness._run_instance(suite, n)
     assert not inst.ok and inst.hard_failure
     assert stage in inst.detail
+
+
+def test_planted_defect_instances_are_pinned(monkeypatch, fresh_pattern_tables):
+    # the detail, witness and hard flag of every failure in BROKEN_KERNELS
+    digest = hashlib.sha256()
+    for suite, n, target, broken, _ in BROKEN_KERNELS:
+        with monkeypatch.context() as m:
+            m.setattr(target, *broken)
+            _clear_pattern_caches()
+            inst = harness._run_instance(suite, n)
+        digest.update(json.dumps(inst.to_json_dict(), sort_keys=True).encode() + b"\n")
+    _clear_pattern_caches()
+    assert digest.hexdigest() == "eb18d6afb6d5729879de3261aa920518b284ab8c2909b130ba599c85e34aab8c"
 
 
 def gamma_vector_with_a_negative_entry(n):
@@ -684,6 +704,35 @@ def test_conjecture_suites_separate_counterexamples_from_broken_kernels(
     assert summary in capsys.readouterr().out
 
 
+def involutions_repeating_one_word_at_4(n):
+    """A planted defect at n = 4 only, past a planted counterexample at n = 3."""
+    return involutions_repeating_one_word(n) if n == 4 else INVOLUTIONS(n)
+
+
+def test_summary_names_the_hard_failure_behind_exit_1(capsys, monkeypatch, fresh_pattern_tables):
+    monkeypatch.setattr(harness, "involution_descent_poly", gamma_vector_with_a_negative_entry)
+    monkeypatch.setattr(harness.words, "involutions", involutions_repeating_one_word_at_4)
+    assert main(["verify", "guo-zeng", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "guo-zeng: FAIL at n = 4 (proven part violated): size-built involutions" in out
+    assert "COUNTEREXAMPLE" not in out
+
+
+def involutions_crashing(n):
+    """A planted crash: an exception that is no Failure."""
+    raise ZeroDivisionError("planted")
+
+
+def test_a_crashing_kernel_is_a_hard_error(capsys, monkeypatch, fresh_pattern_tables):
+    monkeypatch.setattr(harness.words, "involutions", involutions_crashing)
+    inst = harness._run_instance("guo-zeng", 3)
+    assert not inst.ok and inst.hard_failure
+    assert inst.detail == "error: ZeroDivisionError('planted')"
+    # a crash in a conjecture suite exits 1, not 3
+    assert main(["verify", "guo-zeng", "--max-n", "3"]) == 1
+    assert "FAIL at n = 1 (proven part violated): error: ZeroDivisionError" in capsys.readouterr().out
+
+
 def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):
     monkeypatch.setattr(harness.action, "phi_prime_x", phi_prime_x_swapping_peaks)
     assert main(["verify", "corre", "--max-n", "5"]) == 1
@@ -713,5 +762,5 @@ def test_bindings_the_benchmark_tracer_patches_exist(monkeypatch):
 
     for mod, name in TRACED_DES:
         monkeypatch.setattr(importlib.import_module(mod), name, counting_des)
-    assert SUITES["orb"].runner(4).ok
+    assert harness._run_instance("orb", 4).ok
     assert calls > 0, "orb at n = 4 no longer calls des, which perfbench/selftest.py check_tracer expects"
