@@ -150,7 +150,8 @@ def _sample_words(n: int, count: int, tag: str) -> list[Word]:
 class Failure(Exception):
     """A runner's failed check at its n, raised for ``_run_instance`` to
     report.  hard=False marks a counterexample to a conjecture.  Not a
-    RuntimeError or ValueError, which ``cli.main`` maps to exit codes."""
+    RuntimeError or ValueError: ``_check_orbits`` catches the first, and
+    ``cli.main`` maps both to exit codes."""
 
     def __init__(self, detail: str, witness: dict | None = None, hard: bool = True):
         super().__init__(detail)
@@ -786,9 +787,10 @@ SUITES: dict[str, Suite] = {
 def _run_instance(name: str, n: int) -> Instance:
     """Run one suite at one n and report it: a runner's return passes, its
     Failure fails, and any other exception is a hard failure named error."""
+    runner = SUITES[name].runner
     start = time.perf_counter()
     try:
-        detail, data = SUITES[name].runner(n)
+        detail, data = runner(n)
         inst = Instance(name, n, True, False, detail, None, data)
     except Failure as f:
         inst = Instance(name, n, False, f.hard, f.detail, f.witness)

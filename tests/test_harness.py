@@ -713,9 +713,10 @@ def test_summary_names_the_hard_failure_behind_exit_1(capsys, monkeypatch, fresh
     monkeypatch.setattr(harness, "involution_descent_poly", gamma_vector_with_a_negative_entry)
     monkeypatch.setattr(harness.words, "involutions", involutions_repeating_one_word_at_4)
     assert main(["verify", "guo-zeng", "--max-n", "4"]) == 1
-    out = capsys.readouterr().out
-    assert "guo-zeng: FAIL at n = 4 (proven part violated): size-built involutions" in out
-    assert "COUNTEREXAMPLE" not in out
+    captured = capsys.readouterr()
+    summary = "guo-zeng: FAIL at n = 4 (proven part violated): size-built involutions"
+    assert summary in captured.err and summary in captured.out
+    assert "COUNTEREXAMPLE" not in captured.err
 
 
 def involutions_crashing(n):
@@ -730,7 +731,7 @@ def test_a_crashing_kernel_is_a_hard_error(capsys, monkeypatch, fresh_pattern_ta
     assert inst.detail == "error: ZeroDivisionError('planted')"
     # a crash in a conjecture suite exits 1, not 3
     assert main(["verify", "guo-zeng", "--max-n", "3"]) == 1
-    assert "FAIL at n = 1 (proven part violated): error: ZeroDivisionError" in capsys.readouterr().out
+    assert "FAIL at n = 1 (proven part violated): error: ZeroDivisionError" in capsys.readouterr().err
 
 
 def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):
