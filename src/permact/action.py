@@ -30,13 +30,7 @@ from itertools import combinations
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .polynomials import (
-    GammaExpansion,
-    IntPolynomial,
-    NonIntegralError,
-    peak_scale,
-    strip_zeros,
-)
+from .polynomials import GammaExpansion, NonIntegralError, dense, peak_scale, strip_zeros, uni
 from .words import (
     Boundary,
     LetterClass,
@@ -217,14 +211,15 @@ class OrbitReport(NamedTuple):
 
     ``peak`` is the descent count of the canonical representative (the unique
     member without double descents); it equals the peak count of every member
-    under the TOP boundary.  ``peaks`` holds each member's own peak count,
-    aligned with ``members``; it is not part of the JSON form.
+    under the TOP boundary.  ``descent_poly`` is dense, constant term first.
+    ``peaks`` holds each member's own peak count, aligned with ``members``;
+    it is not part of the JSON form.
     """
 
     members: tuple[Word, ...]
     rep: Word
     peak: int
-    descent_poly: IntPolynomial
+    descent_poly: tuple[int, ...]
     gamma_claim: GammaExpansion
     peaks: tuple[int, ...]
 
@@ -233,7 +228,7 @@ class OrbitReport(NamedTuple):
             "members": [list(m) for m in self.members],
             "rep": list(self.rep),
             "peak": self.peak,
-            "descent_poly": self.descent_poly.to_json_dict(),
+            "descent_poly": uni(self.descent_poly).to_json_dict(),
             "gamma_claim": self.gamma_claim.to_json_dict(),
         }
 
@@ -322,12 +317,10 @@ def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Wor
 
 
 @lru_cache(maxsize=None)
-def _closed_form(d: int, k: int) -> tuple[GammaExpansion, IntPolynomial, tuple[int, ...]]:
-    """The claimed orbit form t^k (1+t)^(d-2k), its polynomial and its
-    dense coefficients."""
+def _closed_form(d: int, k: int) -> tuple[GammaExpansion, tuple[int, ...]]:
+    """The claimed orbit form t^k (1+t)^(d-2k) and its coefficients."""
     claim = GammaExpansion(d, (0,) * k + (1,))
-    poly = claim.reconstruct()
-    return claim, poly, tuple(poly.coeffs_list())
+    return claim, claim.reconstruct()
 
 
 def verified_orbit(
@@ -360,9 +353,9 @@ def verified_orbit(
             f"orbit of {ordered[0]}: its double-descent-free member {rep} is not the seed {seed}"
         )
     k = des(rep)
-    claim, poly, dense = _closed_form(d, k)
+    claim, poly = _closed_form(d, k)
     counts = strip_zeros(tally)
-    if counts != dense:
+    if counts != poly:
         raise RuntimeError(
             f"orbit of {ordered[0]}: descent polynomial coefficients {list(counts)} "
             f"!= t^{k}(1+t)^{d - 2 * k}"
@@ -377,8 +370,8 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
     sentinel, so a positive letter is rejected with ValueError; for the
     words left the hops compare as under TOP.
 
-    >>> orbit((2, 1)).descent_poly.coeffs_list()
-    [1, 1]
+    >>> orbit((2, 1)).descent_poly
+    (1, 1)
     """
     if not w:
         raise ValueError("empty word has no orbit")
@@ -394,10 +387,10 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
 
 
 class ClassPolys(NamedTuple):
-    """The descent polynomial of an action-invariant class, with the
+    """The descent polynomial of an action-invariant class, dense, with the
     2-adically scaled peak counts b_i that expand it."""
 
-    W: IntPolynomial
+    W: tuple[int, ...]
     b: tuple[int, ...]
 
 
@@ -423,17 +416,18 @@ def class_polys(T: Iterable[Word]) -> ClassPolys:
     descent_counts: Counter = Counter()
     peak_counts: Counter = Counter()
     for (descents, peak_count, _), c in shapes.items():
-        descent_counts[(descents,)] += c
-        peak_counts[(peak_count,)] += c
+        descent_counts[descents] += c
+        peak_counts[peak_count] += c
     return class_polys_from_counts(descent_counts, peak_counts, n)
 
 
-def class_polys_from_counts(descent_counts: Mapping, peak_counts: Mapping, n: int) -> ClassPolys:
+def class_polys_from_counts(descent_counts: Mapping[int, int], peak_counts: Mapping[int, int],
+                            n: int) -> ClassPolys:
     """class_polys, with its errors, from a class's counts of words of length n
-    by descents and by peaks, keyed (i,)."""
-    W = IntPolynomial.from_counts(("t",), descent_counts)
+    by descents and by peaks."""
+    W = dense(descent_counts)
     try:
-        b = strip_zeros([peak_scale(peak_counts[(i,)], i, n) for i in range((n - 1) // 2 + 1)])
+        b = strip_zeros([peak_scale(peak_counts.get(i, 0), i, n) for i in range((n - 1) // 2 + 1)])
     except NonIntegralError as exc:
         raise NonIntegralBError(f"{exc}; class is not action-invariant") from None
     if GammaExpansion(n - 1, b).reconstruct() != W:

@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache, partial
 
 from . import action, harness, mahonian, patterns, posets, stacksort, trees, words
-from .polynomials import IntPolynomial, latex_gamma_form
+from .polynomials import dense, latex_gamma_form, uni
 from .words import Boundary, des, descent_poly, maj
 
 
@@ -87,10 +87,9 @@ def cmd_class(args) -> int:
         "words": [list(w) for w in members],
     }
     if args.poly == "des":
-        out["poly"] = descent_poly(members).to_json_dict()
+        out["poly"] = uni(descent_poly(members)).to_json_dict()
     elif args.poly == "peak":
-        peaks = Counter((words.peak(w),) for w in members)
-        out["poly"] = IntPolynomial.from_counts(("t",), peaks).to_json_dict()
+        out["poly"] = uni(dense(Counter(map(words.peak, members)))).to_json_dict()
     elif args.poly == "gamma":
         cp = action.class_polys(members)
         out["poly"] = {"d": args.n - 1, "gamma": list(cp.b)}

@@ -19,6 +19,7 @@ import os
 import pickle
 import random
 import signal
+import sys
 import time
 from collections import Counter
 from functools import lru_cache, partial
@@ -34,6 +35,8 @@ from .polynomials import (
     gessel_expand,
     gessel_expand_via_solve,
     latex_gamma_form,
+    strip_zeros,
+    uni,
 )
 from .words import Boundary, Word, des, descent_poly, peak
 
@@ -132,8 +135,6 @@ def _jsonable(x):
         return sorted(_jsonable(v) for v in x)
     if isinstance(x, Mapping):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, IntPolynomial):
-        return x.to_json_dict()
     return str(x)
 
 
@@ -159,18 +160,18 @@ class Failure(Exception):
 
 
 @lru_cache(maxsize=None)
-def eulerian_poly(n: int) -> IntPolynomial:
-    """Descent generating polynomial of all permutations of [n], from the
-    recurrence A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)."""
+def eulerian_poly(n: int) -> tuple[int, ...]:
+    """Descent generating polynomial of all permutations of [n], dense, from
+    the recurrence A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)."""
     row = [1]
     for m in range(1, n + 1):
         padded = [0, *row, 0]
         row = [(k + 1) * padded[k + 1] + (m - k) * padded[k] for k in range(m)]
-    return IntPolynomial.from_counts(("t",), {(k,): a for k, a in enumerate(row)})
+    return strip_zeros(row)
 
 
 @lru_cache(maxsize=None)
-def involution_descent_poly(n: int) -> IntPolynomial:
+def involution_descent_poly(n: int) -> tuple[int, ...]:
     return descent_poly(words.involutions(n))
 
 
@@ -365,8 +366,8 @@ def _run_genbona(n: int) -> tuple[str, dict | None]:
 
     def tally(rep: action.OrbitReport) -> None:
         descents, peaks = by_depth[max(depths[rep.rep], 1)]
-        descents.update(rep.descent_poly.terms)
-        peaks.update([(p,) for p in rep.peaks])
+        descents.update(dict(enumerate(rep.descent_poly)))
+        peaks.update(rep.peaks)
 
     _constant_on_orbits(n, lambda w: max(depths[w], 1),
                         "sort depth changed by more than the 0/1 identity swap", tally)
@@ -473,7 +474,7 @@ def _run_wp(n: int) -> tuple[str, dict | None]:
         column = {x: i for i, x in enumerate(labels)}
         hop = lambda pi, x: table[pi][column[x]]
         covered = 0
-        total = IntPolynomial.zero(("t",))
+        total = [0] * (wpp.d + 1)  # the sum of the orbit polynomials
         for members in action.orbits(exts, hop):
             rep = action.verified_orbit(members, wpp.d, Boundary.ZERO)
             if wpp.r == 0:
@@ -481,10 +482,11 @@ def _run_wp(n: int) -> tuple[str, dict | None]:
                     if p != rep.peak:
                         raise Failure("rank-0 peak not constant on an orbit", {"poset": P.to_json_dict(), "pi": v})
             covered += len(members)
-            total = total + rep.descent_poly
+            for i, c in enumerate(rep.descent_poly):
+                total[i] += c
         if covered != len(exts):
             raise Failure("orbits do not partition the linear extensions", {"poset": P.to_json_dict()})
-        if total != wpp.W:
+        if strip_zeros(total) != wpp.W:
             raise Failure("orbit polynomials do not sum to W(P;t)", {"poset": P.to_json_dict()})
     return (
         f"{len(corpus)} canonically labeled posets of size {n} ({regime}): orbit "
@@ -688,7 +690,7 @@ def _run_divisibility(n: int) -> tuple[str, dict | None]:
 
 
 def _run_brenti(n: int) -> tuple[str, dict | None]:
-    coeffs = involution_descent_poly(n).coeffs_list()
+    coeffs = list(involution_descent_poly(n))
     coeffs += [0] * (n - len(coeffs))
     if coeffs != coeffs[::-1]:
         raise Failure(f"coefficients {coeffs} are not symmetric")
@@ -786,7 +788,8 @@ SUITES: dict[str, Suite] = {
 
 def _run_instance(name: str, n: int) -> Instance:
     """Run one suite at one n and report it: a runner's return passes, its
-    Failure fails, and any other exception is a hard failure named error."""
+    Failure fails, and any other exception is a hard failure named error,
+    with its traceback written to stderr."""
     runner = SUITES[name].runner
     start = time.perf_counter()
     try:
@@ -795,6 +798,9 @@ def _run_instance(name: str, n: int) -> Instance:
     except Failure as f:
         inst = Instance(name, n, False, f.hard, f.detail, f.witness)
     except Exception as exc:
+        import traceback  # on first use, as in _worker
+
+        sys.stderr.write(traceback.format_exc())
         inst = Instance(name, n, False, True, f"error: {exc!r}")
     return inst._replace(seconds=time.perf_counter() - start)
 
@@ -965,7 +971,7 @@ def build_table(kind: str, n: int) -> tuple[list[str], list[list[str]]]:
         else:
             poly = eulerian_poly(m) if kind == "eulerian" else involution_descent_poly(m)
             gam = gamma_expand(poly, m - 1)
-        rows.append([str(m), str(poly), " ".join(map(str, gam.gamma))])
+        rows.append([str(m), str(uni(poly)), " ".join(map(str, gam.gamma))])
     return ["n", "polynomial", "gamma"], rows
 
 

@@ -23,11 +23,11 @@ from .limits import check_enumeration_size
 from .polynomials import (
     GammaExpansion,
     IntPolynomial,
+    dense,
+    divide_by_p_plus_q,
     peak_scale,
     q_factorial,
     strip_zeros,
-    try_divide,
-    uni,
 )
 from .words import Word, all_permutations, des, peak, stat_bits, transfer
 
@@ -214,7 +214,7 @@ def _pattern_tables(n: int) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
 def apq_polynomial(n: int) -> IntPolynomial:
     """A_n(p, q, t) over S_n, variables ("p", "q", "t").
 
-    >>> apq_polynomial(2).coefficient((0, 0, 1))
+    >>> apq_polynomial(2).terms[0, 0, 1]
     1
     """
     return _pattern_tables(n)[0]
@@ -260,31 +260,36 @@ def check_mahonian(n: int) -> bool:
     for (a, b, d), c in apq_polynomial(n).terms.items():
         first[a + 2 * b + d] += c
         second[2 * a + b + d] += c
-    target = Counter(dict(enumerate(q_factorial(n).coeffs_list())))
-    return first == target and second == target
+    target = q_factorial(n)
+    return dense(first) == target and dense(second) == target
 
 
 def check_divisibility(n: int) -> dict[int, bool]:
-    """For each i, whether (p + q)^i divides b_(n,i) exactly."""
-    p_plus_q = IntPolynomial(("p", "q"), {(1, 0): 1, (0, 1): 1})
-    return {
-        i: try_divide(bni_polynomial(n, i), p_plus_q**i) is not None
-        for i in range((n - 1) // 2 + 1)
-    }
+    """For each i, whether (p + q)^i divides b_(n,i) exactly: i exact
+    divisions by p + q."""
+    results = {}
+    for i in range((n - 1) // 2 + 1):
+        b = bni_polynomial(n, i)
+        for _ in range(i):
+            b = divide_by_p_plus_q(b)
+            if b is None:
+                break
+        results[i] = b is not None
+    return results
 
 
 # -- Narayana ---------------------------------------------------------------
 
 
-def narayana(n: int) -> tuple[IntPolynomial, GammaExpansion]:
+def narayana(n: int) -> tuple[tuple[int, ...], GammaExpansion]:
     """Descent polynomial of the 231-avoiders, with its gamma expansion.
 
     Both closed forms are computed from binomials and checked against each
     other: coefficientwise C(n,k) C(n,k+1) / n, and gamma entries
     C(2k,k) C(n-1,2k) / (k+1).
 
-    >>> narayana(4)[0].coeffs_list()
-    [1, 6, 6, 1]
+    >>> narayana(4)[0]
+    (1, 6, 6, 1)
     >>> narayana(4)[1].gamma
     (1, 3)
     """
@@ -296,7 +301,7 @@ def narayana(n: int) -> tuple[IntPolynomial, GammaExpansion]:
         if num % n:
             raise AssertionError("Narayana coefficient is not an integer")
         coeffs.append(num // n)
-    poly = uni(coeffs)
+    poly = tuple(coeffs)
     gamma = []
     for k in range((n - 1) // 2 + 1):
         num = math.comb(2 * k, k) * math.comb(n - 1, 2 * k)

@@ -1,6 +1,11 @@
-"""Exact sparse polynomials over the integers, and the basis changes used
+"""Exact polynomials over the integers, and the basis changes used
 throughout the package: gamma expansions, the bivariate (s+t)/(st) basis,
-the 2-adic peak-count scaling, and q-factorials.
+the 2-adic peak-count scaling, q-factorials and exact division by p + q.
+
+A polynomial in one variable is a tuple of int coefficients, constant term
+first, in the form ``strip_zeros`` returns: the zero polynomial is (0,).
+``IntPolynomial`` holds only the polynomials in (p, q), (p, q, t) and
+(s, t), and ``uni`` turns a tuple into one for output.
 
 All arithmetic is exact; there are no floats anywhere.
 """
@@ -35,9 +40,9 @@ class IntPolynomial:
     Terms are stored as a dict mapping exponent tuples to nonzero integer
     coefficients; the exponent tuple is aligned with ``vars``.
 
-    >>> t = IntPolynomial.variable("t")
-    >>> str((1 + t) ** 2)
-    '1 + 2t + t^2'
+    >>> p, q = (IntPolynomial.variable(v, ("p", "q")) for v in "pq")
+    >>> str((p + q) ** 2)
+    'q^2 + 2pq + p^2'
     """
 
     __slots__ = ("vars", "terms")
@@ -110,18 +115,6 @@ class IntPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "IntPolynomial":
-        return (-self) + other
-
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -164,9 +157,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def degree(self, var: str | None = None) -> int:
         """Max exponent of var (total degree if var is None); zero poly -> -1."""
         if not self.terms:
@@ -175,13 +165,6 @@ class IntPolynomial:
             return max(sum(e) for e in self.terms)
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
-
-    def coeffs_list(self) -> list[int]:
-        """Dense coefficient list [c_0, ..., c_d] for a univariate polynomial."""
-        if len(self.vars) != 1:
-            raise ValueError("coeffs_list is for univariate polynomials")
-        d = self.degree()
-        return [self.terms.get((i,), 0) for i in range(d + 1)]
 
     def swap_vars(self, a: str, b: str) -> "IntPolynomial":
         """Exchange two variables, keeping the variable tuple fixed."""
@@ -229,9 +212,10 @@ class IntPolynomial:
         return f"IntPolynomial({self.vars!r}, {dict(sorted(self.terms.items()))!r})"
 
 
-def uni(coeffs: Sequence[int], var: str = "t") -> IntPolynomial:
-    """Univariate polynomial from a dense coefficient list (constant first)."""
-    return IntPolynomial((var,), {(i,): c for i, c in enumerate(coeffs)})
+def uni(coeffs: Sequence[int]) -> IntPolynomial:
+    """The IntPolynomial in t of dense coefficients (constant first): the one
+    conversion, made where a polynomial in t is printed."""
+    return IntPolynomial(("t",), {(i,): c for i, c in enumerate(coeffs)})
 
 
 # -- gamma expansion ----------------------------------------------------
@@ -249,11 +233,11 @@ class GammaExpansion(NamedTuple):
     d: int
     gamma: tuple[int, ...]
 
-    def reconstruct(self) -> IntPolynomial:
+    def reconstruct(self) -> tuple[int, ...]:
         """The polynomial in t; its t^m coefficient is sum_i gamma_i C(d-2i, m-i).
 
-        >>> GammaExpansion(3, (1, 8)).reconstruct().coeffs_list()
-        [1, 11, 11, 1]
+        >>> GammaExpansion(3, (1, 8)).reconstruct()
+        (1, 11, 11, 1)
         """
         if self.gamma and 2 * (len(self.gamma) - 1) > self.d:
             raise ValueError(
@@ -262,26 +246,23 @@ class GammaExpansion(NamedTuple):
         coeffs = [0] * (self.d + 1)
         for i, g in enumerate(self.gamma):
             _add_gamma_term(coeffs, g, i, self.d - 2 * i)
-        return uni(coeffs)
+        return strip_zeros(coeffs)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "gamma": list(self.gamma)}
 
 
-def gamma_expand(p: IntPolynomial, d: int) -> GammaExpansion:
-    """Expand a palindromic univariate polynomial in the t^i (1+t)^(d-2i) basis.
+def gamma_expand(p: Sequence[int], d: int) -> GammaExpansion:
+    """Expand a palindromic polynomial in t in the t^i (1+t)^(d-2i) basis.
 
-    >>> gamma_expand(uni([1, 11, 11, 1]), 3).gamma
+    >>> gamma_expand((1, 11, 11, 1), 3).gamma
     (1, 8)
     """
-    if len(p.vars) != 1:
-        raise ValueError("gamma_expand needs a univariate polynomial")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    coeffs = [p.terms.get((i,), 0) for i in range(max(d, p.degree()) + 1)]
-    if len(coeffs) > d + 1 and any(coeffs[d + 1 :]):
+    if any(p[d + 1 :]):
         raise NotSymmetricError(f"degree exceeds d={d}")
-    coeffs = coeffs[: d + 1]
+    coeffs = list(p[: d + 1]) + [0] * (d + 1 - len(p))
     if coeffs != coeffs[::-1]:
         raise NotSymmetricError(f"coefficients {coeffs} are not palindromic for d={d}")
     gamma = []
@@ -291,7 +272,7 @@ def gamma_expand(p: IntPolynomial, d: int) -> GammaExpansion:
         if g:
             _add_gamma_term(coeffs, -g, i, d - 2 * i)
     if any(coeffs):
-        raise NonzeroRemainderError(f"nonzero remainder {uni(coeffs, p.vars[0])} after peeling")
+        raise NonzeroRemainderError(f"nonzero remainder {coeffs} after peeling")
     return GammaExpansion(d, strip_zeros(gamma))
 
 
@@ -305,6 +286,18 @@ def strip_zeros(xs: Sequence[int]) -> tuple[int, ...]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out) or (0,)
+
+
+def dense(counts: Mapping[int, int]) -> tuple[int, ...]:
+    """The polynomial sum of c t^k over the items (k, c) of a tally.
+
+    >>> dense({2: 1, 0: 3})
+    (3, 0, 1)
+    """
+    coeffs = [0] * (max(counts, default=0) + 1)
+    for k, c in counts.items():
+        coeffs[k] += c
+    return strip_zeros(coeffs)
 
 
 def peak_scale(cnt: int, i: int, n: int) -> int:
@@ -452,47 +445,48 @@ def gessel_expand_via_solve(F: IntPolynomial, n: int) -> GesselExpansion:
 # -- q-analogues ----------------------------------------------------------
 
 
-def q_factorial(n: int, var: str = "q") -> IntPolynomial:
-    """[n]_q! = prod_k (1 + q + ... + q^(k-1)).
+def q_factorial(n: int) -> tuple[int, ...]:
+    """[n]_q! = prod_k (1 + q + ... + q^(k-1)), by dense convolution: the
+    factor k sums each k consecutive coefficients.
 
-    >>> str(q_factorial(3))
-    '1 + 2q + 2q^2 + q^3'
+    >>> q_factorial(3)
+    (1, 2, 2, 1)
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = IntPolynomial.constant((var,), 1)
-    for k in range(1, n + 1):
-        acc = acc * uni([1] * k, var)
-    return acc
+    acc = [1]
+    for k in range(2, n + 1):
+        acc = [sum(acc[max(0, m - k + 1) : m + 1]) for m in range(len(acc) + k - 1)]
+    return tuple(acc)
 
 
 # -- exact division --------------------------------------------------------
 
 
-def try_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial | None:
-    """Exact polynomial division: return q with f = q*g, or None.
+def divide_by_p_plus_q(f: IntPolynomial) -> IntPolynomial | None:
+    """f / (p + q) for f in the variables (p, q), or None when p + q does
+    not divide f exactly.
 
-    Reduction is by the lex-leading term of g, so it needs g's leading
-    coefficient to be 1 or -1 (true for the divisors used here, e.g. p + q).
+    p + q is homogeneous, so each total degree D of f divides on its own.
+    Dense in p, f_D = sum c_a p^a q^(D-a), and the quotient's coefficients
+    are b_a = c_a - b_(a-1) (synthetic division at p = -q): the division is
+    exact iff b_(D-1) = c_D.
+
+    >>> p, q = (IntPolynomial.variable(v, ("p", "q")) for v in "pq")
+    >>> divide_by_p_plus_q(p * p + 2 * p * q + q * q) == p + q
+    True
     """
-    if f.vars != g.vars:
-        raise ValueError("variable mismatch")
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    lead = max(g.terms)
-    lc = g.terms[lead]
-    if lc not in (1, -1):
-        raise ValueError("divisor must have lex-leading coefficient +-1")
-    quotient: dict[tuple[int, ...], int] = {}
-    rem = f
-    while not rem.is_zero():
-        rlead = max(rem.terms)
-        diff = tuple(a - b for a, b in zip(rlead, lead))
-        if any(e < 0 for e in diff):
+    rows: dict[int, list[int]] = {}  # D -> [c_0, ..., c_D]
+    for (i, j), c in f.terms.items():
+        rows.setdefault(i + j, [0] * (i + j + 1))[i] = c
+    quotient = {}
+    for D, row in rows.items():
+        b = 0
+        for a in range(D):
+            b = row[a] - b
+            quotient[a, D - 1 - a] = b
+        if b != row[D]:
             return None
-        c = rem.terms[rlead] * lc  # lc is +-1 so this is exact
-        quotient[diff] = quotient.get(diff, 0) + c
-        rem = rem - IntPolynomial(f.vars, {diff: c}) * g
     return IntPolynomial(f.vars, quotient)
 
 

@@ -24,7 +24,7 @@ from collections import Counter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .limits import check_enumeration_size
-from .polynomials import IntPolynomial, NotSymmetricError, gamma_expand, peak_scale, strip_zeros
+from .polynomials import NotSymmetricError, gamma_expand, peak_scale, strip_zeros, uni
 from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
 
 Element = Hashable
@@ -339,16 +339,16 @@ def orbit_degree(P: LabeledPoset) -> int:
 
 
 class WpPolynomials(NamedTuple):
-    """Descent polynomial of the linear extensions with its expansion
+    """Descent polynomial of the linear extensions, dense, with its expansion
     a_i in the t^i (1+t)^(d-2i) basis, d = p - r - 1."""
 
-    W: IntPolynomial
+    W: tuple[int, ...]
     a: tuple[int, ...]
     r: int
     d: int
 
     def to_json_dict(self) -> dict:
-        return {"W": self.W.to_json_dict(), "a": list(self.a), "r": self.r, "d": self.d}
+        return {"W": uni(self.W).to_json_dict(), "a": list(self.a), "r": self.r, "d": self.d}
 
 
 def wp_polynomial(P: LabeledPoset) -> WpPolynomials:

@@ -14,7 +14,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .polynomials import IntPolynomial
+from .polynomials import dense
 
 Word = tuple[int, ...]
 
@@ -156,13 +156,13 @@ def des(w: Word) -> int:
     return count
 
 
-def descent_poly(ws: Iterable[Word]) -> IntPolynomial:
-    """Descent polynomial: the sum of t^des(w) over the words.
+def descent_poly(ws: Iterable[Word]) -> tuple[int, ...]:
+    """Descent polynomial: the sum of t^des(w) over the words, dense.
 
-    >>> descent_poly(all_permutations(3)).coeffs_list()
-    [1, 4, 1]
+    >>> descent_poly(all_permutations(3))
+    (1, 4, 1)
     """
-    return IntPolynomial.from_counts(("t",), Counter((des(w),) for w in ws))
+    return dense(Counter(map(des, ws)))
 
 
 def maj(w: Word) -> int:
@@ -287,10 +287,6 @@ def complement(w: Word) -> Word:
     ordered = sorted(w)
     mirror = {a: b for a, b in zip(ordered, reversed(ordered))}
     return tuple(mirror[a] for a in w)
-
-
-def reverse(w: Word) -> Word:
-    return w[::-1]
 
 
 def dec_subseq_counts(w: Word, k_max: int) -> tuple[int, ...]:

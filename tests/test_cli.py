@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -275,9 +276,7 @@ def test_poset_poly_with_a_broken_wp_identity_exits_1(capsys, tmp_path, monkeypa
     # W(P;t) of a canonically labeled poset is symmetric by theorem, so an
     # asymmetric one is a broken identity, not bad input
     from permact import posets
-    from permact.polynomials import uni
-
-    monkeypatch.setattr(posets, "descent_poly", lambda exts: uni([1, 2]))
+    monkeypatch.setattr(posets, "descent_poly", lambda exts: (1, 2))
     code, out, err = run_cli(capsys, "poset", _write_poset(tmp_path), "--poly")
     assert code == 1
     assert not out
@@ -301,6 +300,42 @@ def test_table(capsys):
     code, out, _ = run_cli(capsys, "table", "narayana", "--n", "5")
     assert code == 0
     assert out.splitlines()[0] == "n,polynomial,gamma"
+
+
+# every command that prints a polynomial; FILE is the poset of _write_poset
+POLYNOMIAL_OUTPUT_SHA256 = [
+    ("orbit 2413", "94f1130ec5b2b1a02416e2b931da854424ed9aaeaba645a8247a0318c7224545"),
+    ("orbit '-2 -4 -1 -3' --boundary zero", "263062db969abcd4a5c5f076c44b63c8ab6a891ceb3df8af15ac907710fcf9cd"),
+    ("class rsortable --n 5 --r 2 --poly des", "0c4ee4f09b5085c367d4b4694ae168d95246185d95370f9770a374b2006e536c"),
+    ("class rsortable --n 5 --r 2 --poly peak", "a7b55188b59f182e9ed0f9d3eb90c24c35abcb050951f21fe82fc6edeb58b907"),
+    ("class rsortable --n 5 --r 2 --poly gamma", "de356496aea7691bd3246cc56bd5bf8f721e714ad73825acce0108961223b0dc"),
+    ("poset FILE --poly", "e4b5d33d222359d46674e404daa5fd38f7beabfab84d786a104fcbd3f8d7f622"),
+    ("poset FILE --orbits", "22e8e504c733ed977d7801618abca43388d0769e24f18ae8bbcae062edd12e01"),
+    ("table eulerian --n 7 --format json", "4b2461696ca884179e070164e48588e24166c2f5f0e42c9a58921031f0b30e59"),
+    ("table eulerian --n 7 --format csv", "94feb115e6fa754c6a4d803dbe47bacddecc8508fa13100d173c96e9431994ba"),
+    ("table eulerian --n 7 --format latex", "645cb76cd73bc278df98b4a7561f4bf828ad8fade1a2582590dff138fcb1688d"),
+    ("table narayana --n 7 --format json", "39a8f1b4e6c2f051f41c81313a32fb928c455a47d1c7c8d68ad9af44eb85fdfe"),
+    ("table narayana --n 7 --format csv", "f131ae2702fe8b2ccaa36f2f74a97b09dd142a23ad3853d5d613b24a9900b0cb"),
+    ("table narayana --n 7 --format latex", "7a0854e4894bfe80ea83e61f7ed3b15bdc0bd20b4476e03749118bf6eabc5d9f"),
+    ("table involution --n 7 --format json", "d01c0eeb9b344e33a307e3097005097e456cb809998685a999c83044452e4f6e"),
+    ("table involution --n 7 --format csv", "1ddd0548b44456121a9d394741943a30a73c8ef5b6715bdb0c28f8123b1770f7"),
+    ("table involution --n 7 --format latex", "43733efef39a7514636b0e87106331a57708206bff9d01d8308a5df13ff950eb"),
+    ("table apq --n 7 --format json", "d538d3d0a27d08bebd49d66966afb9e9801c44ef8012d860efae534e030cb381"),
+    ("table apq --n 7 --format csv", "2c66e60b3c2ce44fc8a3e2b835590cee05e336ad2e331b7aacd86e93a1026f5a"),
+    ("table apq --n 7 --format latex", "bca21fc4f4a10c0f22ff950a7f3e4445d6f131e283dfa5b201c99c276bb24ffc"),
+    ("apq --n 5", "2108e357e0bb119610a37d7c74bd5c18ea5d8a56a5770b0b6936fc443fb6697b"),
+    ("apq --n 5 --out latex", "dbf83c5f0951bb2bf5a3b1b1374b3b2bed84d82bff8d105197ba42cad1cf274e"),
+]
+
+
+@pytest.mark.parametrize("command, sha256", POLYNOMIAL_OUTPUT_SHA256, ids=[c for c, _ in POLYNOMIAL_OUTPUT_SHA256])
+def test_polynomial_output_keeps_its_bytes(capsys, tmp_path, command, sha256):
+    """The digests pin the bytes printed when every polynomial in t was an
+    IntPolynomial."""
+    argv = [_write_poset(tmp_path) if a == "FILE" else a for a in shlex.split(command)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_verify(capsys):

@@ -14,6 +14,7 @@ from permact import harness, patterns
 from permact.action import (
     _closed_form,
     double_ascent_letters,
+    orbit,
     orbit_members,
     orbit_reps,
     orbits,
@@ -42,7 +43,7 @@ from permact.patterns import (
     pattern_pair,
     pattern_pair_via_runs,
 )
-from permact.polynomials import GammaExpansion, GesselExpansion, IntPolynomial, gessel_expand, uni
+from permact.polynomials import GammaExpansion, GesselExpansion, IntPolynomial, gessel_expand
 from permact.posets import psi_x_poset
 from permact.trees import dyck_path
 from permact.words import (
@@ -147,11 +148,11 @@ def test_report_emit_formats():
 
 
 def test_eulerian_and_involution_polynomials():
-    assert eulerian_poly(4) == uni([1, 11, 11, 1])
+    assert eulerian_poly(4) == (1, 11, 11, 1)
     for n in range(9):
         assert eulerian_poly(n) == descent_poly(all_permutations(n))
-    assert involution_descent_poly(3) == uni([1, 2, 1])
-    assert involution_descent_poly(4) == uni([1, 4, 4, 1])
+    assert involution_descent_poly(3) == (1, 2, 1)
+    assert involution_descent_poly(4) == (1, 4, 4, 1)
 
 
 def test_build_table():
@@ -356,10 +357,10 @@ def shape_without_double_descents(w, boundary=Boundary.TOP):
 
 
 def closed_form_top_coefficient_plus_one(d, k):
-    """A planted defect: the cached dense form of t^k (1+t)^(d-2k) has its
-    top coefficient one too large."""
-    claim, poly, dense = _closed_form(d, k)
-    return claim, poly, (*dense[:-1], dense[-1] + 1)
+    """A planted defect: the cached coefficients of t^k (1+t)^(d-2k) have
+    their top coefficient one too large."""
+    claim, poly = _closed_form(d, k)
+    return claim, (*poly[:-1], poly[-1] + 1)
 
 
 def orbits_split_in_two(seeds, hop):
@@ -561,7 +562,7 @@ def gessel_expand_dropping_the_last_coefficient(F, n):
 def involution_poly_leaning_left(n):
     """A planted defect: an asymmetric polynomial in place of the involution
     descent polynomial."""
-    return uni([2] + [1] * (n - 1))
+    return (2,) + (1,) * (n - 1)
 
 
 def _clear_pattern_caches():
@@ -680,7 +681,7 @@ def b_n1_not_divisible_past_the_scans(n, i):
 def involution_counts_not_log_concave(n):
     """A planted counterexample: at n = 6 the counts are symmetric and
     unimodal but 2^2 < 1 * 5."""
-    return uni([1, 2, 5, 5, 2, 1]) if n == 6 else INVOLUTION_DESCENT_POLY(n)
+    return (1, 2, 5, 5, 2, 1) if n == 6 else INVOLUTION_DESCENT_POLY(n)
 
 
 
@@ -729,9 +730,27 @@ def test_a_crashing_kernel_is_a_hard_error(capsys, monkeypatch, fresh_pattern_ta
     inst = harness._run_instance("guo-zeng", 3)
     assert not inst.ok and inst.hard_failure
     assert inst.detail == "error: ZeroDivisionError('planted')"
+    # the report keeps its one-line detail; the traceback goes to stderr
+    err = capsys.readouterr().err
+    assert f'File "{__file__}"' in err and ", in involutions_crashing" in err
     # a crash in a conjecture suite exits 1, not 3
     assert main(["verify", "guo-zeng", "--max-n", "3"]) == 1
     assert "FAIL at n = 1 (proven part violated): error: ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_the_orbit_path_builds_no_int_polynomial(monkeypatch):
+    """Polynomials in t are dense tuples: the orbit suites, genbona's class
+    polynomials and the orbit of one word build no IntPolynomial."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an IntPolynomial was built on the orbit path")
+
+    _closed_form.cache_clear()  # an earlier test may have filled it
+    monkeypatch.setattr(IntPolynomial, "__init__", refuse)
+    for name, n in [("orb", 7), ("corre", 7), ("genbona", 6)]:
+        report = run_suite(name, n)
+        assert report.passed, report.summary_line()
+    assert orbit((2, 4, 1, 3)).descent_poly == (0, 1, 1)
 
 
 def test_verify_corre_exits_1_when_hops_move_peaks(capsys, monkeypatch):

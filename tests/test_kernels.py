@@ -210,7 +210,7 @@ def test_hops_and_orbits_on_random_words():
         assert orbit_members(w, phi_prime_x) == members
         report = orbit(w)
         k, m = report.peak, len(w) - 1 - 2 * report.peak
-        assert descent_poly(members).coeffs_list() == [0] * k + [comb(m, i) for i in range(m + 1)]
+        assert descent_poly(members) == (0,) * k + tuple(comb(m, i) for i in range(m + 1))
 
     check()
 

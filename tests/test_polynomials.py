@@ -7,6 +7,8 @@ from permact.polynomials import (
     IntPolynomial,
     NoExpansionError,
     NotSymmetricError,
+    dense,
+    divide_by_p_plus_q,
     gamma_expand,
     GesselExpansion,
     gessel_expand,
@@ -14,7 +16,7 @@ from permact.polynomials import (
     latex_gamma_form,
     latex_poly,
     q_factorial,
-    try_divide,
+    strip_zeros,
     uni,
 )
 from permact.words import all_permutations, des
@@ -23,9 +25,9 @@ T = IntPolynomial.variable("t")
 
 
 def test_arithmetic():
-    assert ((1 + T) ** 3).coeffs_list() == [1, 3, 3, 1]
-    assert (T - T).is_zero()
-    assert (1 - T) * (1 + T) == 1 - T**2
+    assert (1 + T) ** 3 == uni([1, 3, 3, 1])
+    assert (T + -1 * T).is_zero()
+    assert (1 + -1 * T) * (1 + T) == 1 + -1 * T**2
     assert T**0 == IntPolynomial.constant(("t",), 1)
     with pytest.raises(ValueError):
         T ** (-1)
@@ -38,20 +40,23 @@ def test_variable_mismatch_raises():
 
 
 def test_coefficient_and_degree():
-    p = IntPolynomial(("p", "t"), {(2, 1): 3, (0, 0): 1})
-    assert p.coefficient((2, 1)) == 3
-    assert p.coefficient((1, 1)) == 0
+    p = IntPolynomial(("p", "t"), {(2, 1): 3, (0, 0): 1, (1, 1): 0})
+    assert p.terms == {(2, 1): 3, (0, 0): 1}
     assert p.degree("t") == 1
     assert p.degree("p") == 2
     assert p.degree() == 3
-    with pytest.raises(ValueError):
-        p.coeffs_list()
 
 
 def test_uni():
     assert uni([1, 2, 1]) == (1 + T) ** 2
     assert str(uni([1, 2, 1])) == "1 + 2t + t^2"
     assert str(uni([0])) == "0"
+
+
+def test_dense_tallies_are_in_strip_zeros_form():
+    assert dense({2: 1, 0: 3}) == (3, 0, 1)
+    assert dense({0: 0, 3: 0}) == dense({}) == (0,)
+    assert strip_zeros([]) == strip_zeros([0, 0]) == (0,)
 
 
 def test_swap_vars():
@@ -65,18 +70,19 @@ def test_json_round_trip():
 
 
 def test_gamma_expand_fixtures():
-    assert gamma_expand(uni([1, 11, 11, 1]), 3).gamma == (1, 8)
-    assert gamma_expand(uni([1]), 0).gamma == (1,)
-    got = gamma_expand(uni([1, 4, 1]), 2)
+    assert gamma_expand((1, 11, 11, 1), 3).gamma == (1, 8)
+    assert gamma_expand((1,), 0).gamma == (1,)
+    assert gamma_expand((0,), 2).gamma == (0,)
+    got = gamma_expand((1, 4, 1), 2)
     assert got == GammaExpansion(d=2, gamma=(1, 2))
-    assert got.reconstruct() == uni([1, 4, 1])
+    assert got.reconstruct() == (1, 4, 1)
 
 
 def test_gamma_expand_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
-        gamma_expand(uni([1, 2]), 2)
+        gamma_expand((1, 2), 2)
     with pytest.raises(NotSymmetricError):
-        gamma_expand(uni([1, 1, 1]), 1)
+        gamma_expand((1, 1, 1), 1)
 
 
 def test_gamma_round_trip_on_descent_polynomials():
@@ -84,7 +90,7 @@ def test_gamma_round_trip_on_descent_polynomials():
         counts = [0] * n
         for w in all_permutations(n):
             counts[des(w)] += 1
-        poly = uni(counts)
+        poly = tuple(counts)
         assert gamma_expand(poly, n - 1).reconstruct() == poly
 
 
@@ -110,7 +116,8 @@ def test_reconstruct_matches_sparse_powers():
         ] + [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, top))) for _ in range(6)]
         for gamma in vectors:
             poly = GammaExpansion(d, gamma).reconstruct()
-            assert poly == _sparse_gamma_form(d, gamma), (d, gamma)
+            assert poly == strip_zeros(poly), (d, gamma)
+            assert uni(poly) == _sparse_gamma_form(d, gamma), (d, gamma)
             trimmed = list(gamma) or [0]
             while len(trimmed) > 1 and trimmed[-1] == 0:
                 trimmed.pop()
@@ -178,20 +185,36 @@ def test_gessel_peel_matches_the_solve_on_random_combinations():
 
 
 def test_q_factorial():
-    assert q_factorial(0) == IntPolynomial.constant(("q",), 1)
-    assert q_factorial(3).coeffs_list() == [1, 2, 2, 1]
-    assert q_factorial(5).degree() == 10
+    assert q_factorial(0) == q_factorial(1) == (1,)
+    assert q_factorial(3) == (1, 2, 2, 1)
+    assert len(q_factorial(5)) == 11
+    for n in range(7):
+        assert uni(q_factorial(n)) == _sparse_q_factorial(n)
 
 
-def test_try_divide():
-    f = (1 + T) ** 2
-    assert try_divide(f, 1 + T) == 1 + T
-    assert try_divide(f, T) is None
-    assert try_divide(f, uni([1, 1, 1])) is None
-    with pytest.raises(ValueError):
-        try_divide(f, 2 * T)
-    with pytest.raises(ZeroDivisionError):
-        try_divide(f, uni([0]))
+def _sparse_q_factorial(n):
+    """[n]_t! through sparse IntPolynomial products."""
+    acc = IntPolynomial.constant(("t",), 1)
+    for k in range(1, n + 1):
+        acc = acc * uni([1] * k)
+    return acc
+
+
+P, Q = (IntPolynomial.variable(v, ("p", "q")) for v in "pq")
+
+
+def test_divide_by_p_plus_q():
+    assert divide_by_p_plus_q((P + Q) ** 2) == P + Q
+    assert divide_by_p_plus_q(IntPolynomial.zero(("p", "q"))).is_zero()
+    for f in (P, 1 + P + Q, P * P + Q * Q, (P + Q) ** 2 + 1, P**3 + Q**3 + P):
+        assert divide_by_p_plus_q(f) is None, f
+    rng = random.Random(2006)
+    for _ in range(40):
+        g = IntPolynomial(("p", "q"), {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-9, 9)
+                                       for _ in range(rng.randint(1, 6))})
+        assert divide_by_p_plus_q((P + Q) * g) == g
+        # p + q divides f iff f vanishes at p = -q; one off term breaks that
+        assert divide_by_p_plus_q((P + Q) * g + P**5) is None
 
 
 def test_latex_output():
