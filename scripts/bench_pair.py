@@ -10,7 +10,10 @@ side's median and quartiles, the parent's quartile spread and the number of
 pairs the change wins (ties count for neither side), with the Python version
 and the CPU count.  Each ``--instance SUITE:N`` also records, per side, the
 untraced seconds of that one instance as ``permact verify SUITE --max-n N
---timing`` reports them, over ``PAIRS`` alternating runs.  A gain counts
+--timing`` reports them, over ``PAIRS`` alternating runs, and the peak RSS
+of each such ``permact verify`` child, read from ``os.wait4``.  Linux keeps
+``ru_maxrss`` across ``execve``, so that figure is at least this script's
+resident size when it forks the child: an upper bound.  A gain counts
 only when the change wins at least nine pairs in ten and the medians differ
 by more than the parent's quartile spread.  Before any run the script
 refuses, with exit status 2, a pair whose resolved paths differ in length
@@ -43,16 +46,22 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def instance_seconds(checkout: Path, suite: str, n: int) -> float:
-    """The seconds ``permact verify --timing`` reports for the instance at n."""
+def instance_run(checkout: Path, suite: str, n: int) -> tuple[float, float]:
+    """The seconds ``permact verify --timing`` reports for the instance at n,
+    and the peak RSS in MiB of the ``permact verify`` child."""
     cmd = [sys.executable, "-m", "permact.cli", "verify", suite, "--max-n", str(n), "--timing"]
     env = {k: v for k, v in os.environ.items() if k != "PERMACT_MAX_N"}
     env["PYTHONPATH"] = str(checkout / "src")
-    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True).stdout
+    with subprocess.Popen(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True) as child:
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise SystemExit(f"{checkout}: {suite} n={n} exited with status {child.returncode}")
     last = json.loads(out)["instances"][-1]
     if last["n"] != n or not last["ok"]:
         raise SystemExit(f"{checkout}: {suite} n={n} did not pass")
-    return last["seconds"]
+    return last["seconds"], usage.ru_maxrss / 1024
 
 
 def benchmark_files(checkout: Path) -> dict[str, bytes]:
@@ -119,12 +128,18 @@ def main() -> int:
     for spec in args.instance:
         suite, n = spec.rsplit(":", 1)
         seconds: dict[str, list[float]] = {side: [] for side in sides}
+        rss: dict[str, list[float]] = {side: [] for side in sides}
         for k in range(PAIRS):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-                seconds[side].append(instance_seconds(sides[side], suite, int(n)))
-        instances[spec] = {side: {**spread(v), "runs": v} for side, v in seconds.items()}
-        print(f"{spec}: parent {instances[spec]['parent']['median']:.3f} s, "
-              f"change {instances[spec]['change']['median']:.3f} s", flush=True)
+                secs, mb = instance_run(sides[side], suite, int(n))
+                seconds[side].append(secs)
+                rss[side].append(mb)
+        instances[spec] = {side: {**spread(seconds[side]), "runs": seconds[side],
+                                  "peak_rss_mb": {**spread(rss[side]), "runs": rss[side]}}
+                           for side in sides}
+        print(f"{spec}: " + ", ".join(
+            f"{side} {instances[spec][side]['median']:.3f} s "
+            f"{instances[spec][side]['peak_rss_mb']['median']:.1f} MiB" for side in sides), flush=True)
     record = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),

@@ -14,11 +14,14 @@ involutions commute, and the group they generate cuts each symmetric group
 into orbits whose descent generating function is t^k (1+t)^(n-1-2k).
 
 Under the TOP boundary each orbit of S_n holds exactly one word with no
-double descent, and only that word's double ascents move it; ``orbit_reps``
-yields those words, so the orbits of S_n are built one per representative
-with no set of words already seen.  ``orbits`` is the enumerator for any
-other set of seeds (linear extensions, and the small-n oracle walk of S_n):
-it holds the only such set.
+double descent, and only that word's double ascents move it.
+``orbit_reps`` walks those words depth first, in lex order, each with its
+double-ascent letters, so the orbits of S_n are built one per representative
+with neither a set of words already seen nor a level of prefixes held.
+``orbits`` is the enumerator for any other set of seeds (linear extensions,
+and the small-n oracle walk of S_n): it holds the only such set.
+``verified_orbit`` keeps its members in the order it is given them: a caller
+that shows them, as ``orbit`` does, sorts them first.
 """
 
 from __future__ import annotations
@@ -209,9 +212,10 @@ class HopTable(dict):
 class OrbitReport(NamedTuple):
     """One orbit of the commuting involutions, with its verified invariants.
 
-    ``peak`` is the descent count of the canonical representative (the unique
-    member without double descents); it equals the peak count of every member
-    under the TOP boundary.  ``descent_poly`` is dense, constant term first.
+    ``members`` keep the order ``verified_orbit`` was given them in.  ``peak``
+    is the descent count of the canonical representative (the unique member
+    without double descents); it equals the peak count of every member under
+    the TOP boundary.  ``descent_poly`` is dense, constant term first.
     ``peaks`` holds each member's own peak count, aligned with ``members``;
     it is not part of the JSON form.
     """
@@ -268,26 +272,49 @@ def orbits(seeds: Iterable[Word], hop: Callable[[Word, int], Word]) -> Iterator[
             yield members
 
 
-def orbit_reps(n: int) -> Iterator[Word]:
+def orbit_reps(n: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
     """The words on 1..n with no double descent under TOP, in lex order: one
-    per orbit of S_n.  A prefix search: the first step must rise (the TOP
-    sentinel before w_1 is larger), and no two descents may follow each
-    other.  The last letter of each prefix of length n - 1 is forced, so
-    that level is the last one held.  For n < 1 the empty word is the one
+    per orbit of S_n, each with its double-ascent letters, the letters whose
+    hop moves it, in the order ``double_ascent_letters`` gives them.
+
+    A depth-first prefix search on an explicit stack of one frame per prefix
+    length, so it holds O(n^2) letters whatever n is.  A frame keeps its
+    prefix, the prefix's last letter, whether the step into it fell, the
+    letters left, the double ascents so far and the index of the next letter
+    to try.  No fall may follow a fall, and the left TOP sentinel makes the
+    step into w_1 a fall.  A letter is a double ascent when a rise reaches it
+    and another leaves it; the right TOP sentinel makes a rise into the last
+    letter a double ascent.  For n < 1 the empty word is the one
     representative.
 
     >>> list(orbit_reps(3))
-    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    [((1, 2, 3), (2, 3)), ((1, 3, 2), ()), ((2, 3, 1), ())]
     """
-    if n < 2:
-        return iter([tuple(range(1, n + 1))])
-    # (prefix, whether its last step fell, the letters left); the sentinel
-    # step into w_1 counts as a fall, and the last letter is the one left
-    level = [((a,), True, (*range(1, a), *range(a + 1, n + 1))) for a in range(1, n + 1)]
-    for _ in range(n - 2):
-        level = [(p + (b,), b < p[-1], rest[:i] + rest[i + 1 :])
-                 for p, fell, rest in level for i, b in enumerate(rest) if b > p[-1] or not fell]
-    return (p + rest for p, fell, rest in level if rest[0] > p[-1] or not fell)
+    if n < 1:
+        yield (), ()
+        return
+    # the root's last letter is the left sentinel, and no step led into it
+    stack = [[(), math.inf, False, tuple(range(1, n + 1)), (), 0]]
+    while stack:
+        frame = stack[-1]
+        prefix, a, fell, rest, ups, i = frame
+        if i == len(rest):
+            stack.pop()
+            continue
+        frame[5] = i + 1
+        b = rest[i]
+        if b > a:
+            if not fell:
+                ups += (a,)
+            if len(rest) == 1:
+                yield prefix + (b,), ups + (b,)
+            else:
+                stack.append([prefix + (b,), b, False, rest[:i] + rest[i + 1 :], ups, 0])
+        elif not fell:
+            if len(rest) == 1:
+                yield prefix + (b,), ups
+            else:
+                stack.append([prefix + (b,), b, True, rest[:i] + rest[i + 1 :], ups, 0])
 
 
 def double_ascent_letters(w: Word) -> list[int]:
@@ -324,18 +351,19 @@ def _closed_form(d: int, k: int) -> tuple[GammaExpansion, tuple[int, ...]]:
 
 
 def verified_orbit(
-    members: frozenset[Word], d: int, boundary: Boundary, seed: Word | None = None
+    members: Iterable[Word], d: int, boundary: Boundary, seed: Word | None = None
 ) -> OrbitReport:
-    """The orbit report of members, checked to have exactly one member
-    without double descents (under boundary), equal to seed when one is
-    given, and descent polynomial t^k (1+t)^(d-2k), k the descent count of
-    that member.  One ``shape`` pass per member gives its descent, peak and
-    double-descent counts.  Raises RuntimeError otherwise."""
-    ordered = sorted(members)
-    tally = [0] * max(len(ordered[0]), 1)
+    """The orbit report of members, in the order given, checked to have
+    exactly one member without double descents (under boundary), equal to
+    seed when one is given, and descent polynomial t^k (1+t)^(d-2k), k the
+    descent count of that member.  One ``shape`` pass per member gives its
+    descent, peak and double-descent counts.  Raises RuntimeError otherwise,
+    naming the orbit by its least member."""
+    members = tuple(members)
+    tally = [0] * max(len(members[0]), 1)
     peaks = []
     reps = []
-    for v in ordered:
+    for v in members:
         descents, peak_count, double_descents = shape(v, boundary)
         tally[descents] += 1
         peaks.append(peak_count)
@@ -343,24 +371,24 @@ def verified_orbit(
             reps.append(v)
     if len(reps) != 1:
         raise RuntimeError(
-            f"orbit of {ordered[0]} has {len(reps)} double-descent-free members, expected 1"
+            f"orbit of {min(members)} has {len(reps)} double-descent-free members, expected 1"
         )
     # k read by des, not by shape: a shape that miscounts descents then
     # fails the closed-form comparison
     rep = reps[0]
     if seed is not None and rep != seed:
         raise RuntimeError(
-            f"orbit of {ordered[0]}: its double-descent-free member {rep} is not the seed {seed}"
+            f"orbit of {min(members)}: its double-descent-free member {rep} is not the seed {seed}"
         )
     k = des(rep)
     claim, poly = _closed_form(d, k)
     counts = strip_zeros(tally)
     if counts != poly:
         raise RuntimeError(
-            f"orbit of {ordered[0]}: descent polynomial coefficients {list(counts)} "
+            f"orbit of {min(members)}: descent polynomial coefficients {list(counts)} "
             f"!= t^{k}(1+t)^{d - 2 * k}"
         )
-    return OrbitReport(tuple(ordered), rep, k, poly, claim, tuple(peaks))
+    return OrbitReport(members, rep, k, poly, claim, tuple(peaks))
 
 
 def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
@@ -380,7 +408,7 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
             "the zero boundary needs every letter negative (below the 0 sentinel); "
             f"{w} has a positive letter"
         )
-    report = verified_orbit(orbit_members(w, phi_prime_x), len(w) - 1, boundary)
+    report = verified_orbit(sorted(orbit_members(w, phi_prime_x)), len(w) - 1, boundary)
     if peak(w, boundary) != report.peak:
         raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
     return report

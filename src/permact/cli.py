@@ -186,7 +186,7 @@ def cmd_poset(args) -> int:
     if args.orbits:
         d = posets.orbit_degree(P)
         hop = partial(posets.psi_x_poset, P)
-        reports = [action.verified_orbit(members, d, Boundary.ZERO).to_json_dict()
+        reports = [action.verified_orbit(sorted(members), d, Boundary.ZERO).to_json_dict()
                    for members in action.orbits(posets.linear_extensions(P), hop)]
         _emit_json({"poset": P.to_json_dict(), "orbits": reports})
         return 0

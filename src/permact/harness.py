@@ -13,6 +13,7 @@ through a pipe.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -182,9 +183,13 @@ def _check_orbits(
     cover_detail: str,
 ) -> None:
     """Check the orbits of S_n under the hops, raising Failure at the first
-    check that fails.  Each orbit is built from its representative,
-    doubling over the representative's double ascents, and verified_orbit
+    check that fails.  orbit_reps walks the representatives depth first,
+    each with its double ascents; each orbit is built from its
+    representative, doubling over those letters, and verified_orbit
     requires its one double-descent-free member to be that representative.
+    The orbits are checked as the frozensets they are built as, so nothing
+    is sorted on the pass path: each witness that names a member sorts
+    first, so that it names the least one.
     Orbits are the classes of the group the hops generate, so two orbits
     that meet are equal and share that member: distinct representatives
     give disjoint orbits, and sizes that sum to n! partition S_n.
@@ -202,8 +207,8 @@ def _check_orbits(
     built = set()
     previous: Word = ()
     repeated = False
-    for seed in action.orbit_reps(n):
-        members = action.orbit_members(seed, hop, action.double_ascent_letters(seed))
+    for seed, letters in action.orbit_reps(n):
+        members = action.orbit_members(seed, hop, letters)
         try:
             rep = action.verified_orbit(members, n - 1, Boundary.TOP, seed)
         except RuntimeError as exc:
@@ -241,7 +246,7 @@ def _constant_on_orbits(n: int, value: Callable[[Word], object], detail: str,
     def sweep(members: frozenset[Word]) -> None:
         changed = len({value(w) for w in members}) > 1
         # members are reached from the seed by hops, so a bad orbit has a move
-        hops = [(w, x, hop(w, x)) for w in sorted(members) for x in range(1, n + 1)]
+        hops = [(w, x, hop(w, x)) for w in members for x in range(1, n + 1)]
         moves = [(w, x, u) for w, x, u in hops if value(u) != value(w)]
         if changed != bool(moves) or any(u not in members for _, _, u in hops):
             raise Failure("the hop-by-hop sweep disagrees with the orbit check", {"orbit": members})
@@ -250,7 +255,7 @@ def _constant_on_orbits(n: int, value: Callable[[Word], object], detail: str,
 
     def constant(rep: action.OrbitReport) -> None:
         if len({value(w) for w in rep.members}) > 1:
-            first_move(rep.members)
+            first_move(sorted(rep.members))
         if on_orbit is not None:
             on_orbit(rep)
 
@@ -274,7 +279,7 @@ def _run_orb(n: int) -> tuple[str, dict | None]:
     def constant_peak(rep: action.OrbitReport) -> None:
         nonlocal norbits
         if rep.peaks.count(rep.peak) != len(rep.members):
-            m = next(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
+            m = min(m for m, p in zip(rep.members, rep.peaks) if p != rep.peak)
             raise Failure("peak is not constant on an orbit", {"word": m, "expected_peak": rep.peak})
         norbits += 1
 
@@ -317,9 +322,20 @@ def _run_corre(n: int) -> tuple[str, dict | None]:
             what = "hop operator is not an involution" if len(bad) == 1 else "hop operators do not commute"
             raise Failure(what, {"word": w, **bad})
     checks = len(ws) * (1 + n + n * (n - 1) // 2)
-    cp = action.class_polys(words.all_permutations(n))
+    # the class polynomials of S_n from the (peak, des) marginal of the
+    # letter-set transfer, with the word-by-word tally as the oracle
+    descents, peaks = Counter(), Counter()
+    for (i, _, _, d), c in patterns.pattern_tally(n).items():
+        descents[d] += c
+        peaks[i] += c
+    try:
+        cp = action.class_polys_from_counts(descents, peaks, n)
+    except action.NotInvariantError as exc:
+        raise Failure(f"letter-set transfer tally of S_n: {exc}")
+    if exhaustive and cp != action.class_polys(words.all_permutations(n)):
+        raise Failure("letter-set transfer and word-by-word class tallies disagree")
     if cp.W != eulerian_poly(n):
-        raise Failure("Eulerian recurrence differs from the brute-force descent tally")
+        raise Failure("Eulerian recurrence differs from the tallied descent polynomial")
     gam = gamma_expand(eulerian_poly(n), n - 1).gamma
     if cp.b != gam:
         raise Failure(f"class coefficients {cp.b} != Eulerian gamma {gam}")
@@ -476,7 +492,7 @@ def _run_wp(n: int) -> tuple[str, dict | None]:
         covered = 0
         total = [0] * (wpp.d + 1)  # the sum of the orbit polynomials
         for members in action.orbits(exts, hop):
-            rep = action.verified_orbit(members, wpp.d, Boundary.ZERO)
+            rep = action.verified_orbit(sorted(members), wpp.d, Boundary.ZERO)
             if wpp.r == 0:
                 for v, p in zip(rep.members, rep.peaks):
                     if p != rep.peak:
@@ -831,12 +847,17 @@ def _forked_instances(name: str, ns: list[int], workers: int) -> tuple[Instance,
     start at once; the instances come back in ascending n.  The parent runs
     no instance: it reads each child's pipe to EOF, then reaps the child.
     Children inherit the parent's modules as they are, patches included;
-    permact starts no threads, so forking is safe.  A child that fails
-    raises RuntimeError naming the suite, and no child outlives the call.
+    permact starts no threads, so forking is safe.  The parent's objects are
+    frozen out of the collector from before the first fork to after the
+    last reap, as the ``gc`` docs advise for fork, so a child's collections
+    do not write to, and so copy, the pages it shares with the parent.  A
+    child that fails raises RuntimeError naming the suite, and no child
+    outlives the call.
     """
     pipes = []  # the read ends, as files
     running: dict[int, tuple] = {}  # unreaped child pid -> (its pipe, its share)
     instances: list[Instance] = []
+    gc.freeze()
     try:
         for share in (ns[::-1][k::workers] for k in range(workers)):
             read_end, write_end = os.pipe()
@@ -864,6 +885,7 @@ def _forked_instances(name: str, ns: list[int], workers: int) -> tuple[Instance,
         for pid in running:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        gc.unfreeze()
     return tuple(sorted(instances, key=lambda inst: inst.n))
 
 

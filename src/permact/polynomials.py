@@ -157,15 +157,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self, var: str | None = None) -> int:
-        """Max exponent of var (total degree if var is None); zero poly -> -1."""
-        if not self.terms:
-            return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
-
     def swap_vars(self, a: str, b: str) -> "IntPolynomial":
         """Exchange two variables, keeping the variable tuple fixed."""
         i, j = self.vars.index(a), self.vars.index(b)
@@ -183,10 +174,6 @@ class IntPolynomial:
             "vars": list(self.vars),
             "terms": [{"e": list(e), "c": c} for e, c in sorted(self.terms.items())],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IntPolynomial":
-        return cls(tuple(data["vars"]), {tuple(t["e"]): int(t["c"]) for t in data["terms"]})
 
     def __str__(self) -> str:
         if not self.terms:

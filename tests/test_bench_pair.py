@@ -1,4 +1,5 @@
-"""scripts/bench_pair.py refuses a pair of checkouts it cannot compare."""
+"""scripts/bench_pair.py refuses a pair of checkouts it cannot compare, and
+reads each instance run's seconds and peak RSS."""
 
 import importlib.util
 import sys
@@ -49,3 +50,15 @@ def test_main_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
         bench_pair.main()
     assert info.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def test_instance_run_reads_seconds_and_peak_rss_of_the_child():
+    seconds, rss_mb = bench_pair.instance_run(bench_pair.ROOT, "narayana", 3)
+    assert 0 <= seconds < 60
+    # a Python child holds some MiB; ru_maxrss is in KiB on Linux
+    assert 1 < rss_mb < 4096
+
+
+def test_instance_run_refuses_a_child_that_fails():
+    with pytest.raises(SystemExit, match="exited with status 2"):
+        bench_pair.instance_run(bench_pair.ROOT, "narayana", 0)

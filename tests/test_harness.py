@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -13,7 +14,6 @@ import pytest
 from permact import harness, patterns
 from permact.action import (
     _closed_form,
-    double_ascent_letters,
     orbit,
     orbit_members,
     orbit_reps,
@@ -58,6 +58,7 @@ from permact.words import (
     maj,
     shape,
     stat_bits,
+    transfer,
 )
 
 
@@ -242,6 +243,30 @@ def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch, capsys):
     _assert_no_child_left()
     assert main(["verify", "narayana", "--max-n", "4", "--jobs", "2"]) == 1
     assert "narayana" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_workers_fork_from_a_frozen_heap(monkeypatch):
+    frozen = []
+    real_fork = os.fork
+
+    def noting_fork():
+        pid = real_fork()
+        if pid:
+            frozen.append(gc.get_freeze_count())
+        return pid
+
+    monkeypatch.setattr(harness.os, "fork", noting_fork)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert gc.get_freeze_count() == 0
+    assert run_suite("narayana", 4, jobs=2).passed
+    assert len(frozen) == 2 and all(frozen)
+    assert gc.get_freeze_count() == 0
+    # a worker that dies leaves the heap unfrozen too
+    monkeypatch.setattr(harness, "_run_instance", lambda name, n: os._exit(3))
+    with pytest.raises(RuntimeError):
+        run_suite("narayana", 4, jobs=2)
+    assert gc.get_freeze_count() == 0
     _assert_no_child_left()
 
 
@@ -444,8 +469,8 @@ def orbit_reps_trading_the_last_for_a_twin(n):
     """A planted defect: the last representative gives way to the first one
     whose orbit has the same size, so the orbit sizes still sum to n!."""
     reps = list(orbit_reps(n))
-    size = len(double_ascent_letters(reps[-1]))
-    return reps[:-1] + [next(w for w in reps if len(double_ascent_letters(w)) == size)]
+    size = len(reps[-1][1])
+    return reps[:-1] + [next(rep for rep in reps if len(rep[1]) == size)]
 
 
 def orbit_members_building_a_twin_orbit(seed, hop, letters=None):
@@ -454,9 +479,8 @@ def orbit_members_building_a_twin_orbit(seed, hop, letters=None):
     size, so one orbit comes out twice and the sizes still sum to n!."""
     if letters is not None:
         reps = list(orbit_reps(len(seed)))
-        if seed == reps[-1]:
-            seed = next(w for w in reps if len(double_ascent_letters(w)) == len(letters))
-            letters = double_ascent_letters(seed)
+        if seed == reps[-1][0]:
+            seed, letters = next(rep for rep in reps if len(rep[1]) == len(letters))
     return orbit_members(seed, hop, letters)
 
 
@@ -469,9 +493,9 @@ def orbit_members_trading_a_member(seed, hop, letters=None):
     members = orbit_members(seed, hop, letters)
     if letters:
         reps = list(orbit_reps(len(seed)))
-        if seed == reps[-1]:
-            twin = next(w for w in reps if w != seed and len(double_ascent_letters(w)) == len(letters))
-            other = orbit_members(twin, hop, double_ascent_letters(twin))
+        if seed == reps[-1][0]:
+            twin, ups = next(rep for rep in reps if rep[0] != seed and len(rep[1]) == len(letters))
+            other = orbit_members(twin, hop, ups)
             members = members - {max(members, key=des)} | {max(other, key=des)}
     return members
 
@@ -663,6 +687,33 @@ def test_planted_defect_instances_are_pinned(monkeypatch, fresh_pattern_tables):
         digest.update(json.dumps(inst.to_json_dict(), sort_keys=True).encode() + b"\n")
     _clear_pattern_caches()
     assert digest.hexdigest() == "eb18d6afb6d5729879de3261aa920518b284ab8c2909b130ba599c85e34aab8c"
+
+
+def pattern_tally_peaking_at_every_descent(n):
+    """A planted defect: the transfer adds one to peak at every descent, not
+    only at a descent from a letter reached by a rise."""
+    step, descent = PATTERN_STEP(n), 1 << 3 * stat_bits(n)
+    return transfer((0, 0, False), n, lambda state, k: [
+        (to, delta | 1 if delta >= descent else delta) for to, delta in step(state, k)], 4)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_corre_catches_a_transfer_with_a_wrong_peak_increment(monkeypatch, n):
+    monkeypatch.setattr(harness.patterns, "pattern_tally", pattern_tally_peaking_at_every_descent)
+    inst = harness._run_instance("corre", n)
+    assert not inst.ok and inst.hard_failure
+    assert "letter-set transfer" in inst.detail
+
+
+def test_corre_compares_the_transfer_with_the_word_by_word_tally(monkeypatch):
+    # every count doubled: the scaled peak counts still rebuild the doubled
+    # descent polynomial, so only the oracle (n <= 7) or the Eulerian
+    # recurrence (above) can tell
+    tally = patterns.pattern_tally
+    monkeypatch.setattr(harness.patterns, "pattern_tally",
+                        lambda n: Counter({k: 2 * c for k, c in tally(n).items()}))
+    assert "class tallies disagree" in harness._run_instance("corre", 5).detail
+    assert "Eulerian recurrence" in harness._run_instance("corre", 8).detail
 
 
 def gamma_vector_with_a_negative_entry(n):

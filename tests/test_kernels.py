@@ -4,6 +4,7 @@ they replace."""
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from math import comb, inf
 
@@ -222,20 +223,32 @@ ORBIT_COUNTS = [1, 1, 3, 9, 39, 189, 1107, 7281]  # n = 1..8
 def test_orbit_reps_are_the_double_descent_free_words(n):
     reps = list(orbit_reps(n))
     assert len(reps) == ORBIT_COUNTS[n - 1]
-    assert reps == sorted(set(reps))
-    for w in reps:
-        assert sorted(w) == list(range(1, n + 1))
-        assert double_descent(w) == 0
+    # the depth-first walk keeps lex order and reads off each word's moving letters
+    assert [w for w, _ in reps] == [w for w in all_permutations(n) if double_descent(w) == 0]
+    for w, letters in reps:
+        assert list(letters) == double_ascent_letters(w)
     if n <= 7:
         walked = list(orbits(all_permutations(n), phi_prime_x))
         assert len(walked) == len(reps)
-        built = {orbit_members(w, phi_prime_x, double_ascent_letters(w)) for w in reps}
+        built = {orbit_members(w, phi_prime_x, letters) for w, letters in reps}
         assert built == set(walked)
 
 
 def test_orbit_reps_below_two_letters():
-    assert list(orbit_reps(0)) == [()]
-    assert list(orbit_reps(1)) == [(1,)]
+    assert list(orbit_reps(0)) == [((), ())]
+    assert list(orbit_reps(1)) == [((1,), ())]
+
+
+def test_orbit_reps_hold_no_level_of_prefixes():
+    # the breadth-first search this walk replaced peaked at 22.5 MiB here
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in orbit_reps(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 54351
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", range(9))

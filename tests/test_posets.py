@@ -137,7 +137,7 @@ def poset_orbit(P, pi):
     """The orbit report of a linear extension, built as the wp suite and
     `permact poset --orbits` build it."""
     d = orbit_degree(P)
-    return verified_orbit(orbit_members(pi, partial(psi_x_poset, P)), d, Boundary.ZERO)
+    return verified_orbit(sorted(orbit_members(pi, partial(psi_x_poset, P))), d, Boundary.ZERO)
 
 
 def test_poset_orbit():
