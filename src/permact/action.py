@@ -278,14 +278,14 @@ def orbit_reps(n: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
     hop moves it, in the order ``double_ascent_letters`` gives them.
 
     A depth-first prefix search on an explicit stack of one frame per prefix
-    length, so it holds O(n^2) letters whatever n is.  A frame keeps its
-    prefix, the prefix's last letter, whether the step into it fell, the
-    letters left, the double ascents so far and the index of the next letter
-    to try.  No fall may follow a fall, and the left TOP sentinel makes the
-    step into w_1 a fall.  A letter is a double ascent when a rise reaches it
-    and another leaves it; the right TOP sentinel makes a rise into the last
-    letter a double ascent.  For n < 1 the empty word is the one
-    representative.
+    length, so it holds O(n^2) letters, never a level of prefixes.  A frame
+    keeps its prefix, the prefix's last letter, whether the step into it
+    fell, the letters left, the double ascents so far and the index of the
+    next letter to try.  No fall may follow a fall, and the left TOP sentinel
+    makes the step into w_1 a fall.  A letter is a double ascent when a rise
+    reaches it and another leaves it; the right TOP sentinel makes a rise
+    into the last letter a double ascent.  For n < 1 the empty word is the
+    one representative.
 
     >>> list(orbit_reps(3))
     [((1, 2, 3), (2, 3)), ((1, 3, 2), ()), ((2, 3, 1), ())]

@@ -240,7 +240,7 @@ def test_orbit_reps_below_two_letters():
 
 
 def test_orbit_reps_hold_no_level_of_prefixes():
-    # the breadth-first search this walk replaced peaked at 22.5 MiB here
+    # a breadth-first search holds a whole level of prefixes: 22.5 MiB at n = 9
     tracemalloc.start()
     try:
         count = sum(1 for _ in orbit_reps(9))
