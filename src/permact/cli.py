@@ -36,6 +36,7 @@ def _size(command: str, n: int, least: int) -> int:
 def cmd_stats(args) -> int:
     w = words.parse_word(args.word)
     count_13_2, count_2_31 = patterns.pattern_pair(w)
+    odd, right = trees.edge_sets(w)
     stats = {
         "word": list(w),
         "n": len(w),
@@ -50,8 +51,8 @@ def cmd_stats(args) -> int:
         "count_13_2": count_13_2,
         "avoids_231": patterns.avoids_231(w),
         "veh": trees.veh(w),
-        "odd": sorted(trees.odd_set(w)),
-        "redge": sorted(trees.redge_set(w)),
+        "odd": sorted(odd),
+        "redge": sorted(right),
     }
     if words.is_permutation(w):
         stats["sort_depth"] = stacksort.sort_depth(w)

@@ -523,18 +523,18 @@ def _run_psiphi(n: int) -> tuple[str, dict | None]:
             raise Failure("stack scans differ from the tree walks", {"word": w})
         for x in w:
             # the block swap that the products of hops apply
-            if trees.phi_x(w, x) != action.phi_x_via_factorization(w, x):
+            if action.phi_x(w, x) != action.phi_x_via_factorization(w, x):
                 raise Failure("block swap differs from the factorization route", {"word": w, "x": x})
     # the image table of this instance: per word of S_n (by lex rank), its
-    # odd-set and right-edge masks and the ranks of psi(w) and phi_cap(w)
+    # odd-set and right-edge masks and the ranks of its phi_x products over them
     rank = {w: k for k, w in enumerate(perms)}
     odds, rights, psis, caps = [], [], [], []
     for w in perms:
         odd, right = trees.edge_masks(w)
         odds.append(odd)
         rights.append(right)
-        psis.append(rank[trees.hop_product(w, odd, trees.phi_x)])
-        caps.append(rank[trees.hop_product(w, right, trees.phi_x)])
+        psis.append(rank[trees.hop_product(w, odd, action.phi_x)])
+        caps.append(rank[trees.hop_product(w, right, action.phi_x)])
     for k, w in enumerate(perms):
         v, c = psis[k], caps[k]
         if caps[v] != k or psis[c] != k:
@@ -552,7 +552,7 @@ def _run_psi_prime(n: int) -> tuple[str, dict | None]:
     broken = n  # the smallest r whose r-stack-sortable set an image leaves
     for w, dep in depths.items():
         odd, _ = trees.edge_masks(w)
-        v = trees.hop_product(w, odd, trees.phi_prime_x)
+        v = trees.hop_product(w, odd, action.phi_prime_x)
         if n <= 5 and not (v == trees.psi_prime_recursive(w) and odd.bit_count() == trees.veh(w)):
             raise Failure("direct and recursive constructions or the veh stack count disagree", {"word": w})
         if des(v) != odd.bit_count():
@@ -992,7 +992,11 @@ def build_table(kind: str, n: int) -> tuple[list[str], list[list[str]]]:
             poly, gam = patterns.narayana(m)
         else:
             poly = eulerian_poly(m) if kind == "eulerian" else involution_descent_poly(m)
-            gam = gamma_expand(poly, m - 1)
+            try:
+                gam = gamma_expand(poly, m - 1)
+            except NotSymmetricError as exc:
+                # both are symmetric by theorem: a broken identity, not bad input
+                raise RuntimeError(f"{kind} polynomial of size {m} is not symmetric: {exc}") from exc
         rows.append([str(m), str(uni(poly)), " ".join(map(str, gam.gamma))])
     return ["n", "polynomial", "gamma"], rows
 

@@ -11,9 +11,10 @@ ranks, so the rank function is simply the parity of saturated-chain length
 from the minimal elements.
 
 Linear extensions are read as words of labels.  The hop involutions act on
-them with 0-sentinels at both ends; negative letters hop exactly as in the
-TOP convention, positive letters hop in the mirrored directions.  Orbits then
-carry the descent polynomial t^k (1+t)^(p-r-1-2k).
+them with 0-sentinels at both ends: a negative letter hops by the word hop
+``action.phi_prime_x``, exactly as in the TOP convention, and a positive
+letter hops in the mirrored directions, by the same hop on the negated
+word.  Orbits then carry the descent polynomial t^k (1+t)^(p-r-1-2k).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import random
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
+from .action import phi_prime_x
 from .limits import check_enumeration_size
 from .polynomials import NotSymmetricError, gamma_expand, peak_scale, strip_zeros, uni
-from .words import Boundary, LetterClass, Word, descent_poly, letter_class_at, peak
+from .words import Boundary, Word, descent_poly, peak
 
 Element = Hashable
 
@@ -289,39 +291,20 @@ def psi_x_poset(P: LabeledPoset, pi: Word, x: int) -> Word:
     """Hop the letter x within the linear extension pi, under 0-sentinels.
 
     Double ascents and double descents move; peaks and valleys are fixed.
-    Negative letters hop as in the TOP convention (descenders go right),
-    positive letters hop in the mirrored directions.  The result is again a
-    linear extension; a violation would mean the canonical-labeling premise
-    failed, and raises BrokenInvariantError.
+    A negative letter hops as ``phi_prime_x`` moves it, since a 0-sentinel
+    exceeds it as a TOP end does (descenders go right); a positive letter
+    hops in the mirrored directions, as -x hops in -pi.  The result is again
+    a linear extension; a violation would mean the canonical-labeling
+    premise failed, and raises BrokenInvariantError.
     """
     if x not in P.label_set:
         raise ValueError(f"{x} is not a label of the poset")
     if not is_linear_extension(P, pi):
         raise NotALinearExtensionError(f"{pi} is not a linear extension")
-    k = pi.index(x)
-    cls = letter_class_at(pi, k, Boundary.ZERO)
-    if cls in (LetterClass.VALLEY, LetterClass.PEAK):
-        return pi
-    if cls is LetterClass.DOUBLE_DESCENT:
-        cond = lambda a, b: a < x < b
-        direction = "right" if x < 0 else "left"
+    if x < 0:
+        result = phi_prime_x(pi, x)
     else:
-        cond = lambda a, b: a > x > b
-        direction = "left" if x < 0 else "right"
-    rest = pi[:k] + pi[k + 1 :]
-    if direction == "right":
-        positions: Iterable[int] = range(k + 1, len(rest) + 1)
-    else:
-        positions = range(k - 1, -1, -1)
-    result = None
-    for m in positions:
-        left = rest[m - 1] if m > 0 else 0
-        right = rest[m] if m < len(rest) else 0
-        if cond(left, right):
-            result = rest[:m] + (x,) + rest[m:]
-            break
-    if result is None:
-        raise BrokenInvariantError(f"no gap accepts {x} in {pi}")
+        result = tuple([-a for a in phi_prime_x(tuple([-a for a in pi]), -x)])
     # result rearranges pi, so only the cover relations can fail
     if not _respects_covers(P, result):
         raise BrokenInvariantError(

@@ -65,15 +65,18 @@ def stack_sort_via_slides(w: Word) -> Word:
     """Slide the top letter of each original descent, leftmost descent first.
 
     Later slides act on the partially slid word, so each letter is located
-    afresh; it still tops a descent when its turn comes, and the slide step
-    guards that precondition.
+    afresh; it still tops a descent when its turn comes, and a letter that
+    does not is a broken identity (RuntimeError), not bad input.
 
     >>> stack_sort_via_slides((5, 7, 3, 1, 4, 8, 9, 2, 6))
     (5, 1, 3, 4, 7, 8, 2, 6, 9)
     """
     v = list(w)
     for x in [a for a, b in zip(w, w[1:]) if a > b]:
-        _slide(v, v.index(x))
+        try:
+            _slide(v, v.index(x))
+        except NotADescentError as exc:
+            raise RuntimeError(f"slides of {w} broke their invariant: {exc}") from exc
     return tuple(v)
 
 

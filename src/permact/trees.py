@@ -11,7 +11,8 @@ by the modified involutions.
 The statistics build no tree: in a left-to-right pass over a decreasing
 stack, once the letters smaller than a are popped, the stack holds the
 previous-greater chain of a, whose size is both its right-edge depth and one
-less than its unordered-tree height.
+less than its unordered-tree height.  The transports between the statistics
+are products of hops, ``hop_product`` over the masks of ``edge_masks``.
 
 231-avoiding words are exactly those whose unordered tree readout loses no
 information; ordering each vertex's children decreasingly and walking the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .action import phi_prime_full, phi_prime_x, phi_x
+from .action import phi_prime_full
 from .patterns import avoids_231
 from .words import Word
 
@@ -93,54 +94,36 @@ def postorder(node: BinaryTreeNode | None) -> Word:
     return tuple(reversed(out))
 
 
-def right_edge_depths(w: Word) -> dict[int, int]:
-    """For each letter, the number of right edges on its path from the root."""
-    depths: dict[int, int] = {}
-    stack: list[int] = []
-    for a in w:
-        while stack and stack[-1] < a:
-            stack.pop()
-        depths[a] = len(stack)
-        stack.append(a)
-    return depths
+def edge_sets(w: Word) -> tuple[frozenset[int], frozenset[int]]:
+    """(odd set, right-edge set) of a word on any distinct letters, negative
+    ones too: the letters of odd right-edge depth in the binary tree, and
+    its right children, one per descent.  A letter is a right child iff its
+    previous-greater letter exists and is smaller than its next-greater one,
+    if any: the letter below it on the stack and the letter that pops it.
 
-
-def odd_set(w: Word) -> frozenset[int]:
-    """Letters whose right-edge depth in the binary tree is odd.
-
-    >>> sorted(odd_set((3, 1, 2)))
-    [1, 2]
+    >>> [sorted(s) for s in edge_sets((-1, -2, -3))]
+    [[-2], [-3, -2]]
     """
-    return frozenset(x for x, r in right_edge_depths(w).items() if r % 2 == 1)
-
-
-def redge_set(w: Word) -> frozenset[int]:
-    """Letters that are right children in the binary tree; one per descent.
-
-    A letter is one iff its previous-greater letter exists and is smaller
-    than its next-greater one, if any: the letter below it on the stack and
-    the letter that pops it.
-
-    >>> sorted(redge_set((3, 2, 1)))
-    [1, 2]
-    """
-    out: set[int] = set()
+    odd: set[int] = set()
+    right: set[int] = set()
     stack: list[int] = []
     for a in w:
         while stack and stack[-1] < a:
             x = stack.pop()
             if stack and stack[-1] < a:
-                out.add(x)
+                right.add(x)
+        if len(stack) & 1:
+            odd.add(a)
         stack.append(a)
-    out.update(stack[1:])
-    return frozenset(out)
+    right.update(stack[1:])
+    return frozenset(odd), frozenset(right)
 
 
 def edge_masks(w: Word) -> tuple[int, int]:
     """(odd set, right-edge set) of a word on positive letters as bitmasks,
     bit x for letter x, from one decreasing-stack pass: the stack size when
     a arrives is its right-edge depth, and the pops mark the right children
-    as in redge_set.
+    as in edge_sets.
 
     >>> edge_masks((3, 1, 2)) == (0b110, 0b100)
     True
@@ -160,20 +143,9 @@ def edge_masks(w: Word) -> tuple[int, int]:
     return odd, right
 
 
-def hop_product(w: Word, letters: int, hop) -> Word:
-    """Apply hop(., x) at the letters x of a bitmask, smallest first: with
-    phi_x, psi(w) for the odd-set mask and phi_cap(w) for the right-edge
-    mask; with phi_prime_x, psi_prime(w) for the odd-set mask."""
-    while letters:
-        low = letters & -letters
-        w = hop(w, low.bit_length() - 1)
-        letters ^= low
-    return w
-
-
 def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
-    """Independent route to right_edge_depths and redge_set: walk the
-    binary tree itself."""
+    """Independent route to edge_masks and edge_sets: the right-edge
+    depths and right children, from a walk of the binary tree itself."""
     depths: dict[int, int] = {}
     right: set[int] = set()
     todo = [(binary_tree(w), 0)]
@@ -265,43 +237,20 @@ def veh(w: Word) -> int:
 # -- transports between the statistics ---------------------------------------
 
 
-def psi(w: Word) -> Word:
-    """Block swaps at every odd-set letter; sends the odd set to right edges.
-
-    >>> psi((3, 1, 2))
-    (3, 2, 1)
-    """
-    out = w
-    for x in sorted(odd_set(w)):
-        out = phi_x(out, x)
-    return out
-
-
-def phi_cap(w: Word) -> Word:
-    """Block swaps at every right-edge letter; inverse of psi.
-
-    >>> phi_cap((3, 2, 1))
-    (3, 1, 2)
-    """
-    out = w
-    for x in sorted(redge_set(w)):
-        out = phi_x(out, x)
-    return out
-
-
-def psi_prime(w: Word) -> Word:
-    """Modified swaps at every odd-set letter, smallest first, read off the
-    odd mask of edge_masks; turns veh into the descent count.  Letters must
-    be positive, as for edge_masks.
-
-    >>> psi_prime((3, 1, 2))
-    (3, 2, 1)
-    """
-    return hop_product(w, edge_masks(w)[0], phi_prime_x)
+def hop_product(w: Word, letters: int, hop) -> Word:
+    """Apply hop(., x) at the letters x of a bitmask, smallest first.  With
+    phi_x the odd mask's product sends the odd set to the right edges and
+    the right-edge mask's product inverts it; with phi_prime_x the odd
+    mask's product turns veh into the descent count."""
+    while letters:
+        low = letters & -letters
+        w = hop(w, low.bit_length() - 1)
+        letters ^= low
+    return w
 
 
 def psi_prime_recursive(w: Word) -> Word:
-    """Independent route to psi_prime via the maximum split:
+    """Independent route to psi', the phi_prime_x product at the odd mask:
     L m R maps to psi'(L), m, then the full hop applied to psi'(R)."""
     if not w:
         return w

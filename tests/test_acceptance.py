@@ -19,7 +19,7 @@ from permact.posets import (
     wp_polynomial,
 )
 from permact.stacksort import stack_sort, stack_sort_via_slides
-from permact.trees import binary_tree, phi_cap, psi, veh, word_of
+from permact.trees import binary_tree, edge_masks, hop_product, veh, word_of
 from permact.words import all_permutations, format_word, parse_word
 
 W0 = (5, 7, 3, 1, 4, 8, 9, 2, 6)
@@ -166,7 +166,11 @@ def test_primary_11_property_invariants():
             w = tuple(base)
             assert parse_word(format_word(w)) == w
             assert word_of(binary_tree(w)) == w
-            assert phi_cap(psi(w)) == w == psi(phi_cap(w))
+            # the phi_x products at the odd and the right-edge masks are inverse
+            psi = hop_product(w, edge_masks(w)[0], phi_x)
+            phi_cap = hop_product(w, edge_masks(w)[1], phi_x)
+            assert hop_product(psi, edge_masks(psi)[1], phi_x) == w
+            assert hop_product(phi_cap, edge_masks(phi_cap)[0], phi_x) == w
             x = rng.randint(1, n)
             assert phi_x(phi_x(w, x), x) == w
             assert phi_prime_x(phi_prime_x(w, x), x) == w

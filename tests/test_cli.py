@@ -26,6 +26,11 @@ def test_stats(capsys):
     assert data["maj"] == 12
     assert data["peak"] == 2
     assert data["count_2_31"] == 6
+    # the odd and right-edge sets take negative letters too
+    code, out, _ = run_cli(capsys, "stats", "3 -1 2 -4")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["odd"], data["redge"], data["veh"]) == ([-1, 2], [-4, 2], 2)
 
 
 def test_orbit(capsys):
@@ -58,6 +63,26 @@ def test_sort_iterate(capsys):
     code, out, _ = run_cli(capsys, "sort", "2 3 1", "--iterate", "2")
     assert code == 0
     assert out.strip() == "1 2 3"
+
+
+def test_sort_by_slides_with_a_broken_slide_exits_1(capsys, monkeypatch):
+    # every top of an original descent still tops one when its turn comes,
+    # by theorem; a slide that stops one place short breaks that in 3 2 1
+    from permact import stacksort
+
+    slide = stacksort._slide
+
+    def slide_one_place_short(v, k):
+        x = v[k]
+        slide(v, k)
+        m = v.index(x)
+        v.insert(m - 1, v.pop(m))
+
+    monkeypatch.setattr(stacksort, "_slide", slide_one_place_short)
+    code, out, err = run_cli(capsys, "sort", "3 2 1", "--method", "slides")
+    assert code == 1
+    assert not out
+    assert "broke their invariant" in err
 
 
 LONG = 1500  # past the default recursion limit
@@ -300,6 +325,18 @@ def test_table(capsys):
     code, out, _ = run_cli(capsys, "table", "narayana", "--n", "5")
     assert code == 0
     assert out.splitlines()[0] == "n,polynomial,gamma"
+
+
+def test_table_with_an_asymmetric_eulerian_polynomial_exits_1(capsys, monkeypatch):
+    # A_n(t) is symmetric by theorem, so an asymmetric one is a broken
+    # identity, not bad input
+    from permact import harness
+
+    monkeypatch.setattr(harness, "eulerian_poly", lambda n: (2,) + (1,) * (n - 1))
+    code, out, err = run_cli(capsys, "table", "eulerian", "--n", "4")
+    assert code == 1
+    assert not out
+    assert "eulerian polynomial of size 2 is not symmetric" in err
 
 
 # every command that prints a polynomial; FILE is the poset of _write_poset

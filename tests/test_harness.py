@@ -625,7 +625,7 @@ BROKEN_KERNELS = [
     ("orb", 4, harness.action, ("_closed_form", closed_form_top_coefficient_plus_one), "descent polynomial"),
     ("wp", 4, harness.posets, ("psi_x_poset", psi_x_poset_only_forward), "not an involution"),
     ("kreweras", 4, harness.trees, ("dyck_path", dyck_path_swapping_two_steps), "tree walk"),
-    ("psiphi", 4, harness.trees, ("phi_x", phi_x_fixing_double_descents), "factorization route"),
+    ("psiphi", 4, harness.action, ("phi_x", phi_x_fixing_double_descents), "factorization route"),
     ("narayana", 4, harness.patterns, ("avoiding_permutations", avoiders_repeating_the_first), "recursive split"),
     ("euler-mahonian", 4, harness.mahonian, ("joint_distributions", joint_distributions_skipping_last_position),
      "letter-set transfer"),

@@ -50,14 +50,10 @@ from permact.trees import (
     dyck_path,
     dyck_path_via_tree,
     edge_masks,
+    edge_sets,
     hop_product,
     label_heights,
-    odd_set,
-    phi_cap,
     postorder,
-    psi,
-    redge_set,
-    right_edge_depths,
     right_edges_via_tree,
     unordered_tree,
     veh,
@@ -96,8 +92,7 @@ def recursive_stack_sort(w):
 def assert_routes_agree(w):
     assert stack_sort(w) == recursive_stack_sort(w)
     depths, right = right_edges_via_tree(w)
-    assert right_edge_depths(w) == depths
-    assert redge_set(w) == right
+    assert edge_sets(w) == ({x for x, r in depths.items() if r % 2}, right)
     heights = label_heights(unordered_tree(w))
     assert veh(w) == sum(1 for h in heights.values() if h % 2 == 0)
     inc = label_heights(increasing_tree(w))
@@ -355,6 +350,14 @@ LONG_WORDS = [tuple(range(1, 1501)), tuple(range(1500, 0, -1))]
 
 @pytest.mark.parametrize("n", range(8))
 @pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
+def test_edge_sets_match_the_tree_walk(n, letters):
+    for w in itertools.permutations(letters(n)):
+        depths, right = right_edges_via_tree(w)
+        assert edge_sets(w) == ({x for x, r in depths.items() if r % 2}, right)
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
 def test_block_swap_matches_factorization(n, letters):
     for w in itertools.permutations(letters(n)):
         for x in w:
@@ -494,14 +497,23 @@ def test_size_built_avoiders_match_recursive_split(n):
         assert sorted(built) == [w for w in all_permutations(n) if avoids_231(w)]
 
 
+def swap_product(w, letters):
+    """phi_x at each of a set of letters, smallest first."""
+    for x in sorted(letters):
+        w = phi_x(w, x)
+    return w
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_edge_masks_and_swap_products_match_sets_psi_and_phi_cap(n):
     for w in all_permutations(n):
         odd, right = edge_masks(w)
-        assert odd == sum(1 << x for x in odd_set(w))
-        assert right == sum(1 << x for x in redge_set(w))
-        assert hop_product(w, odd, phi_x) == psi(w)
-        assert hop_product(w, right, phi_x) == phi_cap(w)
+        odd_set, right_set = edge_sets(w)
+        assert odd == sum(1 << x for x in odd_set)
+        assert right == sum(1 << x for x in right_set)
+        # psi and phi_cap, once by bitmask and once by set
+        assert hop_product(w, odd, phi_x) == swap_product(w, odd_set)
+        assert hop_product(w, right, phi_x) == swap_product(w, right_set)
 
 
 @pytest.mark.parametrize("n", range(8))

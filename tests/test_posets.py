@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
+import random
 from functools import partial
 
 import pytest
 
-from permact.action import orbit_members, verified_orbit
+from permact.action import orbit_members, phi_prime_x_via_factorization, verified_orbit
 from permact.posets import (
     BrokenInvariantError,
     CannotCanonicalizeError,
@@ -24,7 +26,7 @@ from permact.posets import (
     sign_grading,
     wp_polynomial,
 )
-from permact.words import Boundary
+from permact.words import Boundary, LetterClass, letter_class_at
 
 
 def v_poset():
@@ -131,6 +133,44 @@ def test_psi_x_poset_involution_and_commutation():
                     assert psi_x_poset(P, psi_x_poset(P, ext, x), y) == psi_x_poset(
                         P, psi_x_poset(P, ext, y), x
                     )
+
+
+def factorization_hop(pi, x):
+    """The hop of x under 0-sentinels by the factorization route: a negative
+    letter as in the TOP convention, a positive one mirrored, as -x in -pi."""
+    if x < 0:
+        return phi_prime_x_via_factorization(pi, x)
+    return tuple(-a for a in phi_prime_x_via_factorization(tuple(-a for a in pi), -x))
+
+
+def test_psi_x_poset_matches_the_factorization_route_on_mixed_sign_antichains():
+    # every arrangement of an antichain's labels is a linear extension
+    rng = random.Random(2024)
+    for n in range(1, 7):
+        for _ in range(3):
+            labels = rng.sample([a for a in range(-9, 10) if a], n)
+            P = LabeledPoset(range(n), (), dict(enumerate(labels)))
+            for pi in itertools.permutations(labels):
+                for k, x in enumerate(pi):
+                    image = psi_x_poset(P, pi, x)
+                    assert image == factorization_hop(pi, x)
+                    # under 0-sentinels exactly the double ascents and descents move
+                    fixed = letter_class_at(pi, k, Boundary.ZERO) in (LetterClass.PEAK, LetterClass.VALLEY)
+                    assert (image == pi) == fixed
+
+
+@pytest.mark.parametrize("size, seed", [(7, 1), (7, 4), (8, 1), (8, 3)])
+def test_psi_x_poset_on_sampled_posets_of_sizes_7_and_8(size, seed):
+    for P in sampled_canonical_posets(size, 3, seed=seed):
+        letters = P.sorted_labels
+        for ext in linear_extensions(P):
+            row = [psi_x_poset(P, ext, x) for x in letters]
+            for x, once in zip(letters, row):
+                assert is_linear_extension(P, once)
+                assert once == factorization_hop(ext, x)
+                assert psi_x_poset(P, once, x) == ext
+            for (i, x), (j, y) in itertools.combinations(enumerate(letters), 2):
+                assert psi_x_poset(P, row[i], y) == psi_x_poset(P, row[j], x)
 
 
 def poset_orbit(P, pi):

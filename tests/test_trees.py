@@ -1,5 +1,6 @@
 import pytest
 
+from permact.action import phi_prime_x, phi_x
 from permact.stacksort import stack_sort
 from permact.trees import (
     MalformedPathError,
@@ -9,16 +10,12 @@ from permact.trees import (
     binary_tree,
     dyck_path,
     edge_masks,
+    edge_sets,
+    hop_product,
     kreweras_stats,
     label_heights,
-    odd_set,
-    phi_cap,
     postorder,
-    psi,
-    psi_prime,
     psi_prime_recursive,
-    redge_set,
-    right_edge_depths,
     right_edges_via_tree,
     unordered_tree,
     veh,
@@ -38,18 +35,35 @@ def test_binary_tree_round_trip():
             assert word_of(binary_tree(w)) == w
 
 
+def psi(w):
+    """The phi_x product at the odd mask."""
+    return hop_product(w, edge_masks(w)[0], phi_x)
+
+
+def phi_cap(w):
+    """The phi_x product at the right-edge mask."""
+    return hop_product(w, edge_masks(w)[1], phi_x)
+
+
+def psi_prime(w):
+    """The phi_prime_x product at the odd mask."""
+    return hop_product(w, edge_masks(w)[0], phi_prime_x)
+
+
 def test_right_edge_depths_fixture():
-    assert right_edge_depths(W1) == {
+    depths, _ = right_edges_via_tree(W1)
+    assert depths == {
         9: 0, 6: 0, 5: 1, 4: 2, 2: 2, 1: 3, 8: 1, 7: 1, 3: 2,
     }
-    assert odd_set(W1) == frozenset({1, 5, 7, 8})
+    assert edge_sets(W1)[0] == frozenset({1, 5, 7, 8})
 
 
 def test_redge_set_counts_descents():
-    assert redge_set(W1) == frozenset({1, 3, 4, 5, 8})
+    assert edge_sets(W1)[1] == frozenset({1, 3, 4, 5, 8})
+    assert edge_sets((3, 2, 1))[1] == frozenset({1, 2})
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert len(redge_set(w)) == des(w)
+            assert len(edge_sets(w)[1]) == des(w)
 
 
 def test_unordered_tree_heights_fixture():
@@ -64,19 +78,22 @@ def test_veh_small():
     assert veh((2, 1)) == 1
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert veh(w) == len(odd_set(w))
+            assert veh(w) == len(edge_sets(w)[0])
 
 
 def test_psi_phi_cap_are_inverse():
+    assert psi((3, 1, 2)) == (3, 2, 1)
+    assert phi_cap((3, 2, 1)) == (3, 1, 2)
     for n in range(1, 6):
         for w in all_permutations(n):
             assert phi_cap(psi(w)) == w
             assert psi(phi_cap(w)) == w
-            assert odd_set(w) == redge_set(psi(w))
-            assert redge_set(w) == odd_set(phi_cap(w))
+            assert edge_sets(w)[0] == edge_sets(psi(w))[1]
+            assert edge_sets(w)[1] == edge_sets(phi_cap(w))[0]
 
 
 def test_psi_prime_matches_recursive():
+    assert psi_prime((3, 1, 2)) == (3, 2, 1)
     for n in range(1, 6):
         seen = set()
         for w in all_permutations(n):
