@@ -38,8 +38,8 @@ from .words import (
     Boundary,
     LetterClass,
     Word,
+    classify,
     des,
-    letter_class_at,
     peak,
     shape,
 )
@@ -143,13 +143,13 @@ def phi_prime_x(w: Word, x: int) -> Word:
 
 
 def phi_prime_x_via_factorization(w: Word, x: int) -> Word:
-    """Independent route to phi_prime_x: classify x with letter_class_at,
+    """Independent route to phi_prime_x: read x's class off classify(w),
     then swap through x_factorization."""
     try:
         k = w.index(x)
     except ValueError:
         raise LetterNotPresentError(f"letter {x} not in word") from None
-    cls = letter_class_at(w, k)
+    cls = classify(w)[k]
     if cls in (LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT):
         return phi_x_via_factorization(w, x)
     return w

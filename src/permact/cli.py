@@ -37,16 +37,14 @@ def cmd_stats(args) -> int:
     w = words.parse_word(args.word)
     count_13_2, count_2_31 = patterns.pattern_pair(w)
     odd, right = trees.edge_sets(w)
+    classes = Counter(words.classify(w))
     stats = {
         "word": list(w),
         "n": len(w),
         "des": des(w),
         "descent_set": sorted(words.descent_set(w)),
         "maj": maj(w),
-        "peak": words.peak(w),
-        "valley": words.valley(w),
-        "double_ascent": words.double_ascent(w),
-        "double_descent": words.double_descent(w),
+        **{cls.value: classes[cls] for cls in words.LetterClass},
         "count_2_31": count_2_31,
         "count_13_2": count_13_2,
         "avoids_231": patterns.avoids_231(w),
@@ -72,6 +70,8 @@ def cmd_orbit(args) -> int:
 
 def cmd_sort(args) -> int:
     w = words.parse_word(args.word)
+    if args.iterate < 0:
+        raise ValueError(f"--iterate must be nonnegative, got {args.iterate}")
     op = stacksort.stack_sort if args.method == "recursive" else stacksort.stack_sort_via_slides
     for _ in range(args.iterate):
         w = op(w)

@@ -470,7 +470,7 @@ def _run_mahonian_s1s2(n: int) -> tuple[str, dict | None]:
 
 def _run_wp(n: int) -> tuple[str, dict | None]:
     if n <= 5:
-        corpus = [P for P in posets.all_canonical_posets(n) if len(P) == n]
+        corpus = posets.canonical_posets(n)
         regime = "exhaustive"
     else:
         corpus = posets.sampled_canonical_posets(n, 20, seed=n * 7919)

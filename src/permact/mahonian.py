@@ -19,8 +19,9 @@ from .words import Word, all_permutations, complement, des, maj, stat_bits, tran
 def increasing_tree(w: Word) -> UnorderedTree:
     """Root labeled 0; parent of b is the leftmost smaller letter right of b.
 
-    >>> increasing_tree((2, 1)).signature()
-    (0, ((1, ((2, ()),)),))
+    >>> root = increasing_tree((2, 3, 1))
+    >>> [c.label for c in root.children], [c.label for c in root.children[0].children]
+    ([1], [2, 3])
     """
     nodes = {a: UnorderedTree(a) for a in w}
     root = UnorderedTree(0)

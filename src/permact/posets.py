@@ -136,29 +136,8 @@ class LabeledPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def minimals(self) -> tuple[Element, ...]:
-        return tuple(e for e in self.elements if not self._down[e])
-
     def maximals(self) -> tuple[Element, ...]:
         return tuple(e for e in self.elements if not self._up[e])
-
-    def maximal_chains(self) -> list[tuple[Element, ...]]:
-        """All saturated chains from a minimal to a maximal element."""
-        out: list[tuple[Element, ...]] = []
-
-        def extend(chain: list[Element]) -> None:
-            ups = self._up[chain[-1]]
-            if not ups:
-                out.append(tuple(chain))
-                return
-            for f in ups:
-                chain.append(f)
-                extend(chain)
-                chain.pop()
-
-        for m in self.minimals():
-            extend([m])
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,24 +169,15 @@ class SignGrading(NamedTuple):
 def sign_grading(P: LabeledPoset) -> SignGrading:
     """Compute the sign grading, or fail with a witness pair of chains.
 
-    The rank rho(x) is the sign sum along any saturated chain from a minimal
-    element up to x; path-independence is re-derived here rather than assumed.
+    One topological pass gives the rank rho(x), the sign sum along a
+    saturated chain from a minimal element up to x, and fails when two such
+    chains into x disagree.  A maximal chain's sign sum is the rank of its
+    top, so all of them agree exactly when every maximal element has the
+    same rank r.
     """
     eps = {
         (x, y): (1 if P.labels[x] < P.labels[y] else -1) for x, y in P.covers
     }
-    chains = P.maximal_chains()
-    sums = [
-        sum(eps[(c[i], c[i + 1])] for i in range(len(c) - 1)) for c in chains
-    ]
-    if sums and len(set(sums)) > 1:
-        lo = sums.index(min(sums))
-        hi = sums.index(max(sums))
-        raise NotSignGradedError(
-            f"maximal chains {chains[lo]} and {chains[hi]} have sign sums "
-            f"{sums[lo]} != {sums[hi]}",
-            witness=(chains[lo], chains[hi]),
-        )
     rho: dict[Element, int] = {}
     via: dict[Element, tuple[Element, ...]] = {}
     for e in P._topo:
@@ -225,8 +195,15 @@ def sign_grading(P: LabeledPoset) -> SignGrading:
             )
         rho[e] = candidates.pop()
         via[e] = via[below[0]] + (e,)
-    r = sums[0] if sums else 0
-    return SignGrading(eps, r, rho)
+    tops = sorted(P.maximals(), key=rho.__getitem__)
+    if tops and rho[tops[0]] != rho[tops[-1]]:
+        lo, hi = tops[0], tops[-1]
+        raise NotSignGradedError(
+            f"maximal chains {via[lo]} and {via[hi]} have sign sums "
+            f"{rho[lo]} != {rho[hi]}",
+            witness=(via[lo], via[hi]),
+        )
+    return SignGrading(eps, rho[tops[0]] if tops else 0, rho)
 
 
 def is_canonical(P: LabeledPoset) -> bool:
@@ -471,34 +448,33 @@ def _forced_canonical_labels(n: int, covers: Sequence[tuple[int, int]]) -> dict[
     return labels
 
 
-def all_canonical_posets(max_size: int) -> list[LabeledPoset]:
-    """Every poset with at most max_size elements (up to isomorphism) that
-    admits a canonical labeling, with one such labeling attached."""
-    if max_size > 6:
+def canonical_posets(size: int) -> list[LabeledPoset]:
+    """Every poset on `size` elements (up to isomorphism) that admits a
+    canonical labeling, with one such labeling attached."""
+    if size > 6:
         raise ValueError("exhaustive poset enumeration is intended for size <= 6")
     out: list[LabeledPoset] = []
-    for n in range(1, max_size + 1):
-        seen: set[tuple] = set()
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for bits in range(1 << len(slots)):
-            pairs = frozenset(slots[i] for i in range(len(slots)) if bits >> i & 1)
-            if not _is_transitive(pairs):
-                continue
-            # labelability is a property of the isomorphism class, so
-            # skipping unlabelable posets before the isomorphism test keeps
-            # the first labelable representative of every class
-            covers = _reduction(pairs)
-            labels = _forced_canonical_labels(n, covers)
-            if labels is None:
-                continue
-            form = _canonical_form(n, pairs)
-            if form in seen:
-                continue
-            seen.add(form)
-            P = LabeledPoset(range(n), covers, labels)
-            if not is_canonical(P):
-                raise AssertionError("forced labeling failed the canonical check")
-            out.append(P)
+    seen: set[tuple] = set()
+    slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    for bits in range(1 << len(slots)):
+        pairs = frozenset(slots[i] for i in range(len(slots)) if bits >> i & 1)
+        if not _is_transitive(pairs):
+            continue
+        # labelability is a property of the isomorphism class, so skipping
+        # unlabelable posets before the isomorphism test keeps the first
+        # labelable representative of every class
+        covers = _reduction(pairs)
+        labels = _forced_canonical_labels(size, covers)
+        if labels is None:
+            continue
+        form = _canonical_form(size, pairs)
+        if form in seen:
+            continue
+        seen.add(form)
+        P = LabeledPoset(range(size), covers, labels)
+        if not is_canonical(P):
+            raise AssertionError("forced labeling failed the canonical check")
+        out.append(P)
     return out
 
 

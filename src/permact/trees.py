@@ -172,10 +172,6 @@ class UnorderedTree:
         self.label = label
         self.children = [] if children is None else children
 
-    def signature(self) -> tuple:
-        """Canonical nested form, invariant under reordering children."""
-        return (self.label, tuple(sorted(c.signature() for c in self.children)))
-
 
 def _ltr_segments(w: Word) -> list[tuple[int, Word]]:
     """Split w as m1 w1 m2 w2 ... by its left-to-right maxima."""

@@ -202,47 +202,6 @@ def classify(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[LetterClass, .
     return tuple([_CLASSES[a < b, b < c] for a, b, c in zip(padded, padded[1:], padded[2:])])
 
 
-def letter_class_at(w: Word, k: int, boundary: Boundary = Boundary.TOP) -> LetterClass:
-    """Class of the letter at 0-based index k; avoids classifying the rest."""
-    s = math.inf if boundary is _TOP else 0
-    left = w[k - 1] if k > 0 else s
-    right = w[k + 1] if k + 1 < len(w) else s
-    return _CLASSES[left < w[k], w[k] < right]
-
-
-def _count(w: Word, boundary: Boundary, up_in: bool, up_out: bool) -> int:
-    """Letters b, with left neighbor a and right neighbor c (sentinels at
-    the ends), where (a < b, b < c) is (up_in, up_out); one pass, no
-    classify tuple."""
-    if not w:
-        return 0
-    s = math.inf if boundary is _TOP else 0
-    count = 0
-    rest = iter(w)
-    a, b = s, next(rest)
-    for c in rest:
-        if (a < b) is up_in and (b < c) is up_out:
-            count += 1
-        a, b = b, c
-    return count + ((a < b) is up_in and (b < s) is up_out)
-
-
-def peak(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, True, False)
-
-
-def valley(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, False, True)
-
-
-def double_ascent(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, True, True)
-
-
-def double_descent(w: Word, boundary: Boundary = Boundary.TOP) -> int:
-    return _count(w, boundary, False, False)
-
-
 def shape(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[int, int, int]:
     """(des, peak, double_descent) of w in one pass: each descent b > c
     ends a peak when b was reached by a rise (or from a lower sentinel),
@@ -274,6 +233,10 @@ def shape(w: Word, boundary: Boundary = Boundary.TOP) -> tuple[int, int, int]:
         else:
             double_descents += 1
     return descents, peaks, double_descents
+
+
+def peak(w: Word, boundary: Boundary = Boundary.TOP) -> int:
+    return shape(w, boundary)[1]
 
 
 def complement(w: Word) -> Word:

@@ -65,6 +65,13 @@ def test_sort_iterate(capsys):
     assert out.strip() == "1 2 3"
 
 
+def test_sort_negative_iterate_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sort", "2413", "--iterate", "-2")
+    assert code == 2
+    assert not out
+    assert "nonnegative" in err
+
+
 def test_sort_by_slides_with_a_broken_slide_exits_1(capsys, monkeypatch):
     # every top of an original descent still tops one when its turn comes,
     # by theorem; a slide that stops one place short breaks that in 3 2 1
@@ -281,6 +288,21 @@ def test_poset_check(capsys, tmp_path):
     assert code == 0
     assert data["canonical"] is True
     assert data["r"] == 1
+
+
+def test_poset_check_names_two_chains_with_different_sign_sums(capsys, tmp_path):
+    # a 2-chain next to an isolated point: chain sums 1 and 0 disagree
+    labels = {"a": -1, "b": 1, "c": -2}
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"]], "labels": labels}))
+    code, out, _ = run_cli(capsys, "poset", str(path))
+    data = json.loads(out)
+    assert code == 0
+    assert data["sign_graded"] is False
+    assert data["canonical"] is False
+    sums = [sum(1 if labels[x] < labels[y] else -1 for x, y in zip(chain, chain[1:]))
+            for chain in data["witness"]]
+    assert len(sums) == 2 and sums[0] != sums[1]
 
 
 def test_poset_poly(capsys, tmp_path):

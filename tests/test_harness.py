@@ -50,12 +50,13 @@ from permact.words import (
     Boundary,
     LetterClass,
     all_permutations,
+    classify,
     dec_subseq_counts,
     des,
     descent_poly,
     involutions,
-    letter_class_at,
     maj,
+    peak,
     shape,
     stat_bits,
     transfer,
@@ -324,7 +325,7 @@ def orbit_members_skipping_last_mover(seed, hop):
 
 def phi_prime_x_swapping_peaks(w, x):
     """A planted defect: the hop also swaps the two blocks of a peak."""
-    cls = letter_class_at(w, w.index(x))
+    cls = classify(w)[w.index(x)]
     return w if cls is LetterClass.VALLEY else phi_x(w, x)
 
 
@@ -412,7 +413,7 @@ def dyck_path_swapping_two_steps(w):
 
 def phi_x_fixing_double_descents(w, x):
     """A planted defect: a double descent (under TOP) stays put."""
-    if letter_class_at(w, w.index(x), Boundary.TOP) is LetterClass.DOUBLE_DESCENT:
+    if classify(w, Boundary.TOP)[w.index(x)] is LetterClass.DOUBLE_DESCENT:
         return w
     return phi_x(w, x)
 
@@ -525,6 +526,7 @@ DES_MAJ_STEP = harness.mahonian._des_maj_step
 EDGE_MASKS = harness.trees.edge_masks
 HOP_PRODUCT = harness.trees.hop_product
 BNI_POLYNOMIAL = patterns.bni_polynomial
+NARAYANA = patterns.narayana
 INVOLUTION_DESCENT_POLY = involution_descent_poly
 INVOLUTIONS = involutions
 
@@ -666,7 +668,55 @@ BROKEN_KERNELS = [
 ]
 
 
-@pytest.mark.parametrize("suite, n, target, broken, stage", BROKEN_KERNELS)
+def shape_with_a_peak_at_an_opening_descent(w, boundary=Boundary.TOP):
+    """A planted defect: a word that opens with a descent counts one peak
+    too many, while its descent and double-descent counts stay right."""
+    descents, peaks, double_descents = shape(w, boundary)
+    return descents, peaks + (len(w) > 1 and w[0] > w[1]), double_descents
+
+
+def phi_x_moving_the_letter_to_the_front(w, x):
+    """A planted defect: the block swap puts x in front of every other letter."""
+    return (x, *[a for a in w if a != x])
+
+
+def avoiders_dropping_the_last(n):
+    """A planted defect: the last avoider is lost."""
+    return list(avoiding_permutations(n))[:-1]
+
+
+def peak_under_the_zero_boundary(w, boundary=Boundary.TOP):
+    """A planted defect: peaks are counted between 0-sentinels, whatever the
+    boundary asked for."""
+    return peak(w, Boundary.ZERO)
+
+
+def narayana_with_a_wrong_gamma(n):
+    """A planted defect: the first Narayana gamma entry is one too large."""
+    poly, gam = NARAYANA(n)
+    return poly, gam._replace(gamma=(gam.gamma[0] + 1, *gam.gamma[1:]))
+
+
+# planted defects that pass every oracle a suite runs first and fail one of
+# its own checks that no BROKEN_KERNELS entry reaches; kept out of
+# BROKEN_KERNELS so that its pinned digest stays as it was recorded
+BROKEN_CHECKS = [
+    ("orb", 4, harness.action, ("shape", shape_with_a_peak_at_an_opening_descent), "peak is not constant"),
+    ("wp", 4, harness.action, ("shape", shape_with_a_peak_at_an_opening_descent), "rank-0 peak"),
+    ("stack-invariance", 4, harness.action, ("phi_x", phi_x_moving_the_letter_to_the_front),
+     "non-peak block swap"),
+    ("psi-prime", 6, harness.trees, ("hop_product", hop_product_dropping_the_largest_letter),
+     "des of the image differs from veh"),
+    ("narayana", 6, harness.patterns, ("avoiding_permutations", avoiders_dropping_the_last), "Catalan number"),
+    ("narayana", 6, harness.patterns, ("avoiding_permutations", avoiders_repeating_the_first),
+     "differs from the closed form"),
+    ("narayana", 4, harness, ("peak", peak_under_the_zero_boundary), "peak count at k"),
+    ("kreweras", 6, harness.trees, ("dyck_path", dyck_path_swapping_two_steps), "does not translate"),
+    ("genbona", 4, harness.patterns, ("narayana", narayana_with_a_wrong_gamma), "Narayana gamma"),
+]
+
+
+@pytest.mark.parametrize("suite, n, target, broken, stage", BROKEN_KERNELS + BROKEN_CHECKS)
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
 ):

@@ -68,8 +68,6 @@ from permact.words import (
     dec_subseq_counts,
     des,
     descent_poly,
-    double_ascent,
-    double_descent,
     maj,
     pair_columns,
     peak,
@@ -77,7 +75,6 @@ from permact.words import (
     sliced_tally,
     stat_bits,
     transfer,
-    valley,
 )
 
 
@@ -131,14 +128,6 @@ def mixed_sign_letters(n):
     return [a for a in range(-(n // 2), n - n // 2 + 1) if a]
 
 
-CLASS_COUNTS = [
-    (peak, LetterClass.PEAK),
-    (valley, LetterClass.VALLEY),
-    (double_ascent, LetterClass.DOUBLE_ASCENT),
-    (double_descent, LetterClass.DOUBLE_DESCENT),
-]
-
-
 def classes_from_padded_word(w, boundary):
     """The class of each letter of w, read between explicit end letters:
     max(w) + 1 under TOP, 0 under ZERO."""
@@ -184,9 +173,9 @@ def test_hop_and_class_counts_match_classify_routes(n, boundary, letters):
                 assert phi_prime_x(w, x) == phi_prime_x_via_factorization(w, x)
         classes = classify(w, boundary)
         assert classes == classes_from_padded_word(w, boundary)
-        for count, cls in CLASS_COUNTS:
-            assert count(w, boundary) == classes.count(cls)
-        assert shape(w, boundary) == (des(w), peak(w, boundary), double_descent(w, boundary))
+        peaks = classes.count(LetterClass.PEAK)
+        assert shape(w, boundary) == (des(w), peaks, classes.count(LetterClass.DOUBLE_DESCENT))
+        assert peak(w, boundary) == peaks
 
 
 def test_hops_and_orbits_on_random_words():
@@ -219,7 +208,7 @@ def test_orbit_reps_are_the_double_descent_free_words(n):
     reps = list(orbit_reps(n))
     assert len(reps) == ORBIT_COUNTS[n - 1]
     # the depth-first walk keeps lex order and reads off each word's moving letters
-    assert [w for w, _ in reps] == [w for w in all_permutations(n) if double_descent(w) == 0]
+    assert [w for w, _ in reps] == [w for w in all_permutations(n) if LetterClass.DOUBLE_DESCENT not in classify(w)]
     for w, letters in reps:
         assert list(letters) == double_ascent_letters(w)
     if n <= 7:

@@ -16,7 +16,7 @@ from permact.posets import (
     NotCanonicalError,
     NotSignGradedError,
     adjoin_top,
-    all_canonical_posets,
+    canonical_posets,
     is_canonical,
     is_linear_extension,
     linear_extensions,
@@ -26,7 +26,11 @@ from permact.posets import (
     sign_grading,
     wp_polynomial,
 )
-from permact.words import Boundary, LetterClass, letter_class_at
+from permact.words import Boundary, LetterClass, classify
+
+
+def canonical_posets_up_to(max_size):
+    return [P for size in range(1, max_size + 1) for P in canonical_posets(size)]
 
 
 def v_poset():
@@ -82,6 +86,57 @@ def test_sign_grading_failure_has_witness():
     assert len(info.value.witness) == 2
 
 
+def sign_sum(P, chain):
+    return sum(1 if P.labels[x] < P.labels[y] else -1 for x, y in zip(chain, chain[1:]))
+
+
+def maximal_chains(P):
+    """Every saturated chain from a minimal to a maximal element of P, by
+    depth-first search over the covers."""
+    up = {e: [y for x, y in P.covers if x == e] for e in P.elements}
+    covered = {y for _, y in P.covers}
+    stack = [(e,) for e in P.elements if e not in covered]
+    while stack:
+        chain = stack.pop()
+        if up[chain[-1]]:
+            stack.extend(chain + (f,) for f in up[chain[-1]])
+        else:
+            yield chain
+
+
+def test_sign_grading_matches_the_maximal_chain_sums():
+    rng = random.Random(25)
+    failures = set()
+    for n in range(1, 6):
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(slots)):
+            pairs = {slot for i, slot in enumerate(slots) if bits >> i & 1}
+            if any((a, d) not in pairs for a, b in pairs for c, d in pairs if b == c):
+                continue
+            covers = [(a, b) for a, b in pairs if not any((a, c) in pairs and (c, b) in pairs for c in range(n))]
+            P = LabeledPoset(range(n), covers, dict(enumerate(rng.sample([a for a in range(-9, 10) if a], n))))
+            chains = list(maximal_chains(P))
+            sums = {sign_sum(P, chain) for chain in chains}
+            if len(sums) == 1:
+                g = sign_grading(P)
+                assert g.r in sums
+                assert g.epsilon == {(x, y): sign_sum(P, (x, y)) for x, y in covers}
+                for chain in chains:
+                    for k, e in enumerate(chain):
+                        assert g.rho[e] == sign_sum(P, chain[: k + 1])
+                continue
+            with pytest.raises(NotSignGradedError) as info:
+                sign_grading(P)
+            for chain in info.value.witness:
+                assert chain[0] not in {y for _, y in covers}
+                assert all(step in covers for step in zip(chain, chain[1:]))
+            lo, hi = info.value.witness
+            assert sign_sum(P, lo) != sign_sum(P, hi)
+            failures.add("path-dependent" in str(info.value))
+    # both ways to fail: two chains into one element, and maximal elements of unequal rank
+    assert failures == {True, False}
+
+
 def test_is_canonical():
     assert is_canonical(v_poset())
     assert is_canonical(chain3())
@@ -121,7 +176,7 @@ def test_psi_x_poset_rejects_a_hop_that_breaks_a_cover():
 
 
 def test_psi_x_poset_involution_and_commutation():
-    for P in all_canonical_posets(4):
+    for P in canonical_posets_up_to(4):
         letters = sorted(P.labels.values())
         for ext in linear_extensions(P):
             for x in letters:
@@ -151,11 +206,12 @@ def test_psi_x_poset_matches_the_factorization_route_on_mixed_sign_antichains():
             labels = rng.sample([a for a in range(-9, 10) if a], n)
             P = LabeledPoset(range(n), (), dict(enumerate(labels)))
             for pi in itertools.permutations(labels):
+                classes = classify(pi, Boundary.ZERO)
                 for k, x in enumerate(pi):
                     image = psi_x_poset(P, pi, x)
                     assert image == factorization_hop(pi, x)
                     # under 0-sentinels exactly the double ascents and descents move
-                    fixed = letter_class_at(pi, k, Boundary.ZERO) in (LetterClass.PEAK, LetterClass.VALLEY)
+                    fixed = classes[k] in (LetterClass.PEAK, LetterClass.VALLEY)
                     assert (image == pi) == fixed
 
 
@@ -226,21 +282,21 @@ def test_adjoin_top():
 
 
 def test_corpus_counts():
-    sizes = [len(all_canonical_posets(k)) for k in range(1, 6)]
-    # cumulative counts of canonically labelable posets on at most k points
-    assert sizes == [1, 3, 7, 18, 52]
+    sizes = [len(canonical_posets(k)) for k in range(1, 6)]
+    # counts of canonically labelable posets on exactly k points
+    assert sizes == [1, 2, 4, 11, 34]
 
 
 def test_corpus_is_pinned():
     """The posets, their labelings and their order, as first recorded."""
-    corpus = json.dumps([P.to_json_dict() for P in all_canonical_posets(5)], sort_keys=True)
+    corpus = json.dumps([P.to_json_dict() for P in canonical_posets_up_to(5)], sort_keys=True)
     assert hashlib.sha256(corpus.encode()).hexdigest() == (
         "48415bf3e5f1125b0f59de16e61a165504d138e64450ed6df6da512d4ccac2d4"
     )
 
 
 def test_corpus_members_are_canonical():
-    for P in all_canonical_posets(4):
+    for P in canonical_posets_up_to(4):
         assert is_canonical(P)
         sign_grading(P)
 

@@ -16,7 +16,6 @@ from permact.words import (
     identity,
     involutions,
     is_permutation,
-    letter_class_at,
     maj,
     parse_word,
     perm_compose,
@@ -105,8 +104,6 @@ def test_classify_top_fixture():
     V, P = LetterClass.VALLEY, LetterClass.PEAK
     DA, DD = LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT
     assert classify(W0) == (V, P, DD, V, DA, DA, P, V, DA)
-    for k in range(len(W0)):
-        assert letter_class_at(W0, k) == classify(W0)[k]
 
 
 def test_classify_zero_boundary_signed():
