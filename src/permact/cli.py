@@ -36,7 +36,10 @@ def _size(command: str, n: int, least: int) -> int:
 def cmd_stats(args) -> int:
     w = words.parse_word(args.word)
     count_13_2, count_2_31 = patterns.pattern_pair(w)
-    odd, right = trees.edge_sets(w)
+    letters = sorted(w)
+    rank = {a: r for r, a in enumerate(letters, 1)}
+    masks = trees.edge_masks([rank[a] for a in w])
+    odd, right = ([a for r, a in enumerate(letters, 1) if mask >> r & 1] for mask in masks)
     classes = Counter(words.classify(w))
     stats = {
         "word": list(w),
@@ -49,8 +52,8 @@ def cmd_stats(args) -> int:
         "count_13_2": count_13_2,
         "avoids_231": patterns.avoids_231(w),
         "veh": trees.veh(w),
-        "odd": sorted(odd),
-        "redge": sorted(right),
+        "odd": odd,
+        "redge": right,
     }
     if words.is_permutation(w):
         stats["sort_depth"] = stacksort.sort_depth(w)
@@ -287,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--orbits", action="store_true")
     group.add_argument("--poly", action="store_true")
-    group.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("table", help="polynomial tables for a family")

@@ -934,14 +934,10 @@ def report_emit(report: Report, fmt: str, include_timing: bool = False) -> bytes
         text = json.dumps(report.to_json_dict(include_timing), indent=2, sort_keys=True)
         return (text + "\n").encode()
     if fmt == "csv":
-        import csv  # on first use, so that json and latex runs never load it
-
-        buf = io.StringIO()
         fields = ["suite", "kind", "n", "ok", "hard_failure", "detail", "counterexample", "data"]
         if include_timing:
             fields.append("seconds")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
+        rows = []
         for inst in report.instances:
             row = [
                 report.suite,
@@ -955,8 +951,8 @@ def report_emit(report: Report, fmt: str, include_timing: bool = False) -> bytes
             ]
             if include_timing:
                 row.append(f"{inst.seconds:.3f}")
-            writer.writerow(row)
-        return buf.getvalue().encode()
+            rows.append(row)
+        return emit_table(fields, rows, "csv")
     if fmt == "latex":
         lines = [
             r"\begin{tabular}{rll}",
@@ -1006,7 +1002,7 @@ def emit_table(header: list[str], rows: list[list[str]], fmt: str) -> bytes:
         data = [dict(zip(header, row)) for row in rows]
         return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
     if fmt == "csv":
-        import csv  # on first use, as in report_emit
+        import csv  # on first use, so that json and latex runs never load it
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

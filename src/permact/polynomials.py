@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class NotSymmetricError(ValueError):
@@ -176,24 +176,7 @@ class IntPolynomial:
         }
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in sorted(self.terms.items()):
-            body = "".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exps)
-                if e
-            )
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _text(self, lambda v, e: v if e == 1 else f"{v}^{e}", reverse=False)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.vars!r}, {dict(sorted(self.terms.items()))!r})"
@@ -488,13 +471,14 @@ def _latex_power(base: str, e: int) -> str:
     return f"{base}^{e}" if e < 10 else f"{base}^{{{e}}}"
 
 
-def latex_poly(p: IntPolynomial) -> str:
-    """Deterministic LaTeX-ish rendering: terms sorted by descending exponents."""
+def _text(p: IntPolynomial, power: Callable[[str, int], str], reverse: bool) -> str:
+    """The terms of p joined by " + " (" - " before a negative one), sorted
+    by their exponents, each variable written as power(v, e)."""
     if not p.terms:
         return "0"
     parts = []
-    for exps, c in sorted(p.terms.items(), reverse=True):
-        body = "".join(_latex_power(v, e) for v, e in zip(p.vars, exps) if e)
+    for exps, c in sorted(p.terms.items(), reverse=reverse):
+        body = "".join(power(v, e) for v, e in zip(p.vars, exps) if e)
         if not body:
             parts.append(str(c))
         elif c == 1:
@@ -503,8 +487,12 @@ def latex_poly(p: IntPolynomial) -> str:
             parts.append("-" + body)
         else:
             parts.append(f"{c}{body}")
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def latex_poly(p: IntPolynomial) -> str:
+    """Deterministic LaTeX-ish rendering: terms sorted by descending exponents."""
+    return _text(p, _latex_power, reverse=True)
 
 
 def latex_gamma_form(

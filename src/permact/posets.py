@@ -148,11 +148,15 @@ class LabeledPoset:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabeledPoset":
-        elements = list(data["elements"])
-        by_str = {str(e): e for e in elements}
-        labels = {by_str[k]: int(v) for k, v in data["labels"].items()}
-        covers = [tuple(c) for c in data["covers"]]
-        return cls(elements, covers, labels)
+        """The poset of to_json_dict's form; a malformed one raises InvalidPosetError."""
+        try:
+            elements = list(data["elements"])
+            by_str = {str(e): e for e in elements}
+            labels = {by_str[k]: int(v) for k, v in data["labels"].items()}
+            covers = [tuple(c) for c in data["covers"]]
+            return cls(elements, covers, labels)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidPosetError(f"malformed poset: {type(exc).__name__} {exc}") from exc
 
     def __repr__(self) -> str:
         return f"LabeledPoset({self.elements!r}, {self.covers!r}, {self.labels!r})"
@@ -379,21 +383,23 @@ def adjoin_top(P: LabeledPoset) -> LabeledPoset:
 # -- corpus -------------------------------------------------------------------
 
 
-def _is_transitive(pairs: frozenset[tuple[int, int]]) -> bool:
-    return all(
-        (a, d) in pairs
-        for (a, b) in pairs
-        for (c, d) in pairs
-        if b == c
-    )
-
-
-def _reduction(pairs: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [
-        (a, b)
-        for (a, b) in sorted(pairs)
-        if not any((a, c) in pairs and (c, b) in pairs for c in range(a + 1, b))
-    ]
+def _hasse(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The closure's pair count and the sorted covers of a relation on
+    range(size) with a < b in every pair (a, b), from up-set bitmasks built
+    in reverse index order: (a, b) is a cover unless an earlier successor of
+    a already reaches b."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for a, b in sorted(pairs):
+        succ[a].append(b)
+    up = [0] * size
+    covers: list[tuple[int, int]] = []
+    for a in reversed(range(size)):
+        for b in succ[a]:
+            if not up[a] >> b & 1:
+                covers.append((a, b))
+            up[a] |= 1 << b | up[b]
+    covers.sort()
+    return sum(m.bit_count() for m in up), covers
 
 
 def _canonical_form(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
@@ -407,45 +413,20 @@ def _canonical_form(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
 
 def _forced_canonical_labels(n: int, covers: Sequence[tuple[int, int]]) -> dict[int, int] | None:
     """The unique candidate ranks (saturated-chain parity), labeled
-    canonically, or None when no canonical labeling can exist."""
-    up: dict[int, list[int]] = {e: [] for e in range(n)}
-    down: dict[int, list[int]] = {e: [] for e in range(n)}
+    canonically, or None when no canonical labeling can exist.  Every cover
+    flips the rank; the covers are sorted and increasing, so x's rank is
+    final before a cover (x, y) is read."""
+    rho: dict[int, int] = {}
     for x, y in covers:
-        up[x].append(y)
-        down[y].append(x)
-    indeg = {e: len(down[e]) for e in range(n)}
-    order = [e for e in range(n) if indeg[e] == 0]
-    rho: dict[int, int] = {e: 0 for e in order}
-    queue = list(order)
-    while queue:
-        e = queue.pop(0)
-        for f in up[e]:
-            want = 1 - rho[e]
-            if f in rho:
-                if rho[f] != want:
-                    return None
-            else:
-                rho[f] = want
-            indeg[f] -= 1
-            if indeg[f] == 0:
-                queue.append(f)
-    if len(rho) != n:
-        return None
+        want = 1 - rho.get(x, 0)
+        if rho.setdefault(y, want) != want:
+            return None
     # every maximal element must sit at the common rank r
-    max_ranks = {rho[e] for e in range(n) if not up[e]}
-    if len(max_ranks) > 1:
+    if len({rho.get(e, 0) for e in set(range(n)) - {x for x, _ in covers}}) > 1:
         return None
-    labels: dict[int, int] = {}
-    neg = -1
-    pos = 1
-    for e in range(n):
-        if rho[e] == 0:
-            labels[e] = neg
-            neg -= 1
-        else:
-            labels[e] = pos
-            pos += 1
-    return labels
+    # the k-th element of rank 0 is labeled -k, the k-th of rank 1 is labeled k
+    signs = [1 if rho.get(e, 0) else -1 for e in range(n)]
+    return {e: s * signs[: e + 1].count(s) for e, s in enumerate(signs)}
 
 
 def canonical_posets(size: int) -> list[LabeledPoset]:
@@ -458,12 +439,12 @@ def canonical_posets(size: int) -> list[LabeledPoset]:
     slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
     for bits in range(1 << len(slots)):
         pairs = frozenset(slots[i] for i in range(len(slots)) if bits >> i & 1)
-        if not _is_transitive(pairs):
+        closed, covers = _hasse(size, pairs)
+        if closed != len(pairs):
             continue
         # labelability is a property of the isomorphism class, so skipping
         # unlabelable posets before the isomorphism test keeps the first
         # labelable representative of every class
-        covers = _reduction(pairs)
         labels = _forced_canonical_labels(size, covers)
         if labels is None:
             continue
@@ -490,16 +471,7 @@ def sampled_canonical_posets(size: int, count: int, seed: int) -> list[LabeledPo
             for j in range(i + 1, size):
                 if rng.random() < 0.3:
                     pairs.add((i, j))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(pairs):
-                for (c, d) in list(pairs):
-                    if b == c and (a, d) not in pairs:
-                        pairs.add((a, d))
-                        changed = True
-        covers = _reduction(frozenset(pairs))
+        covers = _hasse(size, pairs)[1]
         labels = _forced_canonical_labels(size, covers)
         if labels is None:
             continue

@@ -94,36 +94,12 @@ def postorder(node: BinaryTreeNode | None) -> Word:
     return tuple(reversed(out))
 
 
-def edge_sets(w: Word) -> tuple[frozenset[int], frozenset[int]]:
-    """(odd set, right-edge set) of a word on any distinct letters, negative
-    ones too: the letters of odd right-edge depth in the binary tree, and
-    its right children, one per descent.  A letter is a right child iff its
-    previous-greater letter exists and is smaller than its next-greater one,
-    if any: the letter below it on the stack and the letter that pops it.
-
-    >>> [sorted(s) for s in edge_sets((-1, -2, -3))]
-    [[-2], [-3, -2]]
-    """
-    odd: set[int] = set()
-    right: set[int] = set()
-    stack: list[int] = []
-    for a in w:
-        while stack and stack[-1] < a:
-            x = stack.pop()
-            if stack and stack[-1] < a:
-                right.add(x)
-        if len(stack) & 1:
-            odd.add(a)
-        stack.append(a)
-    right.update(stack[1:])
-    return frozenset(odd), frozenset(right)
-
-
 def edge_masks(w: Word) -> tuple[int, int]:
     """(odd set, right-edge set) of a word on positive letters as bitmasks,
-    bit x for letter x, from one decreasing-stack pass: the stack size when
-    a arrives is its right-edge depth, and the pops mark the right children
-    as in edge_sets.
+    bit x for letter x, from one decreasing-stack pass.  The stack size when
+    a arrives is its right-edge depth.  A letter is a right child (one per
+    descent) iff the letter below it on the stack is smaller than the letter
+    that pops it, if any.  ``permact stats`` ranks other letters first.
 
     >>> edge_masks((3, 1, 2)) == (0b110, 0b100)
     True
@@ -144,8 +120,8 @@ def edge_masks(w: Word) -> tuple[int, int]:
 
 
 def right_edges_via_tree(w: Word) -> tuple[dict[int, int], frozenset[int]]:
-    """Independent route to edge_masks and edge_sets: the right-edge
-    depths and right children, from a walk of the binary tree itself."""
+    """Independent route to edge_masks: the right-edge depths and right
+    children, from a walk of the binary tree itself."""
     depths: dict[int, int] = {}
     right: set[int] = set()
     todo = [(binary_tree(w), 0)]

@@ -343,6 +343,35 @@ def test_poset_poly_on_bad_input_exits_2(capsys, tmp_path, payload):
     assert err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"elements": ["a"], "covers": [], "labels": {"b": -1}}', "KeyError 'b'"),
+    ('{"covers": [], "labels": {}}', "KeyError 'elements'"),
+    ('{"elements": ["a"], "covers": [1], "labels": {"a": -1}}', "TypeError"),
+    ('{"elements": [["a"]], "covers": [], "labels": {}}', "TypeError"),
+    ("[1, 2]", "TypeError"),
+    ('{"elements": ["a", "a"], "covers": [], "labels": {"a": -1}}', "elements must be distinct"),
+    ('{"elements": ["a"], "covers": [["a", "a"]], "labels": {"a": -1}}', "is reflexive"),
+    ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1}}', "has no label"),
+], ids=["unknown-label", "no-elements", "cover-not-a-pair", "unhashable-element", "not-an-object",
+        "repeated-element", "reflexive-cover", "unlabeled-element"])
+@pytest.mark.parametrize("mode", [[], ["--poly"], ["--orbits"]], ids=["default", "poly", "orbits"])
+def test_malformed_poset_file_exits_2(capsys, tmp_path, text, message, mode):
+    path = tmp_path / "poset.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "poset", str(path), *mode)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_poset_has_no_check_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", _write_poset(tmp_path), "--check"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --check" in capsys.readouterr().err
+
+
 def test_table(capsys):
     code, out, _ = run_cli(capsys, "table", "narayana", "--n", "5")
     assert code == 0

@@ -529,6 +529,10 @@ BNI_POLYNOMIAL = patterns.bni_polynomial
 NARAYANA = patterns.narayana
 INVOLUTION_DESCENT_POLY = involution_descent_poly
 INVOLUTIONS = involutions
+GAMMA_EXPAND = harness.gamma_expand
+ALL_DYCK_PATHS = harness.trees.all_dyck_paths
+JOINT_DISTRIBUTIONS = harness.mahonian.joint_distributions
+WP_POLYNOMIAL = harness.posets.wp_polynomial
 
 
 def pattern_step_without_peaks(n):
@@ -697,6 +701,47 @@ def narayana_with_a_wrong_gamma(n):
     return poly, gam._replace(gamma=(gam.gamma[0] + 1, *gam.gamma[1:]))
 
 
+def slides_leaving_the_word_as_it_is(w):
+    """A planted defect: the slide composition does no slide."""
+    return w
+
+
+def gamma_expand_with_a_larger_first_entry(poly, d):
+    """A planted defect: gamma_0 is one too large."""
+    g = GAMMA_EXPAND(poly, d)
+    return g._replace(gamma=(g.gamma[0] + 1, *g.gamma[1:]))
+
+
+def all_dyck_paths_dropping_the_last(n):
+    """A planted defect: the last Dyck path is lost."""
+    return list(ALL_DYCK_PATHS(n))[:-1]
+
+
+def joint_distributions_with_an_extra_word(n):
+    """A planted defect: the (veh', siveh) tally counts one more word at
+    (0, 0)."""
+    lhs, rhs = JOINT_DISTRIBUTIONS(n)
+    return lhs + Counter({(0, 0): 1}), rhs
+
+
+def wp_polynomial_with_a_larger_constant(P):
+    """A planted defect: the constant coefficient of W(P;t) is one too
+    large, while its basis coefficients stay right."""
+    wpp = WP_POLYNOMIAL(P)
+    return wpp._replace(W=(wpp.W[0] + 1, *wpp.W[1:]))
+
+
+def orbits_dropping_the_last(seeds, hop):
+    """A planted defect: the last orbit is lost."""
+    return list(orbits(seeds, hop))[:-1]
+
+
+def involution_counts_with_a_dip(n):
+    """A planted defect: at n = 5 the counts are symmetric, but the middle
+    one dips below its neighbours."""
+    return (1, 6, 5, 6, 1) if n == 5 else INVOLUTION_DESCENT_POLY(n)
+
+
 # planted defects that pass every oracle a suite runs first and fail one of
 # its own checks that no BROKEN_KERNELS entry reaches; kept out of
 # BROKEN_KERNELS so that its pinned digest stays as it was recorded
@@ -713,6 +758,17 @@ BROKEN_CHECKS = [
     ("narayana", 4, harness, ("peak", peak_under_the_zero_boundary), "peak count at k"),
     ("kreweras", 6, harness.trees, ("dyck_path", dyck_path_swapping_two_steps), "does not translate"),
     ("genbona", 4, harness.patterns, ("narayana", narayana_with_a_wrong_gamma), "Narayana gamma"),
+    ("slides-equal-recursive", 4, harness.stacksort, ("stack_sort_via_slides", slides_leaving_the_word_as_it_is),
+     "slide composition differs"),
+    ("corre", 4, harness, ("gamma_expand", gamma_expand_with_a_larger_first_entry), "!= Eulerian gamma"),
+    ("genbona", 4, harness, ("gamma_expand", gamma_expand_with_a_larger_first_entry), "b_i of all words"),
+    ("kreweras", 4, harness.trees, ("all_dyck_paths", all_dyck_paths_dropping_the_last),
+     "not a bijection onto Dyck paths"),
+    ("euler-mahonian", 6, harness.mahonian, ("joint_distributions", joint_distributions_with_an_extra_word),
+     "joint distributions differ"),
+    ("wp", 4, harness.posets, ("wp_polynomial", wp_polynomial_with_a_larger_constant), "do not sum to W(P;t)"),
+    ("wp", 4, harness.action, ("orbits", orbits_dropping_the_last), "do not partition"),
+    ("brenti-logconcave", 5, harness, ("involution_descent_poly", involution_counts_with_a_dip), "not unimodal"),
 ]
 
 

@@ -2,6 +2,7 @@
 they replace."""
 
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from permact.action import (
     phi_x,
     phi_x_via_factorization,
 )
+from permact.cli import main
 from permact.harness import _after_masks
 from permact.limits import DEFAULT_MAX_N, enumeration_bound
 from permact.mahonian import ev_set, increasing_tree, joint_distributions, joint_distributions_via_sets
@@ -50,7 +52,6 @@ from permact.trees import (
     dyck_path,
     dyck_path_via_tree,
     edge_masks,
-    edge_sets,
     hop_product,
     label_heights,
     postorder,
@@ -88,8 +89,12 @@ def recursive_stack_sort(w):
 
 def assert_routes_agree(w):
     assert stack_sort(w) == recursive_stack_sort(w)
-    depths, right = right_edges_via_tree(w)
-    assert edge_sets(w) == ({x for x, r in depths.items() if r % 2}, right)
+    # edge_masks takes positive letters; ranking keeps the binary tree's shape
+    letters = sorted(w)
+    ranked = tuple(letters.index(a) + 1 for a in w)
+    depths, right = right_edges_via_tree(ranked)
+    odd = sum(1 << x for x, r in depths.items() if r % 2)
+    assert edge_masks(ranked) == (odd, sum(1 << x for x in right))
     heights = label_heights(unordered_tree(w))
     assert veh(w) == sum(1 for h in heights.values() if h % 2 == 0)
     inc = label_heights(increasing_tree(w))
@@ -339,10 +344,18 @@ LONG_WORDS = [tuple(range(1, 1501)), tuple(range(1500, 0, -1))]
 
 @pytest.mark.parametrize("n", range(8))
 @pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
-def test_edge_sets_match_the_tree_walk(n, letters):
-    for w in itertools.permutations(letters(n)):
+def test_edge_sets_match_the_tree_walk(capsys, n, letters):
+    """The odd and right-edge sets that `permact stats` prints for a word on
+    any letters, against the binary-tree walk: every arrangement up to n = 5
+    and every seventh one above."""
+    for w in itertools.islice(itertools.permutations(letters(n)), 0, None, 1 if n <= 5 else 7):
+        if not w:
+            continue  # no word to print
+        assert main(["stats", " ".join(map(str, w))]) == 0
+        data = json.loads(capsys.readouterr().out)
         depths, right = right_edges_via_tree(w)
-        assert edge_sets(w) == ({x for x, r in depths.items() if r % 2}, right)
+        assert data["odd"] == sorted(x for x, r in depths.items() if r % 2)
+        assert data["redge"] == sorted(right)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -497,7 +510,8 @@ def swap_product(w, letters):
 def test_edge_masks_and_swap_products_match_sets_psi_and_phi_cap(n):
     for w in all_permutations(n):
         odd, right = edge_masks(w)
-        odd_set, right_set = edge_sets(w)
+        depths, right_set = right_edges_via_tree(w)
+        odd_set = {x for x, r in depths.items() if r % 2}
         assert odd == sum(1 << x for x in odd_set)
         assert right == sum(1 << x for x in right_set)
         # psi and phi_cap, once by bitmask and once by set

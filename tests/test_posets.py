@@ -15,6 +15,7 @@ from permact.posets import (
     NotALinearExtensionError,
     NotCanonicalError,
     NotSignGradedError,
+    _hasse,
     adjoin_top,
     canonical_posets,
     is_canonical,
@@ -165,6 +166,8 @@ def test_psi_x_poset_fixtures():
     assert psi_x_poset(V, (-2, -1, 1), 1) == (-2, -1, 1)
     with pytest.raises(NotALinearExtensionError):
         psi_x_poset(V, (-1, 1, -2), -1)
+    with pytest.raises(ValueError, match="2 is not a label of the poset"):
+        psi_x_poset(V, (-2, -1, 1), 2)
 
 
 def test_psi_x_poset_rejects_a_hop_that_breaks_a_cover():
@@ -293,6 +296,42 @@ def test_corpus_is_pinned():
     assert hashlib.sha256(corpus.encode()).hexdigest() == (
         "48415bf3e5f1125b0f59de16e61a165504d138e64450ed6df6da512d4ccac2d4"
     )
+
+
+@pytest.mark.parametrize("size, sha256", [
+    (7, "0ee795ec2ece61a833f51eee7e8198a78dcd5297d47745d1a72895ef5aab952f"),
+    (8, "92e871bc60f9d5ee50ee9fa1734e04385503776517050eb723be0a492ed09def"),
+])
+def test_sampled_corpus_is_pinned(size, sha256):
+    """The sampled posets of the wp suite's seed, as the fixpoint closure
+    and cover reduction first gave them."""
+    sample = sampled_canonical_posets(size, 20, seed=size * 7919)
+    text = json.dumps([P.to_json_dict() for P in sample], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def fixpoint_hasse(size, pairs):
+    """The closure's pair count and the covers, by closing under composition
+    until nothing changes and then dropping every pair with a point between."""
+    closure = set(pairs)
+    while True:
+        new = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not new:
+            break
+        closure |= new
+    covers = sorted(
+        (a, b) for a, b in closure
+        if not any((a, c) in closure and (c, b) in closure for c in range(size))
+    )
+    return len(closure), covers
+
+
+def test_hasse_matches_the_fixpoint_closure_and_reduction():
+    for size in range(6):
+        slots = list(itertools.combinations(range(size), 2))
+        for bits in range(1 << len(slots)):
+            pairs = [slot for i, slot in enumerate(slots) if bits >> i & 1]
+            assert _hasse(size, pairs) == fixpoint_hasse(size, pairs)
 
 
 def test_corpus_members_are_canonical():

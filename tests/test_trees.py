@@ -10,7 +10,6 @@ from permact.trees import (
     binary_tree,
     dyck_path,
     edge_masks,
-    edge_sets,
     hop_product,
     kreweras_stats,
     label_heights,
@@ -35,6 +34,10 @@ def test_binary_tree_round_trip():
             assert word_of(binary_tree(w)) == w
 
 
+def mask(letters):
+    return sum(1 << x for x in letters)
+
+
 def psi(w):
     """The phi_x product at the odd mask."""
     return hop_product(w, edge_masks(w)[0], phi_x)
@@ -55,15 +58,18 @@ def test_right_edge_depths_fixture():
     assert depths == {
         9: 0, 6: 0, 5: 1, 4: 2, 2: 2, 1: 3, 8: 1, 7: 1, 3: 2,
     }
-    assert edge_sets(W1)[0] == frozenset({1, 5, 7, 8})
+    assert edge_masks(W1)[0] == mask({1, 5, 7, 8})
 
 
 def test_redge_set_counts_descents():
-    assert edge_sets(W1)[1] == frozenset({1, 3, 4, 5, 8})
-    assert edge_sets((3, 2, 1))[1] == frozenset({1, 2})
+    assert right_edges_via_tree(W1)[1] == frozenset({1, 3, 4, 5, 8})
+    assert edge_masks(W1)[1] == mask({1, 3, 4, 5, 8})
+    assert right_edges_via_tree((3, 2, 1))[1] == frozenset({1, 2})
+    assert edge_masks((3, 2, 1))[1] == mask({1, 2})
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert len(edge_sets(w)[1]) == des(w)
+            assert len(right_edges_via_tree(w)[1]) == des(w)
+            assert edge_masks(w)[1].bit_count() == des(w)
 
 
 def test_unordered_tree_heights_fixture():
@@ -78,7 +84,7 @@ def test_veh_small():
     assert veh((2, 1)) == 1
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert veh(w) == len(edge_sets(w)[0])
+            assert veh(w) == edge_masks(w)[0].bit_count()
 
 
 def test_psi_phi_cap_are_inverse():
@@ -88,8 +94,8 @@ def test_psi_phi_cap_are_inverse():
         for w in all_permutations(n):
             assert phi_cap(psi(w)) == w
             assert psi(phi_cap(w)) == w
-            assert edge_sets(w)[0] == edge_sets(psi(w))[1]
-            assert edge_sets(w)[1] == edge_sets(phi_cap(w))[0]
+            assert edge_masks(w)[0] == edge_masks(psi(w))[1]
+            assert edge_masks(w)[1] == edge_masks(phi_cap(w))[0]
 
 
 def test_psi_prime_matches_recursive():
