@@ -22,10 +22,6 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _parse_boundary(name: str) -> Boundary:
-    return Boundary.TOP if name == "top" else Boundary.ZERO
-
-
 def _size(command: str, n: int, least: int) -> int:
     """n, or ValueError (exit 2) when it is below the command's smallest size."""
     if n < least:
@@ -66,7 +62,7 @@ def cmd_stats(args) -> int:
 
 def cmd_orbit(args) -> int:
     w = words.parse_word(args.word)
-    report = action.orbit(w, _parse_boundary(args.boundary))
+    report = action.orbit(w, Boundary(args.boundary))
     _emit_json(report.to_json_dict())
     return 0
 
@@ -76,7 +72,10 @@ def cmd_sort(args) -> int:
     if args.iterate < 0:
         raise ValueError(f"--iterate must be nonnegative, got {args.iterate}")
     op = stacksort.stack_sort if args.method == "recursive" else stacksort.stack_sort_via_slides
+    done = tuple(sorted(w))  # S fixes the increasing word, which it reaches within len(w) passes
     for _ in range(args.iterate):
+        if w == done:
+            break
         w = op(w)
     print(words.format_word(w))
     return 0

@@ -511,10 +511,9 @@ def _run_wp(n: int) -> tuple[str, dict | None]:
 
 
 def _run_psiphi(n: int) -> tuple[str, dict | None]:
-    perms = list(words.all_permutations(n))
     # for n <= 5 the kernels meet their oracles on every word first, so a
-    # broken kernel fails here before the table below composes it
-    for w in perms if n <= 5 else ():
+    # broken kernel fails here before the products below compose it
+    for w in words.all_permutations(n) if n <= 5 else ():
         depths, right = trees.right_edges_via_tree(w)
         heights = trees.label_heights(trees.unordered_tree(w))
         odd = sum(1 << x for x, r in depths.items() if r & 1)
@@ -525,24 +524,17 @@ def _run_psiphi(n: int) -> tuple[str, dict | None]:
             # the block swap that the products of hops apply
             if action.phi_x(w, x) != action.phi_x_via_factorization(w, x):
                 raise Failure("block swap differs from the factorization route", {"word": w, "x": x})
-    # the image table of this instance: per word of S_n (by lex rank), its
-    # odd-set and right-edge masks and the ranks of its phi_x products over them
-    rank = {w: k for k, w in enumerate(perms)}
-    odds, rights, psis, caps = [], [], [], []
-    for w in perms:
-        odd, right = trees.edge_masks(w)
-        odds.append(odd)
-        rights.append(right)
-        psis.append(rank[trees.hop_product(w, odd, action.phi_x)])
-        caps.append(rank[trees.hop_product(w, right, action.phi_x)])
-    for k, w in enumerate(perms):
-        v, c = psis[k], caps[k]
-        if caps[v] != k or psis[c] != k:
+    # psi rearranges letters, so it maps S_n into itself; phi_cap as its left
+    # inverse makes it a bijection with phi_cap as its inverse, and then
+    # right(psi(w)) = odd(w) for all w gives odd(phi_cap(u)) = right(u) for all u
+    for w in words.all_permutations(n):
+        odd = trees.edge_masks(w)[0]
+        v = trees.hop_product(w, odd, action.phi_x)
+        right = trees.edge_masks(v)[1]
+        if trees.hop_product(v, right, action.phi_x) != w:
             raise Failure("the two products of hops are not mutually inverse", {"word": w})
-        if odds[k] != rights[v]:
+        if right != odd:
             raise Failure("odd right-depth letters do not map to right children", {"word": w})
-        if rights[k] != odds[c]:
-            raise Failure("right children do not map back to odd right-depth letters", {"word": w})
     return f"inverse pair and the odd/right-edge exchange hold on all {factorial(n)} words", None
 
 

@@ -47,15 +47,10 @@ class IntPolynomial:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(
-        self,
-        variables: Iterable[str],
-        terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
-    ):
+    def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], int]):
         self.vars: tuple[str, ...] = tuple(variables)
-        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple[int, ...], int] = {}
-        for exps, c in items:
+        for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.vars):
                 raise ValueError(f"exponent tuple {exps} does not match vars {self.vars}")
@@ -70,7 +65,7 @@ class IntPolynomial:
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "IntPolynomial":
-        return cls(variables)
+        return cls(variables, {})
 
     @classmethod
     def constant(cls, variables: Iterable[str], c: int) -> "IntPolynomial":
@@ -495,9 +490,7 @@ def latex_poly(p: IntPolynomial) -> str:
     return _text(p, _latex_power, reverse=True)
 
 
-def latex_gamma_form(
-    bs: Sequence[IntPolynomial | int], d: int, tvar: str = "t"
-) -> str:
+def latex_gamma_form(bs: Sequence[IntPolynomial | int], d: int) -> str:
     """Render sum_i b_i t^i (1+t)^(d-2i), skipping zero b_i.
 
     >>> p = IntPolynomial.variable("p", ("p", "q"))
@@ -519,10 +512,10 @@ def latex_gamma_form(
                 continue
             coeff = "" if b == 1 else str(b)
         factors = [coeff]
-        factors.append(_latex_power(tvar, i))
+        factors.append(_latex_power("t", i))
         e = d - 2 * i
         if e > 0:
-            factors.append(_latex_power(f"(1+{tvar})", 1) if e == 1 else f"(1+{tvar})^{e}")
+            factors.append("(1+t)" if e == 1 else f"(1+t)^{e}")
         body = "".join(factors)
         pieces.append(body if body else "1")
     return " + ".join(pieces) if pieces else "0"

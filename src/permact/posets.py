@@ -83,19 +83,30 @@ class LabeledPoset:
                 cover_list.append((x, y))
         cover_list.sort(key=lambda c: (index[c[0]], index[c[1]]))
         self.covers: tuple[tuple[Element, Element], ...] = tuple(cover_list)
-        self._index = index
         self._up: dict[Element, list[Element]] = {e: [] for e in self.elements}
         self._down: dict[Element, list[Element]] = {e: [] for e in self.elements}
         for x, y in self.covers:
             self._up[x].append(y)
             self._down[y].append(x)
         self._topo = self._topological_order()
-        self._check_reduced()
+        # a cover that the Hasse pass over topological positions drops is
+        # implied by a longer path
+        pos = {e: i for i, e in enumerate(self._topo)}
+        pairs = [(pos[x], pos[y]) for x, y in self.covers]
+        kept = set(_hasse(len(pos), pairs)[1])
+        for (x, y), pair in zip(self.covers, pairs):
+            if pair not in kept:
+                raise InvalidPosetError(
+                    f"cover ({x!r}, {y!r}) is implied by transitivity; "
+                    "covers must form the Hasse diagram"
+                )
         self.labels: dict[Element, int] = {}
         for e in self.elements:
             if e not in labels:
                 raise InvalidPosetError(f"element {e!r} has no label")
-            lab = int(labels[e])
+            lab = labels[e]
+            if not isinstance(lab, int) or isinstance(lab, bool):
+                raise InvalidPosetError(f"label {lab!r} of {e!r} is not an integer")
             if lab == 0:
                 raise InvalidPosetError("labels must be nonzero")
             self.labels[e] = lab
@@ -106,32 +117,15 @@ class LabeledPoset:
 
     def _topological_order(self) -> tuple[Element, ...]:
         indeg = {e: len(self._down[e]) for e in self.elements}
-        frontier = [e for e in self.elements if indeg[e] == 0]
-        order = []
-        while frontier:
-            e = frontier.pop(0)
-            order.append(e)
+        order = [e for e in self.elements if indeg[e] == 0]
+        for e in order:  # the loop reads what it appends, in order
             for f in self._up[e]:
                 indeg[f] -= 1
                 if indeg[f] == 0:
-                    frontier.append(f)
+                    order.append(f)
         if len(order) != len(self.elements):
             raise InvalidPosetError("cover relation contains a cycle")
         return tuple(order)
-
-    def _check_reduced(self) -> None:
-        # a cover (x, y) must not be implied by a longer path
-        reach: dict[Element, set[Element]] = {e: set() for e in self.elements}
-        for e in reversed(self._topo):
-            for f in self._up[e]:
-                reach[e].add(f)
-                reach[e] |= reach[f]
-        for x, y in self.covers:
-            if any(y in reach[z] for z in self._up[x] if z != y):
-                raise InvalidPosetError(
-                    f"cover ({x!r}, {y!r}) is implied by transitivity; "
-                    "covers must form the Hasse diagram"
-                )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -152,7 +146,7 @@ class LabeledPoset:
         try:
             elements = list(data["elements"])
             by_str = {str(e): e for e in elements}
-            labels = {by_str[k]: int(v) for k, v in data["labels"].items()}
+            labels = {by_str[k]: v for k, v in data["labels"].items()}
             covers = [tuple(c) for c in data["covers"]]
             return cls(elements, covers, labels)
         except (KeyError, TypeError, AttributeError) as exc:
@@ -210,50 +204,42 @@ def sign_grading(P: LabeledPoset) -> SignGrading:
     return SignGrading(eps, rho[tops[0]] if tops else 0, rho)
 
 
-def is_canonical(P: LabeledPoset) -> bool:
-    """Sign-graded with ranks in {0, 1}, negative labels on rank 0 and
-    positive labels on rank 1."""
+def _canonical_grading(P: LabeledPoset) -> SignGrading | None:
+    """The sign grading of P when it ranks every negative label 0 and every
+    positive label 1, else None."""
     try:
         g = sign_grading(P)
     except NotSignGradedError:
-        return False
-    for e in P.elements:
-        rank = g.rho[e]
-        if rank not in (0, 1):
-            return False
-        if rank == 0 and P.labels[e] >= 0:
-            return False
-        if rank == 1 and P.labels[e] <= 0:
-            return False
-    return True
+        return None
+    return g if all(g.rho[e] == (P.labels[e] > 0) for e in P.elements) else None
+
+
+def is_canonical(P: LabeledPoset) -> bool:
+    """Sign-graded with ranks in {0, 1}, negative labels on rank 0 and
+    positive labels on rank 1."""
+    return _canonical_grading(P) is not None
 
 
 def linear_extensions(P: LabeledPoset) -> list[Word]:
-    """All linear extensions, as words of labels, in label-lexicographic order."""
+    """All linear extensions, as words of labels, in label-lexicographic
+    order: a depth-first search that places, in label order, each unplaced
+    element whose lower covers are all placed."""
     check_enumeration_size(len(P), "poset size")
-    indeg = {e: len(P._down[e]) for e in P.elements}
+    by_label = sorted(P.elements, key=P.labels.__getitem__)
+    bit = {e: 1 << i for i, e in enumerate(by_label)}
+    steps = [(bit[e], sum(bit[x] for x in P._down[e]), P.labels[e]) for e in by_label]
+    full = (1 << len(P)) - 1
     out: list[Word] = []
-    prefix: list[int] = []
 
-    def backtrack(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
+    def extend(placed: int, prefix: Word) -> None:
+        if placed == full:
+            out.append(prefix)
             return
-        ready = sorted(
-            (e for e in P.elements if indeg[e] == 0), key=lambda e: P.labels[e]
-        )
-        for e in ready:
-            indeg[e] = -1
-            for f in P._up[e]:
-                indeg[f] -= 1
-            prefix.append(P.labels[e])
-            backtrack(remaining - 1)
-            prefix.pop()
-            indeg[e] = 0
-            for f in P._up[e]:
-                indeg[f] += 1
+        for b, below, lab in steps:
+            if not placed & b and placed & below == below:
+                extend(placed | b, prefix + (lab,))
 
-    backtrack(len(P))
+    extend(0, ())
     return out
 
 
@@ -297,9 +283,10 @@ def psi_x_poset(P: LabeledPoset, pi: Word, x: int) -> Word:
 def orbit_degree(P: LabeledPoset) -> int:
     """d = p - r - 1, the degree of the orbit forms t^k (1+t)^(d-2k) of P's
     linear extensions; raises NotCanonicalError unless P is canonical."""
-    if not is_canonical(P):
+    g = _canonical_grading(P)
+    if g is None:
         raise NotCanonicalError("poset orbits need a canonically labeled poset")
-    return len(P) - sign_grading(P).r - 1
+    return len(P) - g.r - 1
 
 
 class WpPolynomials(NamedTuple):
@@ -326,19 +313,17 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
     """
     if not len(P):
         raise ValueError("empty poset")
-    if not is_canonical(P):
-        raise NotCanonicalError("wp_polynomial needs a canonically labeled poset")
-    g = sign_grading(P)  # canonical, so its rank r is 0 or 1
-    exts = linear_extensions(P)
+    d = orbit_degree(P)
     p = len(P)
+    r = p - 1 - d  # canonical, so 0 or 1
+    exts = linear_extensions(P)
     W = descent_poly(exts)
-    d = p - g.r - 1
     try:
         gamma = gamma_expand(W, d).gamma
     except NotSymmetricError as exc:
         # the theorem makes W(P;t) symmetric: this is a broken identity, not bad input
         raise BrokenInvariantError(f"W(P;t) breaks the orbit symmetry: {exc}") from exc
-    if g.r == 0:
+    if r == 0:
         n, shift, source = p, 0, exts
     else:
         # the rank-0 peak formula on the adjoined-top poset, one size up,
@@ -352,7 +337,7 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
         )
     if any(x < 0 for x in a):
         raise RuntimeError(f"negative basis coefficient in {a}")
-    return WpPolynomials(W, a, g.r, d)
+    return WpPolynomials(W, a, r, d)
 
 
 def adjoin_top(P: LabeledPoset) -> LabeledPoset:

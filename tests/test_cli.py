@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -70,6 +72,27 @@ def test_sort_negative_iterate_is_usage_error(capsys):
     assert code == 2
     assert not out
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("method, name", [("recursive", "stack_sort"), ("slides", "stack_sort_via_slides")])
+def test_sort_iterate_stops_at_the_sorted_word(capsys, monkeypatch, method, name):
+    # S fixes the increasing word, so passes after it change nothing
+    from permact import stacksort
+
+    calls = []
+    sort = getattr(stacksort, name)
+
+    def counting_sort(w):
+        calls.append(w)
+        return sort(w)
+
+    monkeypatch.setattr(stacksort, name, counting_sort)
+    for word, passes in [("2431", 2), ("573148926", 6), ("21", 1), ("12", 0)]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "sort", word, "--iterate", str(10**12), "--method", method)
+        assert code == 0
+        assert out == " ".join(sorted(word)) + "\n"
+        assert len(calls) == passes <= len(word)
 
 
 def test_sort_by_slides_with_a_broken_slide_exits_1(capsys, monkeypatch):
@@ -167,6 +190,13 @@ def test_class_rsortable_gamma_on_integral_but_broken_counts_exits_1(capsys, mon
     assert code == 1
     assert not out
     assert "does not match the scaled peak counts" in err
+
+
+def test_class_rsortable_negative_r_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "class", "rsortable", "--n", "3", "--r", "-1")
+    assert code == 2
+    assert not out
+    assert "r must be nonnegative" in err
 
 
 def test_apq_latex(capsys):
@@ -352,8 +382,13 @@ def test_poset_poly_on_bad_input_exits_2(capsys, tmp_path, payload):
     ('{"elements": ["a", "a"], "covers": [], "labels": {"a": -1}}', "elements must be distinct"),
     ('{"elements": ["a"], "covers": [["a", "a"]], "labels": {"a": -1}}', "is reflexive"),
     ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1}}', "has no label"),
+    ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1.7, "b": 2.9}}', "label -1.7 of 'a' is not an integer"),
+    ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1, "b": 2.0}}', "label 2.0 of 'b' is not an integer"),
+    ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1, "b": true}}', "label True of 'b' is not an integer"),
+    ('{"elements": ["a", "b"], "covers": [], "labels": {"a": -1, "b": "1"}}', "label '1' of 'b' is not an integer"),
 ], ids=["unknown-label", "no-elements", "cover-not-a-pair", "unhashable-element", "not-an-object",
-        "repeated-element", "reflexive-cover", "unlabeled-element"])
+        "repeated-element", "reflexive-cover", "unlabeled-element", "fractional-labels", "integral-float-label",
+        "bool-label", "string-label"])
 @pytest.mark.parametrize("mode", [[], ["--poly"], ["--orbits"]], ids=["default", "poly", "orbits"])
 def test_malformed_poset_file_exits_2(capsys, tmp_path, text, message, mode):
     path = tmp_path / "poset.json"
@@ -449,6 +484,14 @@ def test_verify_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("suite,")
+    code, out, _ = run_cli(capsys, "verify", "veh-altsum", "--max-n", "4", "--format", "csv", "--timing")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-2:] == ["data", "seconds"]
+    assert [row[2] for row in rows[1:]] == ["1", "2", "3", "4"]
+    for row in rows[1:]:
+        whole, frac = row[-1].split(".")
+        assert len(row) == len(rows[0]) and whole.isdigit() and len(frac) == 3 and frac.isdigit()
 
 
 def test_verify_empty_range_is_usage_error(capsys, monkeypatch):

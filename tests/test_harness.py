@@ -97,6 +97,18 @@ def _failing_report(kind, hard):
     return Report("demo", kind, "statement", 4, (inst,))
 
 
+@pytest.mark.parametrize("kind, hard, status", [
+    ("theorem", True, "FAIL"),
+    ("theorem", False, "FAIL"),
+    ("conjecture", True, "FAIL"),
+    ("conjecture", False, "counterexample"),
+])
+def test_report_emit_latex_failure_statuses(kind, hard, status):
+    lines = report_emit(_failing_report(kind, hard), "latex").decode().splitlines()
+    assert lines[3] == f"4 & {status} & broke \\\\"
+    assert lines[-1] == r"\end{tabular}"
+
+
 def test_exit_codes_for_failures():
     assert _failing_report("theorem", True).exit_code() == 1
     assert _failing_report("conjecture", False).exit_code() == 3
@@ -533,6 +545,9 @@ GAMMA_EXPAND = harness.gamma_expand
 ALL_DYCK_PATHS = harness.trees.all_dyck_paths
 JOINT_DISTRIBUTIONS = harness.mahonian.joint_distributions
 WP_POLYNOMIAL = harness.posets.wp_polynomial
+THETA = harness.mahonian.theta
+TREES = harness.trees
+CLASS_POLYS_FROM_COUNTS = harness.action.class_polys_from_counts
 
 
 def pattern_step_without_peaks(n):
@@ -742,6 +757,68 @@ def involution_counts_with_a_dip(n):
     return (1, 6, 5, 6, 1) if n == 5 else INVOLUTION_DESCENT_POLY(n)
 
 
+def hop_product_dropping_the_smallest_letter(w, letters, hop):
+    """A planted defect: the hop at the smallest letter of the mask is left
+    out."""
+    return HOP_PRODUCT(w, letters & (letters - 1), hop)
+
+
+def hop_product_doing_nothing(w, letters, hop):
+    """A planted defect: no hop is applied, so psi and phi_cap are the
+    identity, each the other's inverse."""
+    return w
+
+
+def hop_product_collapsing_each_descent_count(w, letters, hop):
+    """A planted defect: the image is the first word, in 1..n, with one
+    descent per letter of the mask, so des of the image is still the mask's
+    size."""
+    k = letters.bit_count()
+    return (*range(k + 1, 0, -1), *range(k + 2, len(w) + 1))
+
+
+def hop_product_reverse_complemented(w, letters, hop):
+    """A planted defect: the true image, reversed and complemented, which
+    keeps its descent count and the bijection."""
+    n = len(w)
+    return tuple(n + 1 - a for a in reversed(HOP_PRODUCT(w, letters, hop)))
+
+
+def bni_polynomial_with_a_negative_term(n, i):
+    """A planted defect: b_(n,i) gains the term -p^9 q^9."""
+    return BNI_POLYNOMIAL(n, i) + IntPolynomial(("p", "q"), {(9, 9): -1})
+
+
+def theta_of_the_first_word_with_its_descent_set(w):
+    """A planted defect: theta of the word of 1..n that reverses each run of
+    w's descent positions.  That word has w's descent set, so EV of the
+    image is still Des(w), but all words with one descent set share one
+    image."""
+    v, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i - 1] < w[i]:
+            v += range(i, start, -1)
+            start = i
+    return THETA(tuple(v))
+
+
+# a planted defect: veh and the even-height up-step count of every path are
+# both one too large, so each word's statistics still translate
+TREES_WITH_EVEN_HEIGHTS_PLUS_ONE = SimpleNamespace(
+    dyck_path=TREES.dyck_path,
+    dyck_path_via_tree=TREES.dyck_path_via_tree,
+    all_dyck_paths=TREES.all_dyck_paths,
+    veh=lambda w: TREES.veh(w) + 1,
+    kreweras_stats=lambda p: (TREES.kreweras_stats(p)[0] + 1, TREES.kreweras_stats(p)[1]),
+)
+
+
+def class_polys_with_negated_b(descent_counts, peak_counts, n):
+    """A planted defect: every b_i of the class changes sign."""
+    cp = CLASS_POLYS_FROM_COUNTS(descent_counts, peak_counts, n)
+    return cp._replace(b=tuple(-b for b in cp.b))
+
+
 # planted defects that pass every oracle a suite runs first and fail one of
 # its own checks that no BROKEN_KERNELS entry reaches; kept out of
 # BROKEN_KERNELS so that its pinned digest stays as it was recorded
@@ -769,6 +846,19 @@ BROKEN_CHECKS = [
     ("wp", 4, harness.posets, ("wp_polynomial", wp_polynomial_with_a_larger_constant), "do not sum to W(P;t)"),
     ("wp", 4, harness.action, ("orbits", orbits_dropping_the_last), "do not partition"),
     ("brenti-logconcave", 5, harness, ("involution_descent_poly", involution_counts_with_a_dip), "not unimodal"),
+    ("psiphi", 4, harness.trees, ("hop_product", hop_product_dropping_the_smallest_letter), "not mutually inverse"),
+    ("psiphi", 4, harness.trees, ("hop_product", hop_product_doing_nothing), "do not map to right children"),
+    ("psi-prime", 6, harness.trees, ("hop_product", hop_product_collapsing_each_descent_count),
+     "not a bijection"),
+    ("psi-prime", 6, harness.trees, ("hop_product", hop_product_reverse_complemented), "are not preserved"),
+    ("pq-symmetry", 4, harness.patterns, ("apq_polynomial", apq_polynomial_plus_p), "!= A_n(q,p,t)"),
+    ("pq-symmetry", 4, harness.patterns, ("bni_polynomial", bni_polynomial_with_a_negative_term),
+     "has a negative coefficient"),
+    ("evt", 6, harness.mahonian, ("theta", theta_skipping_the_complement), "differ from the descent set"),
+    ("evt", 6, harness.mahonian, ("theta", theta_of_the_first_word_with_its_descent_set), "not a bijection"),
+    ("kreweras", 4, harness, ("trees", TREES_WITH_EVEN_HEIGHTS_PLUS_ONE), "not equidistributed"),
+    ("guo-zeng", 4, harness, ("involution_descent_poly", involution_poly_leaning_left), "is not symmetric"),
+    ("genbona", 4, harness.action, ("class_polys_from_counts", class_polys_with_negated_b), "negative b_i"),
 ]
 
 

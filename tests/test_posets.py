@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
+from permact import posets
 from permact.action import orbit_members, phi_prime_x_via_factorization, verified_orbit
 from permact.posets import (
     BrokenInvariantError,
@@ -69,6 +71,49 @@ def test_construction_rejects_bad_input():
         )
 
 
+def reach_set_violation(elements, covers):
+    """The first cover, in the poset's cover order, whose upper end another
+    upper cover of its lower end reaches; "cycle" when some element reaches
+    itself; None when the covers form a Hasse diagram."""
+    reach = {e: {y for x, y in covers if x == e} for e in elements}
+    for _ in elements:
+        for e in elements:
+            reach[e] = reach[e].union(*(reach[f] for f in reach[e]))
+    if any(e in reach[e] for e in elements):
+        return "cycle"
+    index = {e: i for i, e in enumerate(elements)}
+    for x, y in sorted(set(covers), key=lambda c: (index[c[0]], index[c[1]])):
+        if any(y in reach[z] for x2, z in covers if x2 == x and z != y):
+            return x, y
+    return None
+
+
+def test_reduction_error_matches_the_reach_set_rule():
+    rng = random.Random(27)
+    outcomes = Counter()
+    for k in range(1, 5):
+        slots = [(x, y) for x in range(k) for y in range(k) if x != y]
+        for bits in range(1 << len(slots)):
+            covers = [slot for i, slot in enumerate(slots) if bits >> i & 1]
+            rng.shuffle(covers)
+            elements = rng.sample(range(k), k)
+            expected = reach_set_violation(elements, covers)
+            outcomes[expected if expected in (None, "cycle") else "implied"] += 1
+            if expected is None:
+                LabeledPoset(elements, covers, {e: e + 1 for e in elements})
+                continue
+            with pytest.raises(InvalidPosetError) as info:
+                LabeledPoset(elements, covers, {e: e + 1 for e in elements})
+            if expected == "cycle":
+                assert str(info.value) == "cover relation contains a cycle"
+            else:
+                x, y = expected
+                assert str(info.value) == (
+                    f"cover ({x!r}, {y!r}) is implied by transitivity; covers must form the Hasse diagram"
+                )
+    assert set(outcomes) == {None, "cycle", "implied"}
+
+
 def test_sign_grading_fixtures():
     g = sign_grading(v_poset())
     assert g.r == 1
@@ -105,9 +150,11 @@ def maximal_chains(P):
             yield chain
 
 
-def test_sign_grading_matches_the_maximal_chain_sums():
+def randomly_labeled_posets():
+    """Every poset on range(n), 1 <= n <= 5, with i < j in each of its
+    relations (407 of them), each with distinct nonzero labels drawn by a
+    seeded generator."""
     rng = random.Random(25)
-    failures = set()
     for n in range(1, 6):
         slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for bits in range(1 << len(slots)):
@@ -115,27 +162,67 @@ def test_sign_grading_matches_the_maximal_chain_sums():
             if any((a, d) not in pairs for a, b in pairs for c, d in pairs if b == c):
                 continue
             covers = [(a, b) for a, b in pairs if not any((a, c) in pairs and (c, b) in pairs for c in range(n))]
-            P = LabeledPoset(range(n), covers, dict(enumerate(rng.sample([a for a in range(-9, 10) if a], n))))
-            chains = list(maximal_chains(P))
-            sums = {sign_sum(P, chain) for chain in chains}
-            if len(sums) == 1:
-                g = sign_grading(P)
-                assert g.r in sums
-                assert g.epsilon == {(x, y): sign_sum(P, (x, y)) for x, y in covers}
-                for chain in chains:
-                    for k, e in enumerate(chain):
-                        assert g.rho[e] == sign_sum(P, chain[: k + 1])
-                continue
-            with pytest.raises(NotSignGradedError) as info:
-                sign_grading(P)
-            for chain in info.value.witness:
-                assert chain[0] not in {y for _, y in covers}
-                assert all(step in covers for step in zip(chain, chain[1:]))
-            lo, hi = info.value.witness
-            assert sign_sum(P, lo) != sign_sum(P, hi)
-            failures.add("path-dependent" in str(info.value))
+            yield LabeledPoset(range(n), covers, dict(enumerate(rng.sample([a for a in range(-9, 10) if a], n))))
+
+
+def test_sign_grading_matches_the_maximal_chain_sums():
+    failures = set()
+    for P in randomly_labeled_posets():
+        covers = P.covers
+        chains = list(maximal_chains(P))
+        sums = {sign_sum(P, chain) for chain in chains}
+        if len(sums) == 1:
+            g = sign_grading(P)
+            assert g.r in sums
+            assert g.epsilon == {(x, y): sign_sum(P, (x, y)) for x, y in covers}
+            for chain in chains:
+                for k, e in enumerate(chain):
+                    assert g.rho[e] == sign_sum(P, chain[: k + 1])
+            continue
+        with pytest.raises(NotSignGradedError) as info:
+            sign_grading(P)
+        for chain in info.value.witness:
+            assert chain[0] not in {y for _, y in covers}
+            assert all(step in covers for step in zip(chain, chain[1:]))
+        lo, hi = info.value.witness
+        assert sign_sum(P, lo) != sign_sum(P, hi)
+        failures.add("path-dependent" in str(info.value))
     # both ways to fail: two chains into one element, and maximal elements of unequal rank
     assert failures == {True, False}
+
+
+def three_condition_canonical(P):
+    """Sign-graded, every rank 0 or 1, rank 0 on negative labels and rank 1
+    on positive ones, each condition checked on its own."""
+    try:
+        g = sign_grading(P)
+    except NotSignGradedError:
+        return False
+    for e in P.elements:
+        rank = g.rho[e]
+        if rank not in (0, 1):
+            return False
+        if rank == 0 and P.labels[e] >= 0:
+            return False
+        if rank == 1 and P.labels[e] <= 0:
+            return False
+    return True
+
+
+def test_is_canonical_matches_the_three_condition_rule():
+    corpus = list(randomly_labeled_posets())
+    assert len(corpus) == 407
+    verdicts = Counter()
+    for P in corpus:
+        expected = three_condition_canonical(P)
+        assert is_canonical(P) == expected
+        verdicts[expected] += 1
+        if expected:
+            assert orbit_degree(P) == len(P) - sign_grading(P).r - 1
+        else:
+            with pytest.raises(NotCanonicalError):
+                orbit_degree(P)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_is_canonical():
@@ -148,6 +235,16 @@ def test_is_canonical():
     # decreasing chain has r = -1
     C = LabeledPoset(("a", "b"), (("a", "b"),), {"a": 1, "b": -1})
     assert not is_canonical(C)
+
+
+def test_linear_extensions_match_a_filter_of_all_label_orders():
+    samples = [P for size in (6, 7, 8) for P in sampled_canonical_posets(size, 3, seed=size * 7919)]
+    for P in canonical_posets_up_to(5) + samples + list(randomly_labeled_posets()):
+        places = [(P.labels[x], P.labels[y]) for x, y in P.covers]
+        # the label orders come in lexicographic order, so the filter keeps it
+        expected = [pi for pi in itertools.permutations(P.sorted_labels)
+                    if all(pi.index(a) < pi.index(b) for a, b in places)]
+        assert linear_extensions(P) == expected
 
 
 def test_linear_extensions():
@@ -263,6 +360,21 @@ def test_wp_polynomial_fixtures():
     assert (wp2.a, wp2.r, wp2.d) == ((1,), 0, 1)
     with pytest.raises(NotCanonicalError):
         wp_polynomial(LabeledPoset(("a", "b"), (("a", "b"),), {"a": 1, "b": -1}))
+
+
+def test_wp_polynomial_grades_its_poset_once(monkeypatch):
+    graded = []
+
+    def counting_sign_grading(P):
+        graded.append(P)
+        return sign_grading(P)
+
+    monkeypatch.setattr(posets, "sign_grading", counting_sign_grading)
+    # r = 1 and r = 0: the first also grades its adjoined-top poset
+    for P in (v_poset(), chain3()):
+        graded.clear()
+        wp_polynomial(P)
+        assert sum(Q is P for Q in graded) == 1
 
 
 def test_wp_json_keys():
