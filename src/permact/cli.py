@@ -94,6 +94,10 @@ def cmd_class(args) -> int:
     elif args.poly == "peak":
         out["poly"] = uni(dense(Counter(map(words.peak, members)))).to_json_dict()
     elif args.poly == "gamma":
+        # {identity} is an orbit in S_1 only: input outside the theorem, not a broken identity
+        if _size("class rsortable --poly gamma", args.n, 1) > 1 and args.r == 0:
+            raise ValueError("class rsortable --poly gamma needs --r of at least 1 for --n above 1: "
+                             "the r-sortable classes are action-invariant for r >= 1")
         cp = action.class_polys(members)
         out["poly"] = {"d": args.n - 1, "gamma": list(cp.b)}
     _emit_json(out)

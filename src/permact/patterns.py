@@ -19,16 +19,9 @@ import math
 from collections import Counter
 from typing import Iterator, Sequence
 
+from .action import class_polys_from_counts
 from .limits import check_enumeration_size
-from .polynomials import (
-    GammaExpansion,
-    IntPolynomial,
-    dense,
-    divide_by_p_plus_q,
-    peak_scale,
-    q_factorial,
-    strip_zeros,
-)
+from .polynomials import GammaExpansion, IntPolynomial, dense, divide_by_p_plus_q, q_factorial, strip_zeros
 from .words import Word, all_permutations, des, peak, stat_bits, transfer
 
 
@@ -189,26 +182,31 @@ def pattern_tally_via_runs(n: int) -> Counter:
 
 @functools.lru_cache(maxsize=None)
 def _pattern_tables(n: int) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
-    """A_n(p, q, t) and all b_(n,i)(p, q) from one pattern_tally, with the
-    exact 2-adic scaling and A_n = sum b_i t^i (1+t)^(n-1-2i) asserted."""
+    """A_n(p, q, t) and all b_(n,i)(p, q), folded from one pattern_tally."""
     if n < 1:  # S_0 holds the empty word only, and no b-expansion exists
         return IntPolynomial.constant(("p", "q", "t"), 1), ()
-    apq: Counter = Counter()
-    by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
-    for (i, a, b, d), cnt in pattern_tally(n).items():
-        apq[a, b, d] += cnt
-        by_peak[i][a, b] += cnt
-    rebuilt: Counter = Counter()
-    for i, counts in enumerate(by_peak):
-        m = n - 1 - 2 * i
-        for (a, b), cnt in counts.items():
-            counts[a, b] = c = peak_scale(cnt, i, n)
-            for j in range(m + 1):
-                rebuilt[a, b, i + j] += c * math.comb(m, j)
-    if rebuilt != apq:
-        raise AssertionError(f"b_({n},i) do not reconstruct A_{n}(p,q,t)")
-    table = tuple(IntPolynomial(("p", "q"), counts) for counts in by_peak)
-    return IntPolynomial.from_counts(("p", "q", "t"), apq), table
+    return _fold(pattern_tally(n), n)
+
+
+def _fold(tally: Counter, n: int) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
+    """A_n(p, q, t) and the b_(n,i)(p, q) of a (peak, 13-2, 2-31, des) tally
+    over S_n, n >= 1.  Each (13-2, 2-31) class is action-invariant, so
+    class_polys_from_counts gives its descent polynomial and its b_i, and
+    raises an ArithmeticError when the two disagree."""
+    classes: dict[tuple[int, int], tuple[dict, dict]] = {}
+    for (i, a, b, d), cnt in tally.items():
+        descents, peaks = classes.setdefault((a, b), ({}, {}))
+        descents[d] = descents.get(d, 0) + cnt
+        peaks[i] = peaks.get(i, 0) + cnt
+    apq: dict[tuple[int, int, int], int] = {}
+    by_peak: list[dict] = [{} for _ in range((n - 1) // 2 + 1)]
+    for (a, b), (descents, peaks) in classes.items():
+        W, bs = class_polys_from_counts(descents, peaks, n)
+        apq.update({(a, b, d): c for d, c in enumerate(W)})
+        for i, c in enumerate(bs):
+            by_peak[i][a, b] = c
+    return (IntPolynomial(("p", "q", "t"), apq),
+            tuple(IntPolynomial(("p", "q"), counts) for counts in by_peak))
 
 
 def apq_polynomial(n: int) -> IntPolynomial:
@@ -233,13 +231,9 @@ def bni_polynomial(n: int, i: int) -> IntPolynomial:
 
 
 def bni_via_scans(n: int) -> list[IntPolynomial]:
-    """Every b_(n,i)(p, q), i = 0..(n-1)//2, scaled from pattern_tally_via_runs:
+    """Every b_(n,i)(p, q), i = 0..(n-1)//2, folded from pattern_tally_via_runs:
     the route that _pattern_tables' transfer tally replaces."""
-    by_peak: list[Counter] = [Counter() for _ in range((n - 1) // 2 + 1)]
-    for (i, a, b, _), cnt in pattern_tally_via_runs(n).items():
-        by_peak[i][a, b] += cnt
-    return [IntPolynomial(("p", "q"), {ab: peak_scale(cnt, i, n) for ab, cnt in counts.items()})
-            for i, counts in enumerate(by_peak)]
+    return list(_fold(pattern_tally_via_runs(n), n)[1])
 
 
 def check_pq_symmetry(n: int) -> bool:

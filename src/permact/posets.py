@@ -24,9 +24,9 @@ import random
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .action import phi_prime_x
+from .action import class_polys_from_counts, phi_prime_x
 from .limits import check_enumeration_size
-from .polynomials import NotSymmetricError, gamma_expand, peak_scale, strip_zeros, uni
+from .polynomials import NotSymmetricError, gamma_expand, uni
 from .words import Boundary, Word, descent_poly, peak
 
 Element = Hashable
@@ -291,21 +291,25 @@ def orbit_degree(P: LabeledPoset) -> int:
 
 class WpPolynomials(NamedTuple):
     """Descent polynomial of the linear extensions, dense, with its expansion
-    a_i in the t^i (1+t)^(d-2i) basis, d = p - r - 1."""
+    a_i in the t^i (1+t)^(d-2i) basis, d = p - r - 1.  ``extensions`` holds
+    the linear extensions it was computed from; it is not part of the JSON
+    form."""
 
     W: tuple[int, ...]
     a: tuple[int, ...]
     r: int
     d: int
+    extensions: tuple[Word, ...]
 
     def to_json_dict(self) -> dict:
         return {"W": uni(self.W).to_json_dict(), "a": list(self.a), "r": self.r, "d": self.d}
 
 
 def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
-    """W(P;t) with its basis coefficients a_i computed twice: once by the
-    gamma peel of W, once from 0-sentinel peak counts (via the adjoined-top
-    poset when r = 1).  The two routes must agree.
+    """W(P;t) with its basis coefficients a_i scaled from 0-sentinel peak
+    counts (via the adjoined-top poset when r = 1) by class_polys_from_counts,
+    which checks that they rebuild W.  W must be palindromic, and a scaled
+    vector that rebuilds a palindrome is its gamma vector.
 
     >>> V = LabeledPoset("abc", [("a", "c"), ("b", "c")], {"a": -2, "b": -1, "c": 1})
     >>> wp_polynomial(V).a
@@ -319,25 +323,18 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
     exts = linear_extensions(P)
     W = descent_poly(exts)
     try:
-        gamma = gamma_expand(W, d).gamma
+        gamma_expand(W, d)
     except NotSymmetricError as exc:
         # the theorem makes W(P;t) symmetric: this is a broken identity, not bad input
         raise BrokenInvariantError(f"W(P;t) breaks the orbit symmetry: {exc}") from exc
-    if r == 0:
-        n, shift, source = p, 0, exts
-    else:
-        # the rank-0 peak formula on the adjoined-top poset, one size up,
-        # with its index shifted by one
-        n, shift, source = p + 1, 1, linear_extensions(adjoin_top(P))
-    peaks = Counter(peak(pi, Boundary.ZERO) for pi in source)
-    a = strip_zeros([peak_scale(peaks[i + shift], i + shift, n) for i in range(d // 2 + 1)])
-    if a != gamma:
-        raise RuntimeError(
-            f"peak-count route {a} disagrees with gamma peel {gamma} for {P!r}"
-        )
+    # for r = 1, the rank-0 peak formula on the adjoined-top poset, one size
+    # up, with its index shifted down by one
+    source = exts if r == 0 else linear_extensions(adjoin_top(P))
+    peaks = Counter(peak(pi, Boundary.ZERO) - r for pi in source)
+    a = class_polys_from_counts(dict(enumerate(W)), peaks, d + 1).b
     if any(x < 0 for x in a):
         raise RuntimeError(f"negative basis coefficient in {a}")
-    return WpPolynomials(W, a, r, d)
+    return WpPolynomials(W, a, r, d, tuple(exts))
 
 
 def adjoin_top(P: LabeledPoset) -> LabeledPoset:

@@ -199,6 +199,26 @@ def test_class_rsortable_negative_r_is_usage_error(capsys):
     assert "r must be nonnegative" in err
 
 
+@pytest.mark.parametrize("n, r, phrase", [
+    (2, 0, "r >= 1"),
+    (5, 0, "r >= 1"),
+    (0, 1, "needs --n of at least 1"),
+    (0, 0, "needs --n of at least 1"),
+])
+def test_class_rsortable_gamma_outside_the_hypotheses_is_usage_error(capsys, n, r, phrase):
+    # {identity} is action-invariant in S_1 only, and S_0 has no b-expansion
+    code, out, err = run_cli(capsys, "class", "rsortable", "--n", str(n), "--r", str(r), "--poly", "gamma")
+    assert code == 2
+    assert not out
+    assert phrase in err
+
+
+def test_class_rsortable_gamma_of_the_identity_of_s1(capsys):
+    code, out, _ = run_cli(capsys, "class", "rsortable", "--n", "1", "--r", "0", "--poly", "gamma")
+    assert code == 0
+    assert json.loads(out)["poly"] == {"d": 0, "gamma": [1]}
+
+
 def test_apq_latex(capsys):
     code, out, _ = run_cli(capsys, "apq", "--n", "3", "--out", "latex")
     assert code == 0

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pickle
+import traceback
 from collections import Counter
 from types import SimpleNamespace
 
@@ -534,6 +535,7 @@ def phi_prime_x_stopping_short(w, x):
 # the real kernels, for planted defects that wrap them while they are patched
 PATTERN_TABLES = patterns._pattern_tables
 PATTERN_STEP = patterns._pattern_step
+PATTERN_TALLY = patterns.pattern_tally
 DES_MAJ_STEP = harness.mahonian._des_maj_step
 EDGE_MASKS = harness.trees.edge_masks
 HOP_PRODUCT = harness.trees.hop_product
@@ -819,6 +821,33 @@ def class_polys_with_negated_b(descent_counts, peak_counts, n):
     return cp._replace(b=tuple(-b for b in cp.b))
 
 
+def pattern_tally_peaking_at_every_descent(n):
+    """A planted defect: the transfer adds one to peak at every descent, not
+    only at a descent from a letter reached by a rise."""
+    step, descent = PATTERN_STEP(n), 1 << 3 * stat_bits(n)
+    return transfer((0, 0, False), n, lambda state, k: [
+        (to, delta | 1 if delta >= descent else delta) for to, delta in step(state, k)], 4)
+
+
+def pattern_tally_doubled(n):
+    """A planted defect: every count doubled.  The scaled peak counts still
+    rebuild the doubled descent polynomial, so only corre's word-by-word
+    oracle (n <= 7) or the Eulerian recurrence (above) can tell."""
+    return Counter({k: 2 * c for k, c in PATTERN_TALLY(n).items()})
+
+
+def des_plus_one_after_a_leading_maximum(w):
+    """A planted defect: a word that opens with its largest letter counts one
+    descent too many, so gessel groups some tau by a wrong descent number."""
+    return des(w) + (len(w) > 1 and w[0] == max(w))
+
+
+def involution_counts_negative_at_3(n):
+    """A planted defect: at n = 3 the counts are symmetric and unimodal, but
+    negative."""
+    return (-1, 0, -1) if n == 3 else INVOLUTION_DESCENT_POLY(n)
+
+
 # planted defects that pass every oracle a suite runs first and fail one of
 # its own checks that no BROKEN_KERNELS entry reaches; kept out of
 # BROKEN_KERNELS so that its pinned digest stays as it was recorded
@@ -859,14 +888,46 @@ BROKEN_CHECKS = [
     ("kreweras", 4, harness, ("trees", TREES_WITH_EVEN_HEIGHTS_PLUS_ONE), "not equidistributed"),
     ("guo-zeng", 4, harness, ("involution_descent_poly", involution_poly_leaning_left), "is not symmetric"),
     ("genbona", 4, harness.action, ("class_polys_from_counts", class_polys_with_negated_b), "negative b_i"),
+    ("corre", 3, harness.patterns, ("pattern_tally", pattern_tally_peaking_at_every_descent),
+     "letter-set transfer tally"),
+    ("corre", 7, harness.patterns, ("pattern_tally", pattern_tally_peaking_at_every_descent),
+     "letter-set transfer tally"),
+    ("corre", 5, harness.patterns, ("pattern_tally", pattern_tally_doubled), "class tallies disagree"),
+    ("corre", 8, harness.patterns, ("pattern_tally", pattern_tally_doubled), "Eulerian recurrence"),
+    ("gessel", 5, harness, ("des", des_plus_one_after_a_leading_maximum),
+     "depends on more than the descent number"),
+    ("brenti-logconcave", 3, harness, ("involution_descent_poly", involution_counts_negative_at_3),
+     "negative count"),
 ]
+
+
+# (suite, n, planted name, id of the planted object) -> the frame that raised
+# the planted entry's last Failure, or None when it raised none
+RAISED: dict[tuple, traceback.FrameSummary | None] = {}
+
+
+def _plant(monkeypatch, suite, n, target, broken) -> None:
+    """Plant broken in target and wrap suite's runner so that it records the
+    frame of each Failure it raises in RAISED."""
+    monkeypatch.setattr(target, *broken)
+    runner, key = SUITES[suite].runner, (suite, n, broken[0], id(broken[1]))
+    RAISED[key] = None
+
+    def recording(m):
+        try:
+            return runner(m)
+        except harness.Failure as f:
+            RAISED[key] = traceback.extract_tb(f.__traceback__)[-1]
+            raise
+
+    monkeypatch.setattr(SUITES[suite], "runner", recording)
 
 
 @pytest.mark.parametrize("suite, n, target, broken, stage", BROKEN_KERNELS + BROKEN_CHECKS)
 def test_in_suite_oracles_catch_a_broken_kernel(
     monkeypatch, fresh_pattern_tables, suite, n, target, broken, stage
 ):
-    monkeypatch.setattr(target, *broken)
+    _plant(monkeypatch, suite, n, target, broken)
     inst = harness._run_instance(suite, n)
     assert not inst.ok and inst.hard_failure
     assert stage in inst.detail
@@ -885,31 +946,13 @@ def test_planted_defect_instances_are_pinned(monkeypatch, fresh_pattern_tables):
     assert digest.hexdigest() == "eb18d6afb6d5729879de3261aa920518b284ab8c2909b130ba599c85e34aab8c"
 
 
-def pattern_tally_peaking_at_every_descent(n):
-    """A planted defect: the transfer adds one to peak at every descent, not
-    only at a descent from a letter reached by a rise."""
-    step, descent = PATTERN_STEP(n), 1 << 3 * stat_bits(n)
-    return transfer((0, 0, False), n, lambda state, k: [
-        (to, delta | 1 if delta >= descent else delta) for to, delta in step(state, k)], 4)
-
-
-@pytest.mark.parametrize("n", [3, 7])
-def test_corre_catches_a_transfer_with_a_wrong_peak_increment(monkeypatch, n):
-    monkeypatch.setattr(harness.patterns, "pattern_tally", pattern_tally_peaking_at_every_descent)
-    inst = harness._run_instance("corre", n)
-    assert not inst.ok and inst.hard_failure
-    assert "letter-set transfer" in inst.detail
-
-
-def test_corre_compares_the_transfer_with_the_word_by_word_tally(monkeypatch):
-    # every count doubled: the scaled peak counts still rebuild the doubled
-    # descent polynomial, so only the oracle (n <= 7) or the Eulerian
-    # recurrence (above) can tell
-    tally = patterns.pattern_tally
-    monkeypatch.setattr(harness.patterns, "pattern_tally",
-                        lambda n: Counter({k: 2 * c for k, c in tally(n).items()}))
-    assert "class tallies disagree" in harness._run_instance("corre", 5).detail
-    assert "Eulerian recurrence" in harness._run_instance("corre", 8).detail
+def test_wp_lists_the_extensions_of_each_poset_once(monkeypatch):
+    listed = []
+    listing = harness.posets.linear_extensions
+    monkeypatch.setattr(harness.posets, "linear_extensions", lambda P: listed.append(P) or listing(P))
+    assert harness._run_instance("wp", 5).ok
+    # 34 posets of size 5, and the adjoined-top posets of the 18 with r = 1
+    assert len(listed) == 52
 
 
 def gamma_vector_with_a_negative_entry(n):
@@ -925,6 +968,14 @@ def b_n1_not_divisible_past_the_scans(n, i):
     return b + IntPolynomial.variable("p", ("p", "q")) if (n, i) == (6, 1) else b
 
 
+def gessel_expand_negative_at_5(F, n):
+    """A planted counterexample: at n = 5, past the Fraction-solve oracle,
+    the first c(k, j) changes sign."""
+    ge = gessel_expand(F, n)
+    first = min(ge.coeffs)
+    return ge._replace(coeffs={**ge.coeffs, first: -ge.coeffs[first]}) if n == 5 else ge
+
+
 def involution_counts_not_log_concave(n):
     """A planted counterexample: at n = 6 the counts are symmetric and
     unimodal but 2^2 < 1 * 5."""
@@ -932,7 +983,8 @@ def involution_counts_not_log_concave(n):
 
 
 
-@pytest.mark.parametrize("suite, max_n, target, planted, code, summary", [
+# (suite, max_n, module, (name, planted kernel), exit code, a phrase of the summary)
+CONJECTURE_EXITS = [
     ("guo-zeng", 4, harness, ("involution_descent_poly", gamma_vector_with_a_negative_entry), 3,
      "COUNTEREXAMPLE at n = 3"),
     ("divisibility", 6, patterns, ("bni_polynomial", b_n1_not_divisible_past_the_scans), 3,
@@ -943,13 +995,41 @@ def involution_counts_not_log_concave(n):
     ("divisibility", 4, patterns, ("_pattern_tables", pattern_tables_with_a_wrong_entry), 1, "FAIL at n = 1"),
     ("brenti-logconcave", 4, harness, ("involution_descent_poly", involution_poly_leaning_left), 1,
      "FAIL at n = 2"),
-])
+    ("gessel", 5, harness, ("gessel_expand", gessel_expand_negative_at_5), 3, "COUNTEREXAMPLE at n = 5"),
+    ("brenti-logconcave", 3, harness, ("involution_descent_poly", involution_counts_negative_at_3), 1,
+     "FAIL at n = 3 (proven part violated): negative count"),
+]
+
+
+@pytest.mark.parametrize("suite, max_n, target, planted, code, summary", CONJECTURE_EXITS)
 def test_conjecture_suites_separate_counterexamples_from_broken_kernels(
     capsys, monkeypatch, fresh_pattern_tables, suite, max_n, target, planted, code, summary
 ):
-    monkeypatch.setattr(target, *planted)
+    _plant(monkeypatch, suite, max_n, target, planted)
     assert main(["verify", suite, "--max-n", str(max_n)]) == code
     assert summary in capsys.readouterr().out
+
+
+def test_every_failure_raise_is_reached_by_a_planted_defect(monkeypatch, fresh_pattern_tables):
+    """Each `raise Failure(` line of harness.py is the raising line of some
+    planted entry's Failure, read from its traceback.  The planted tests above
+    record these as they run; an entry they have not run here runs now."""
+    for suite, n, target, broken, _ in BROKEN_KERNELS + BROKEN_CHECKS:
+        if (suite, n, broken[0], id(broken[1])) not in RAISED:
+            with monkeypatch.context() as m:
+                _plant(m, suite, n, target, broken)
+                _clear_pattern_caches()
+                harness._run_instance(suite, n)
+    for suite, max_n, target, planted, _, _ in CONJECTURE_EXITS:
+        if (suite, max_n, planted[0], id(planted[1])) not in RAISED:
+            with monkeypatch.context() as m:
+                _plant(m, suite, max_n, target, planted)
+                _clear_pattern_caches()
+                run_suite(suite, max_n)
+    with open(harness.__file__, encoding="utf-8") as fh:
+        raises = {k for k, line in enumerate(fh, 1) if "raise Failure(" in line}
+    reached = {frame.lineno for frame in RAISED.values() if frame and frame.filename == harness.__file__}
+    assert sorted(raises - reached) == []
 
 
 def involutions_repeating_one_word_at_4(n):

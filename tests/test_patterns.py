@@ -1,5 +1,7 @@
 import pytest
 
+from permact import patterns
+from permact.cli import main
 from permact.patterns import (
     apq_polynomial,
     avoiders,
@@ -12,6 +14,7 @@ from permact.patterns import (
     narayana,
     pattern_pair,
     pattern_pair_via_runs,
+    pattern_tally,
 )
 from permact.polynomials import IntPolynomial
 from permact.words import all_permutations
@@ -92,6 +95,37 @@ def test_bni_polynomial():
     assert bni_polynomial(3, 0) == pq**0
     assert bni_polynomial(3, 1) == pq
     assert bni_polynomial(4, 1) == pq * (pq + 2)
+
+
+def tally_moving_peaks(count):
+    """A planted defect: count words of one (13-2, 2-31, des) cell go from
+    peak 1 to peak 2.  At n = 5 one word leaves a peak-1 count that 2^2 does
+    not divide; four leave the scaled counts integers that no longer rebuild
+    the class's descent polynomial."""
+
+    def planted(n):
+        tally = pattern_tally(n)
+        cell = max(key for key, c in tally.items() if key[0] == 1 and c >= count)
+        tally[cell] -= count
+        tally[(2, *cell[1:])] += count
+        return tally
+
+    return planted
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_a_broken_tally_is_an_arithmetic_error(capsys, monkeypatch, count):
+    monkeypatch.setattr(patterns, "pattern_tally", tally_moving_peaks(count))
+    patterns._pattern_tables.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            patterns._pattern_tables(5)
+        assert main(["apq", "--n", "5"]) == 1
+    finally:
+        patterns._pattern_tables.cache_clear()
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_distribution_checks():

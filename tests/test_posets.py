@@ -9,6 +9,7 @@ import pytest
 
 from permact import posets
 from permact.action import orbit_members, phi_prime_x_via_factorization, verified_orbit
+from permact.polynomials import gamma_expand
 from permact.posets import (
     BrokenInvariantError,
     CannotCanonicalizeError,
@@ -360,6 +361,14 @@ def test_wp_polynomial_fixtures():
     assert (wp2.a, wp2.r, wp2.d) == ((1,), 0, 1)
     with pytest.raises(NotCanonicalError):
         wp_polynomial(LabeledPoset(("a", "b"), (("a", "b"),), {"a": 1, "b": -1}))
+
+
+def test_wp_basis_coefficients_are_the_gamma_vector():
+    sampled = [P for size in (6, 7) for P in sampled_canonical_posets(size, 20, seed=size * 7919)]
+    for P in canonical_posets_up_to(5) + sampled:
+        wpp = wp_polynomial(P)
+        assert wpp.a == gamma_expand(wpp.W, wpp.d).gamma
+        assert wpp.extensions == tuple(linear_extensions(P))
 
 
 def test_wp_polynomial_grades_its_poset_once(monkeypatch):
