@@ -33,6 +33,7 @@ from itertools import combinations
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from .limits import check_enumeration_count
 from .polynomials import GammaExpansion, NonIntegralError, dense, peak_scale, strip_zeros, uni
 from .words import (
     Boundary,
@@ -275,7 +276,7 @@ def orbits(seeds: Iterable[Word], hop: Callable[[Word, int], Word]) -> Iterator[
 def orbit_reps(n: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
     """The words on 1..n with no double descent under TOP, in lex order: one
     per orbit of S_n, each with its double-ascent letters, the letters whose
-    hop moves it, in the order ``double_ascent_letters`` gives them.
+    hop moves it, left to right.
 
     A depth-first prefix search on an explicit stack of one frame per prefix
     length, so it holds O(n^2) letters, never a level of prefixes.  A frame
@@ -315,17 +316,6 @@ def orbit_reps(n: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
                 yield prefix + (b,), ups
             else:
                 stack.append([prefix + (b,), b, True, rest[:i] + rest[i + 1 :], ups, 0])
-
-
-def double_ascent_letters(w: Word) -> list[int]:
-    """The letters of w between a smaller left and a larger right neighbor
-    under TOP (the last letter has the larger sentinel on its right).  For
-    a word with no double descent these are the letters whose hop moves it.
-
-    >>> double_ascent_letters((1, 3, 4, 2, 5))
-    [3, 5]
-    """
-    return [b for a, b, c in zip(w, w[1:], (*w[2:], math.inf)) if a < b < c]
 
 
 def orbit_closure(seed: Word, hop: Callable[[Word, int], Word]) -> frozenset[Word]:
@@ -408,8 +398,10 @@ def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
             "the zero boundary needs every letter negative (below the 0 sentinel); "
             f"{w} has a positive letter"
         )
+    k = peak(w, boundary)
+    check_enumeration_count(2 ** (len(w) - 1 - 2 * k), f"the orbit of a {len(w)}-letter word")
     report = verified_orbit(sorted(orbit_members(w, phi_prime_x)), len(w) - 1, boundary)
-    if peak(w, boundary) != report.peak:
+    if k != report.peak:
         raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
     return report
 

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
 2 usage or input error (including input outside a theorem's hypotheses),
-3 conjecture counterexample.
+3 conjecture counterexample, 141 the reader of standard output stopped early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from functools import lru_cache, partial
@@ -316,7 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that stopped early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # quiet the interpreter's last flush of stdout and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from . import action, mahonian, patterns, posets, stacksort, trees, words
-from .limits import enumeration_bound
+from .limits import check_enumeration_count, enumeration_bound
 from .polynomials import (
     IntPolynomial,
     NotSymmetricError,
@@ -976,6 +976,8 @@ def build_table(kind: str, n: int) -> tuple[list[str], list[list[str]]]:
         return ["n", "gamma_form", "b"], rows
     if kind not in ("eulerian", "narayana", "involution"):
         raise UnknownFormatError(f"unknown table kind {kind!r}")
+    if kind == "involution":
+        check_enumeration_count(words.involution_count(n), f"the set of involutions of size {n}")
     for m in range(1, n + 1):
         if kind == "narayana":
             poly, gam = patterns.narayana(m)

@@ -7,6 +7,7 @@ hours; it can be raised explicitly via the PERMACT_MAX_N environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_MAX_N = 10
@@ -31,5 +32,17 @@ def check_enumeration_size(n: int, what: str = "n") -> None:
     if n > bound:
         raise BoundExceededError(
             f"{what}={n} exceeds the enumeration cap {bound}; "
+            "set PERMACT_MAX_N to raise it"
+        )
+
+
+def check_enumeration_count(count: int, what: str) -> None:
+    """Refuse to build more objects than S_n has at the cap n: a set whose
+    size grows faster in its own parameter than n! is capped by its count."""
+    bound = enumeration_bound()
+    most = math.factorial(bound)
+    if count > most:
+        raise BoundExceededError(
+            f"{what} has {count} members, more than {bound}! = {most}, the enumeration cap; "
             "set PERMACT_MAX_N to raise it"
         )

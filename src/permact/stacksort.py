@@ -15,10 +15,6 @@ from .limits import check_enumeration_size
 from .words import Word, all_permutations, identity
 
 
-class NotADescentError(ValueError):
-    pass
-
-
 def stack_sort(w: Word) -> Word:
     """S(L m R) = S(L) S(R) m with m the maximum; S of the empty word is empty.
 
@@ -37,8 +33,6 @@ def stack_sort(w: Word) -> Word:
 def _slide(v: list[int], k: int) -> None:
     """Slide v[k], the top of a descent, right into the first gap (a, b) with
     a < v[k] < b, in place; the end of v exceeds every letter."""
-    if not (0 <= k < len(v) - 1) or v[k] <= v[k + 1]:
-        raise NotADescentError(f"position {k + 1} is not a descent of {tuple(v)}")
     x = v.pop(k)
     n = len(v)
     # the left letter of each gap tried is a letter x has passed, so it is
@@ -47,18 +41,6 @@ def _slide(v: list[int], k: int) -> None:
     while m < n and v[m] < x:
         m += 1
     v.insert(m, x)
-
-
-def slide_r(w: Word, i: int) -> Word:
-    """Slide the letter at descent position i (1-indexed) right into the first
-    gap (a, b) with a < w_i < b; the virtual terminal letter exceeds everything.
-
-    >>> slide_r((5, 7, 3, 1, 4, 8, 9, 2, 6), 2)
-    (5, 3, 1, 4, 7, 8, 9, 2, 6)
-    """
-    v = list(w)
-    _slide(v, i - 1)
-    return tuple(v)
 
 
 def stack_sort_via_slides(w: Word) -> Word:
@@ -73,10 +55,11 @@ def stack_sort_via_slides(w: Word) -> Word:
     """
     v = list(w)
     for x in [a for a, b in zip(w, w[1:]) if a > b]:
-        try:
-            _slide(v, v.index(x))
-        except NotADescentError as exc:
-            raise RuntimeError(f"slides of {w} broke their invariant: {exc}") from exc
+        k = v.index(x)
+        if k == len(v) - 1 or v[k + 1] > x:
+            raise RuntimeError(f"slides of {w} broke their invariant: "
+                               f"position {k + 1} is not a descent of {tuple(v)}")
+        _slide(v, k)
     return tuple(v)
 
 

@@ -65,21 +65,6 @@ def binary_tree(w: Word) -> BinaryTreeNode | None:
     return spine[0] if spine else None
 
 
-def word_of(node: BinaryTreeNode | None) -> Word:
-    """In-order readout; inverse of binary_tree.  An explicit stack holds the
-    nodes whose left subtree is being read, so depth costs no recursion."""
-    out: list[int] = []
-    stack: list[BinaryTreeNode] = []
-    while stack or node is not None:
-        while node is not None:
-            stack.append(node)
-            node = node.left
-        node = stack.pop()
-        out.append(node.label)
-        node = node.right
-    return tuple(out)
-
-
 def postorder(node: BinaryTreeNode | None) -> Word:
     """Post-order readout: for the decreasing binary tree of L m R this is
     the stack sort S(L) S(R) m.  It is the reverse of the pre-order that

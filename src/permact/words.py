@@ -112,6 +112,18 @@ def involutions(n: int) -> Iterator[Word]:
     yield from _involutions_from(n, shorter, shortest) if n > 0 else shorter
 
 
+def involution_count(n: int) -> int:
+    """I(n), the number of involutions of {1..n}: I(m) = I(m-1) + (m-1) I(m-2).
+
+    >>> [involution_count(n) for n in range(7)]
+    [1, 1, 2, 4, 10, 26, 76]
+    """
+    shorter = count = 1
+    for m in range(2, n + 1):
+        shorter, count = count, count + (m - 1) * shorter
+    return count
+
+
 def _involutions_from(m: int, shorter: list[Word], shortest: list[Word]) -> Iterator[Word]:
     """I_m from I_(m-1) and I_(m-2); pairing m with j lifts a word of
     I_(m-2) past j, in its letters and its positions alike."""

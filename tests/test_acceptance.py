@@ -19,7 +19,7 @@ from permact.posets import (
     wp_polynomial,
 )
 from permact.stacksort import stack_sort, stack_sort_via_slides
-from permact.trees import binary_tree, edge_masks, hop_product, veh, word_of
+from permact.trees import binary_tree, edge_masks, hop_product, postorder, veh
 from permact.words import all_permutations, format_word, parse_word
 
 W0 = (5, 7, 3, 1, 4, 8, 9, 2, 6)
@@ -165,7 +165,7 @@ def test_primary_11_property_invariants():
             rng.shuffle(base)
             w = tuple(base)
             assert parse_word(format_word(w)) == w
-            assert word_of(binary_tree(w)) == w
+            assert postorder(binary_tree(w)) == stack_sort(w)
             # the phi_x products at the odd and the right-edge masks are inverse
             psi = hop_product(w, edge_masks(w)[0], phi_x)
             phi_cap = hop_product(w, edge_masks(w)[1], phi_x)
@@ -178,6 +178,6 @@ def test_primary_11_property_invariants():
     assert sampled >= 10_000
     for n in range(1, 8):
         for w in all_permutations(n):
-            assert word_of(binary_tree(w)) == w
+            assert postorder(binary_tree(w)) == stack_sort(w)
     end = time.perf_counter()
     _announce(11, end - start, 120, "involution, commutation, and round-trip invariants (exhaustive n <= 7, sampled 10^4 at n = 8, 9)")

@@ -54,6 +54,23 @@ def test_orbit_zero_boundary_needs_negative_letters(capsys):
     assert json.loads(out)["members"] == [[-2, -1], [-1, -2]]
 
 
+@pytest.mark.parametrize("word, code", [("1 2 3 4 5 6", 2), ("1 2 3 4 5", 0)])
+def test_orbit_above_the_enumeration_cap_is_usage_error(capsys, monkeypatch, word, code):
+    # the increasing word on n letters has 2^(n-1) orbit members, against 4! = 24
+    from permact import action
+
+    monkeypatch.setenv("PERMACT_MAX_N", "4")
+    if code == 2:
+        monkeypatch.setattr(action, "orbit_members", None)  # refused before any hop
+    got, out, err = run_cli(capsys, "orbit", word)
+    assert got == code
+    if code == 2:
+        assert not out
+        assert "32 members" in err and "PERMACT_MAX_N" in err
+    else:
+        assert len(json.loads(out)["members"]) == 16
+
+
 def test_sort_methods_agree(capsys):
     _, rec, _ = run_cli(capsys, "sort", "573148926")
     _, sli, _ = run_cli(capsys, "sort", "573148926", "--method", "slides")
@@ -321,6 +338,23 @@ def test_mahonian_above_the_enumeration_cap_is_usage_error(capsys, monkeypatch):
     assert "enumeration cap" in err
 
 
+@pytest.mark.parametrize("n, code", [(6, 0), (7, 2)])
+def test_involution_table_above_the_enumeration_cap_is_usage_error(capsys, monkeypatch, n, code):
+    # I(6) = 76 and I(7) = 232 involutions, against 5! = 120
+    from permact import words
+
+    monkeypatch.setenv("PERMACT_MAX_N", "5")
+    if code == 2:
+        monkeypatch.setattr(words, "involutions", None)  # refused before any is built
+    got, out, err = run_cli(capsys, "table", "involution", "--n", str(n))
+    assert got == code
+    if code == 2:
+        assert not out
+        assert "232 members" in err and "PERMACT_MAX_N" in err
+    else:
+        assert out.splitlines()[-1].startswith("6,")
+
+
 def _write_poset(tmp_path):
     payload = {
         "elements": ["a", "b", "c"],
@@ -541,6 +575,28 @@ def _fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+def test_a_reader_that_stops_early_exits_141_quietly():
+    # hundreds of kilobytes of JSON, far more than a pipe holds, so the
+    # writes after the reader has gone fail
+    src = str(Path(permact.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permact.cli", "class", "rsortable", "--n", "7", "--r", "6"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "narayana", "--max-n", "2", "--out", str(tmp_path / "no-dir" / "r.json"))
+    assert code == 2
+    assert not out
+    assert "No such file" in err
 
 
 def test_import_loads_no_process_pool():

@@ -12,7 +12,6 @@ from math import comb, inf
 import pytest
 
 from permact.action import (
-    double_ascent_letters,
     orbit,
     orbit_closure,
     orbit_members,
@@ -40,9 +39,7 @@ from permact.patterns import (
 )
 from permact.polynomials import IntPolynomial
 from permact.stacksort import (
-    NotADescentError,
     r_sortable_classes,
-    slide_r,
     sort_depth,
     stack_sort,
     stack_sort_via_slides,
@@ -58,7 +55,6 @@ from permact.trees import (
     right_edges_via_tree,
     unordered_tree,
     veh,
-    word_of,
 )
 from permact.words import (
     Boundary,
@@ -215,7 +211,7 @@ def test_orbit_reps_are_the_double_descent_free_words(n):
     # the depth-first walk keeps lex order and reads off each word's moving letters
     assert [w for w, _ in reps] == [w for w in all_permutations(n) if LetterClass.DOUBLE_DESCENT not in classify(w)]
     for w, letters in reps:
-        assert list(letters) == double_ascent_letters(w)
+        assert list(letters) == [a for a, c in zip(w, classify(w)) if c is LetterClass.DOUBLE_ASCENT]
     if n <= 7:
         walked = list(orbits(all_permutations(n), phi_prime_x))
         assert len(walked) == len(reps)
@@ -393,10 +389,10 @@ def first_gap_slide(w, i):
     raise AssertionError("no gap accepts the letter")
 
 
-def slides_by_slide_r(w):
-    """Compose slide_r at the tops of w's descents, leftmost first."""
+def slides_by_first_gap_search(w):
+    """Compose first_gap_slide at the tops of w's descents, leftmost first."""
     for x in [a for a, b in zip(w, w[1:]) if a > b]:
-        w = slide_r(w, w.index(x) + 1)
+        w = first_gap_slide(w, w.index(x) + 1)
     return w
 
 
@@ -404,18 +400,12 @@ def slides_by_slide_r(w):
 @pytest.mark.parametrize("letters", SIGNED_LETTERS, ids=SIGNED_IDS)
 def test_slide_matches_first_gap_search(n, letters):
     for w in itertools.permutations(letters(n)):
-        for i in range(-1, n + 2):
-            if 1 <= i < n and w[i - 1] > w[i]:
-                assert slide_r(w, i) == first_gap_slide(w, i)
-            else:
-                with pytest.raises(NotADescentError):
-                    slide_r(w, i)
-        assert stack_sort_via_slides(w) == slides_by_slide_r(w) == stack_sort(w)
+        assert stack_sort_via_slides(w) == slides_by_first_gap_search(w) == stack_sort(w)
 
 
 @pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
 def test_slides_on_long_words(w):
-    assert stack_sort_via_slides(w) == slides_by_slide_r(w) == tuple(range(1, 1501))
+    assert stack_sort_via_slides(w) == slides_by_first_gap_search(w) == tuple(range(1, 1501))
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -557,6 +547,4 @@ def test_dec_subseq_recurrence_on_random_words():
 @pytest.mark.parametrize("w", LONG_WORDS, ids=["increasing", "decreasing"])
 def test_tree_readouts_on_long_words(w):
     assert len(w) > sys.getrecursionlimit()
-    tree = binary_tree(w)
-    assert word_of(tree) == w
-    assert postorder(tree) == stack_sort(w)
+    assert postorder(binary_tree(w)) == stack_sort(w)

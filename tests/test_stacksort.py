@@ -1,11 +1,9 @@
 import pytest
 
 from permact.stacksort import (
-    NotADescentError,
     enumerate_r_sortable,
     is_r_sortable,
     r_sortable_classes,
-    slide_r,
     sort_depth,
     stack_sort,
     stack_sort_via_slides,
@@ -21,16 +19,6 @@ def test_stack_sort_fixtures():
     assert stack_sort((3, 1, 4, 2)) == (1, 3, 2, 4)
     assert stack_sort(identity(5)) == identity(5)
     assert stack_sort(()) == ()
-
-
-def test_slide_r_fixture():
-    # the letter at a descent top slides right past smaller letters
-    assert slide_r(W0, 2) == (5, 3, 1, 4, 7, 8, 9, 2, 6)
-    assert slide_r((2, 1), 1) == (1, 2)
-    with pytest.raises(NotADescentError):
-        slide_r(W0, 1)
-    with pytest.raises(NotADescentError):
-        slide_r(W0, 9)
 
 
 def test_slides_reach_stack_sort():

@@ -18,7 +18,6 @@ from permact.trees import (
     right_edges_via_tree,
     unordered_tree,
     veh,
-    word_of,
 )
 from permact.words import all_permutations, descent_set, des
 from permact.patterns import avoiding_permutations
@@ -28,10 +27,17 @@ W1 = (6, 5, 2, 4, 1, 9, 7, 3, 8)
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
+def inorder(node):
+    """The labels of a binary tree in order: left subtree, root, right subtree."""
+    return () if node is None else (*inorder(node.left), node.label, *inorder(node.right))
+
+
 def test_binary_tree_round_trip():
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert word_of(binary_tree(w)) == w
+            root = binary_tree(w)
+            assert inorder(root) == w
+            assert postorder(root) == stack_sort(w)
 
 
 def mask(letters):
@@ -175,7 +181,7 @@ def _on_permutations(check):
 def test_binary_tree_readouts_on_random_permutations():
     def check(w):
         root = binary_tree(w)
-        assert word_of(root) == w
+        assert inorder(root) == w
         assert postorder(root) == stack_sort(w)
 
     _on_permutations(check)
