@@ -381,26 +381,18 @@ def verified_orbit(
     return OrbitReport(members, rep, k, poly, claim, tuple(peaks))
 
 
-def orbit(w: Word, boundary: Boundary = Boundary.TOP) -> OrbitReport:
-    """Orbit of w with its descent polynomial and the verified closed form.
-
-    Under the ZERO boundary the theorem needs every letter below the 0
-    sentinel, so a positive letter is rejected with ValueError; for the
-    words left the hops compare as under TOP.
+def orbit(w: Word) -> OrbitReport:
+    """Orbit of w with its descent polynomial and the verified closed form,
+    under the TOP boundary.
 
     >>> orbit((2, 1)).descent_poly
     (1, 1)
     """
     if not w:
         raise ValueError("empty word has no orbit")
-    if boundary is Boundary.ZERO and any(a > 0 for a in w):
-        raise ValueError(
-            "the zero boundary needs every letter negative (below the 0 sentinel); "
-            f"{w} has a positive letter"
-        )
-    k = peak(w, boundary)
+    k = peak(w)
     check_enumeration_count(2 ** (len(w) - 1 - 2 * k), f"the orbit of a {len(w)}-letter word")
-    report = verified_orbit(sorted(orbit_members(w, phi_prime_x)), len(w) - 1, boundary)
+    report = verified_orbit(sorted(orbit_members(w, phi_prime_x)), len(w) - 1, Boundary.TOP)
     if k != report.peak:
         raise RuntimeError(f"orbit of {w}: rep descent count differs from peak count")
     return report

@@ -13,6 +13,7 @@ import os
 import sys
 from collections import Counter
 from functools import lru_cache, partial
+from itertools import islice
 
 from . import action, harness, mahonian, patterns, posets, stacksort, trees, words
 from .polynomials import dense, latex_gamma_form, uni
@@ -20,7 +21,11 @@ from .words import Boundary, des, descent_poly, maj
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    # json.dumps would join every chunk into one string first, and a write
+    # per chunk to the write-through stdout is slow: write 1024 at a time
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 1024)), ""))
+    sys.stdout.write("\n")
 
 
 def _size(command: str, n: int, least: int) -> int:
@@ -63,7 +68,7 @@ def cmd_stats(args) -> int:
 
 def cmd_orbit(args) -> int:
     w = words.parse_word(args.word)
-    report = action.orbit(w, Boundary(args.boundary))
+    report = action.orbit(w)
     _emit_json(report.to_json_dict())
     return 0
 
@@ -120,7 +125,7 @@ def cmd_apq(args) -> int:
     return 0
 
 
-# json.dumps with an indent recurses once per nesting level, and a level
+# the JSON encoder with an indent recurses once per nesting level, and a level
 # of an unordered tree is two (a dict and its children list): about 490
 # levels fit under the default recursion limit
 MAX_TREE_DEPTH = 400
@@ -254,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="orbit of a word under the hops")
     p.add_argument("word")
-    p.add_argument("--boundary", choices=["top", "zero"], default="top")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("sort", help="stack sort a word")

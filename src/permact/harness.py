@@ -34,7 +34,6 @@ from .polynomials import (
     NotSymmetricError,
     gamma_expand,
     gessel_expand,
-    gessel_expand_via_solve,
     latex_gamma_form,
     strip_zeros,
     uni,
@@ -672,8 +671,8 @@ def _run_gessel(n: int) -> tuple[str, dict | None]:
     for d in sorted(by_des):
         F = IntPolynomial.from_counts(("s", "t"), by_des[d])
         ge = gessel_expand(F, n)
-        if n <= 4 and ge != gessel_expand_via_solve(F, n):
-            raise Failure("integer peel differs from the Fraction solve", {"des": d})
+        if ge.reconstruct() != F:
+            raise Failure("integer peel does not rebuild the joint polynomial", {"des": d})
         negs = ge.negative_entries()
         if negs:
             raise Failure(f"negative coefficients for descent class {d}", {"des": d, "negative": negs}, hard=False)

@@ -22,9 +22,12 @@ def enumeration_bound() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PERMACT_MAX_N must be an integer, got {raw!r}") from exc
+        bound = int(raw)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise ValueError(f"PERMACT_MAX_N must be a nonnegative integer, got {raw!r}")
+    return bound
 
 
 def check_enumeration_size(n: int, what: str = "n") -> None:

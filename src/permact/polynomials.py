@@ -12,7 +12,6 @@ All arithmetic is exact; there are no floats anywhere.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -27,11 +26,11 @@ class NonzeroRemainderError(ArithmeticError):
 
 
 class NoExpansionError(ArithmeticError):
-    """The linear system for a basis expansion has no (unique) solution."""
+    """A basis expansion left a nonzero residual: no expansion exists."""
 
 
 class NonIntegralError(ArithmeticError):
-    """An exact division or solve produced a non-integer where one was required."""
+    """An exact division produced a non-integer where one was required."""
 
 
 class IntPolynomial:
@@ -289,6 +288,9 @@ class GesselExpansion(NamedTuple):
     coeffs: dict[tuple[int, int], int]
 
     def reconstruct(self) -> IntPolynomial:
+        """F, rebuilt by multiplying out each basis element in IntPolynomial
+        arithmetic: no code is shared with the peel's binomial terms, so the
+        rebuild checks gessel_expand."""
         acc = IntPolynomial.zero(("s", "t"))
         for (k, j), c in sorted(self.coeffs.items()):
             acc = acc + c * _gessel_basis(self.n, k, j)
@@ -296,10 +298,6 @@ class GesselExpansion(NamedTuple):
 
     def negative_entries(self) -> list[tuple[int, int, int]]:
         return [(k, j, c) for (k, j), c in sorted(self.coeffs.items()) if c < 0]
-
-
-def _gessel_pairs(n: int) -> list[tuple[int, int]]:
-    return [(k, j) for j in range((n - 1) // 2 + 1) for k in range(n - 2 * j)]
 
 
 def _gessel_basis(n: int, k: int, j: int) -> IntPolynomial:
@@ -351,60 +349,6 @@ def gessel_expand(F: IntPolynomial, n: int) -> GesselExpansion:
     if any(map(any, rest)):
         raise NoExpansionError(f"no expansion exists for n={n}")
     return GesselExpansion(n, values)
-
-
-def gessel_expand_via_solve(F: IntPolynomial, n: int) -> GesselExpansion:
-    """Independent route to gessel_expand: solve for the coefficients with
-    Fraction elimination over the sparse basis polynomials.
-
-    Raises NoExpansionError if the system is inconsistent (or, defensively, if
-    the basis were dependent) and NonIntegralError if a coefficient is not an
-    integer.  Zero coefficients are dropped.
-    """
-    from fractions import Fraction  # on first use: only this oracle needs it
-
-    if F.vars != ("s", "t"):
-        raise ValueError("expected a polynomial in vars ('s', 't')")
-    pairs = _gessel_pairs(n)
-    basis = [_gessel_basis(n, k, j) for k, j in pairs]
-    monomials = sorted(set(itertools.chain(F.terms, *(b.terms for b in basis))))
-    # rows: one equation per monomial; columns: one unknown per basis element
-    rows = [
-        [Fraction(b.terms.get(m, 0)) for b in basis] + [Fraction(F.terms.get(m, 0))]
-        for m in monomials
-    ]
-    ncols = len(pairs)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_of_col[col] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            raise NoExpansionError(f"no expansion exists for n={n}")
-    if len(pivot_of_col) < ncols:
-        raise NoExpansionError(f"basis is linearly dependent at n={n}; expansion ambiguous")
-    values = {}
-    for col, (k, j) in enumerate(pairs):
-        val = rows[pivot_of_col[col]][ncols]
-        if val.denominator != 1:
-            raise NonIntegralError(f"coefficient c[{k},{j}] = {val} is not an integer")
-        if val:
-            values[(k, j)] = int(val)
-    expansion = GesselExpansion(n, values)
-    if expansion.reconstruct() != F:
-        raise NoExpansionError("internal: reconstruction mismatch after solve")
-    return expansion
 
 
 # -- q-analogues ----------------------------------------------------------

@@ -54,10 +54,6 @@ class BrokenInvariantError(RuntimeError):
     pass
 
 
-class CannotCanonicalizeError(ValueError):
-    pass
-
-
 class LabeledPoset:
     """Finite poset given by cover relations, plus an injective nonzero labeling."""
 
@@ -307,7 +303,7 @@ class WpPolynomials(NamedTuple):
 
 def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
     """W(P;t) with its basis coefficients a_i scaled from 0-sentinel peak
-    counts (via the adjoined-top poset when r = 1) by class_polys_from_counts,
+    counts (of P with a top adjoined when r = 1) by class_polys_from_counts,
     which checks that they rebuild W.  W must be palindromic, and a scaled
     vector that rebuilds a palindrome is its gamma vector.
 
@@ -327,39 +323,15 @@ def wp_polynomial(P: LabeledPoset) -> WpPolynomials:
     except NotSymmetricError as exc:
         # the theorem makes W(P;t) symmetric: this is a broken identity, not bad input
         raise BrokenInvariantError(f"W(P;t) breaks the orbit symmetry: {exc}") from exc
-    # for r = 1, the rank-0 peak formula on the adjoined-top poset, one size
-    # up, with its index shifted down by one
-    source = exts if r == 0 else linear_extensions(adjoin_top(P))
-    peaks = Counter(peak(pi, Boundary.ZERO) - r for pi in source)
+    # for r = 1, the rank-0 peak formula on P with a new top adjoined, one
+    # size up, with its index shifted down by one: the top is forced last,
+    # and its label, below P's least (negative) label, ends each extension
+    top = () if r == 0 else (min(P.label_set) - 1,)
+    peaks = Counter(peak(pi + top, Boundary.ZERO) - r for pi in exts)
     a = class_polys_from_counts(dict(enumerate(W)), peaks, d + 1).b
     if any(x < 0 for x in a):
         raise RuntimeError(f"negative basis coefficient in {a}")
     return WpPolynomials(W, a, r, d, tuple(exts))
-
-
-def adjoin_top(P: LabeledPoset) -> LabeledPoset:
-    """Adjoin a new greatest element and label it so the result is canonical.
-
-    A positive label above everything works when P has rank 0 (the new top
-    becomes the rank-1 level); when P has rank 1 the new top must take a
-    negative label to bring the chain sums back to 0.  If neither single
-    label works the failure is reported, never guessed around.
-    """
-    top: Element = "top"
-    while top in P.elements:
-        top = "_" + str(top)
-    labels = list(P.labels.values())
-    candidates = (max([0, *labels]) + 1, min([0, *labels]) - 1)
-    covers = tuple(P.covers) + tuple((m, top) for m in P.maximals())
-    for lab in candidates:
-        Q = LabeledPoset(
-            tuple(P.elements) + (top,), covers, {**P.labels, top: lab}
-        )
-        if is_canonical(Q):
-            return Q
-    raise CannotCanonicalizeError(
-        "no single label on the new top yields a canonical labeling"
-    )
 
 
 # -- corpus -------------------------------------------------------------------

@@ -16,6 +16,7 @@ from permact.action import (
     phi_prime_full,
     phi_prime_x,
     phi_x,
+    verified_orbit,
     x_factorization,
 )
 from permact.posets import canonical_posets, linear_extensions, psi_x_poset
@@ -90,8 +91,10 @@ def test_orbit_small():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zero_boundary_orbits_of_negative_words_match_top(n):
+    # every letter is below the 0 sentinel, so the two boundaries agree
     for w in itertools.permutations(range(-n, 0)):
-        assert orbit(w, Boundary.ZERO) == orbit(w)
+        members = sorted(orbit_members(w, phi_prime_x))
+        assert verified_orbit(members, n - 1, Boundary.ZERO) == verified_orbit(members, n - 1, Boundary.TOP)
 
 
 def test_orbit_fixture_word():

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -43,15 +44,12 @@ def test_orbit(capsys):
     assert data["rep"] == [1, 2]
 
 
-def test_orbit_zero_boundary_needs_negative_letters(capsys):
-    for word in ("12", "123"):
-        code, out, err = run_cli(capsys, "orbit", word, "--boundary", "zero")
-        assert code == 2
-        assert not out
-        assert "negative" in err
-    code, out, _ = run_cli(capsys, "orbit", "-2 -1", "--boundary", "zero")
-    assert code == 0
-    assert json.loads(out)["members"] == [[-2, -1], [-1, -2]]
+def test_orbit_has_no_boundary_option(capsys):
+    # the 0 sentinel is reached through `poset FILE --orbits`
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "-2 -1", "--boundary", "zero"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --boundary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("word, code", [("1 2 3 4 5 6", 2), ("1 2 3 4 5", 0)])
@@ -482,7 +480,7 @@ def test_table_with_an_asymmetric_eulerian_polynomial_exits_1(capsys, monkeypatc
 # every command that prints a polynomial; FILE is the poset of _write_poset
 POLYNOMIAL_OUTPUT_SHA256 = [
     ("orbit 2413", "94f1130ec5b2b1a02416e2b931da854424ed9aaeaba645a8247a0318c7224545"),
-    ("orbit '-2 -4 -1 -3' --boundary zero", "263062db969abcd4a5c5f076c44b63c8ab6a891ceb3df8af15ac907710fcf9cd"),
+    ("orbit '-2 -4 -1 -3'", "263062db969abcd4a5c5f076c44b63c8ab6a891ceb3df8af15ac907710fcf9cd"),
     ("class rsortable --n 5 --r 2 --poly des", "0c4ee4f09b5085c367d4b4694ae168d95246185d95370f9770a374b2006e536c"),
     ("class rsortable --n 5 --r 2 --poly peak", "a7b55188b59f182e9ed0f9d3eb90c24c35abcb050951f21fe82fc6edeb58b907"),
     ("class rsortable --n 5 --r 2 --poly gamma", "de356496aea7691bd3246cc56bd5bf8f721e714ad73825acce0108961223b0dc"),
@@ -559,6 +557,28 @@ def test_verify_empty_range_is_usage_error(capsys, monkeypatch):
     assert "PERMACT_MAX_N" in err
 
 
+@pytest.mark.parametrize("argv", [("orbit", "21"), ("verify", "orb")])
+def test_negative_enumeration_cap_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PERMACT_MAX_N", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "PERMACT_MAX_N must be a nonnegative integer, got '-1'" in err
+
+
+def test_json_output_is_streamed(monkeypatch):
+    # 2^13 orbit members: the JSON text is never built as one string
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["orbit", " ".join(map(str, range(1, 15)))]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_verify_timing_does_not_carry_over_to_the_next_call(capsys):
     code, out, _ = run_cli(capsys, "verify", "narayana", "--max-n", "3", "--timing")
     assert code == 0
@@ -609,18 +629,18 @@ def test_import_loads_no_process_pool():
 
 
 def test_import_loads_no_dataclasses_csv_or_fractions():
-    # csv and fractions load on first use; the two uses still work afterwards
+    # csv loads on first use, and the gessel suite checks its expansions
+    # without fractions or decimal
     out = _fresh_interpreter(
-        "import sys, permact.cli\n"
+        "import os, sys, permact.cli\n"
         "print([m for m in ('dataclasses', 'inspect', 'ast', 'fractions', 'decimal', 'csv')\n"
         "       if m in sys.modules])\n"
-        "from permact.polynomials import IntPolynomial, gessel_expand_via_solve\n"
-        "s, t = (IntPolynomial.variable(v, ('s', 't')) for v in 'st')\n"
-        "print(gessel_expand_via_solve((s + t) * (1 + s * t), 3).coeffs)\n"
+        "assert permact.cli.main(['verify', 'gessel', '--max-n', '4', '--out', os.devnull]) == 0\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
         "sys.exit(permact.cli.main(['verify', 'narayana', '--max-n', '4', '--format', 'csv']))"
     )
     lines = out.splitlines()
-    assert lines[:2] == ["[]", "{(1, 0): 1}"]
+    assert lines[:2] == ["[]", "[]"]
     assert lines[2].startswith("suite,kind,n,ok,")
     assert [row.split(",")[2:4] for row in lines[3:]] == [[str(n), "True"] for n in range(1, 5)]
 

@@ -12,14 +12,12 @@ from permact.action import orbit_members, phi_prime_x_via_factorization, verifie
 from permact.polynomials import gamma_expand
 from permact.posets import (
     BrokenInvariantError,
-    CannotCanonicalizeError,
     InvalidPosetError,
     LabeledPoset,
     NotALinearExtensionError,
     NotCanonicalError,
     NotSignGradedError,
     _hasse,
-    adjoin_top,
     canonical_posets,
     is_canonical,
     is_linear_extension,
@@ -30,7 +28,7 @@ from permact.posets import (
     sign_grading,
     wp_polynomial,
 )
-from permact.words import Boundary, LetterClass, classify
+from permact.words import Boundary, LetterClass, classify, peak
 
 
 def canonical_posets_up_to(max_size):
@@ -379,11 +377,11 @@ def test_wp_polynomial_grades_its_poset_once(monkeypatch):
         return sign_grading(P)
 
     monkeypatch.setattr(posets, "sign_grading", counting_sign_grading)
-    # r = 1 and r = 0: the first also grades its adjoined-top poset
+    # r = 1 and r = 0
     for P in (v_poset(), chain3()):
         graded.clear()
         wp_polynomial(P)
-        assert sum(Q is P for Q in graded) == 1
+        assert [Q is P for Q in graded] == [True]
 
 
 def test_wp_json_keys():
@@ -392,17 +390,22 @@ def test_wp_json_keys():
 
 
 def test_adjoin_top():
-    Q = adjoin_top(v_poset())
-    assert is_canonical(Q)
-    assert Q.labels["top"] == -3
-    flat = adjoin_top(antichain(2))
-    assert is_canonical(flat)
-    assert flat.labels["top"] == 1
-    bad = LabeledPoset(
-        ("a", "b", "c"), (("a", "c"), ("b", "c")), {"a": -2, "b": -1, "c": -3}
-    )
-    with pytest.raises(CannotCanonicalizeError):
-        adjoin_top(bad)
+    # for r = 1, wp_polynomial reads the peaks of P with a top adjoined off
+    # P's own extensions, each ending in the top's label: build that poset
+    # and compare its peak tally with the one read off P
+    checked = 0
+    for P in canonical_posets_up_to(5):
+        if orbit_degree(P) == len(P) - 1:
+            continue  # r = 0
+        label = min(P.label_set) - 1
+        Q = LabeledPoset(P.elements + ("top",), P.covers + tuple((e, "top") for e in P.maximals()),
+                         {**P.labels, "top": label})
+        assert orbit_degree(Q) == len(Q) - 1  # canonical, with r = 0
+        assert Counter(peak(pi, Boundary.ZERO) for pi in linear_extensions(Q)) == Counter(
+            peak(pi + (label,), Boundary.ZERO) for pi in wp_polynomial(P).extensions
+        )
+        checked += 1
+    assert checked == 27
 
 
 def test_corpus_counts():
